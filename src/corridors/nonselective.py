@@ -12,8 +12,14 @@ no quadrature error, and composing steps gives the monitoring master
 equation  d rho/dt = -i[H, rho]/hbar - (kappa/2) [A, [A, rho]]  in Strang
 form.  Finite time resolution correlates the decay across a window of
 steps; the doubled (bra x ket) lattice chain is then contracted exactly
-with the same sliding-buffer sweep the selective engine uses, or
-estimated by Monte-Carlo over records.
+with the same sliding-buffer sweep the selective engine uses.
+
+Every averaged weight here (ideal, windowed, or from the medium) is the
+characteristic function of a Gaussian phase field, so the averaged state
+is also E_xi[U_xi rho U_xi†], U_xi the plain dynamics under random slice
+phases (Kubo's identity; Chenu, Beau, Cao & del Campo, PRL 118, 140403
+(2017)).  The "mc" modes sample that field: each sample is a valid
+state, at a cost independent of the window width.
 
 `check_generalized_unitarity` verifies the defining property of the
 corridor decomposition — the record-integrated U†U is the identity —
@@ -35,7 +41,7 @@ from scipy.special import logsumexp
 from .grids import _dense_step_matrix, _step_columns, pure_density
 from .medium import PathPair, influence_exact, influence_firstorder
 from .readout import FormFactor, readout_measure_factor
-from .selective import DEFAULT_WORK_CAP, WindowSpec, _contract_windowed
+from .selective import DEFAULT_WORK_CAP, WindowSpec, _contract_windowed, _Moments
 
 __all__ = [
     "InfluenceKernelSpec",
@@ -49,6 +55,12 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("ideal", "coarse", "medium_exact", "medium_firstorder")
+
+# relative eigenvalue floor of a medium kernel factored as a field
+# covariance (see _psd_factor)
+PSD_RTOL = 1e-6
+# complex elements in one batch of sampled propagators (256 KB)
+_FIELD_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -179,16 +191,15 @@ def readout_average(
     samples=1000,
     seed=None,
     observer=None,
-    cap=DEFAULT_WORK_CAP,
-    inner_samples=32,
 ):
     """Average the conditioned evolution of a pure state over all records.
 
     mode "quadrature" integrates each step's record in closed form (see
     module docstring) and requires ideal (delta) resolution — windowed
     averaging needs either the doubled contraction (`superpropagate`
-    with a coarse kernel) or mode "mc", which importance-samples whole
-    records and reports entrywise standard errors.
+    with a coarse kernel) or mode "mc", which averages unitary evolutions
+    under the Gaussian phase field equivalent to the (windowed) record
+    average and reports entrywise standard errors.
     """
     rho0 = pure_density(np.asarray(psi0, dtype=complex))
     is_ideal = form_factor is None or form_factor.is_delta
@@ -202,15 +213,13 @@ def readout_average(
         return AverageResult(rho=rho, mode=mode)
     if mode != "mc":
         raise ValueError(f"mode must be 'quadrature' or 'mc', got {mode!r}")
-    window = None if is_ideal else form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
-    rho, stderr = _mc_record_average(
-        rho0, window, kappa, ham, obs, sgrid, tgrid, samples, seed, cap, inner_samples
-    )
-    return AverageResult(rho=rho, mode=mode, stderr=stderr, n_samples=int(samples))
+    spec = InfluenceKernelSpec("ideal" if is_ideal else "coarse", kappa, form_factor)
+    return _field_average(rho0, *_field_factors(spec, obs, tgrid), ham, sgrid, tgrid,
+                          samples, seed)
 
 
 # ----------------------------------------------------------------------
-# record sampling machinery (shared by the mc modes)
+# record sampling machinery (unitarity mc)
 
 
 def _mixture_record(rng, values, kappa, dt, n_steps):
@@ -245,12 +254,7 @@ def _conditioned_operator(readout, window, kappa, ham, obs, sgrid, tgrid, cap, r
             block = _step_columns(np.exp(-kappa * dt * (vals - readout[i]) ** 2)[:, None] * block,
                                   ham, sgrid, dt)
         return block
-    try:
-        WindowSpec.plan(window, n, cap)
-        fits = True
-    except ValueError:
-        fits = False
-    if fits:
+    if _plan_fits(window, n, cap):
         kernel = _dense_step_matrix(ham, sgrid, dt)
         cols = [
             _contract_windowed(np.eye(n, dtype=complex)[:, j], kernel, vals, readout,
@@ -272,39 +276,6 @@ def _conditioned_operator(readout, window, kappa, ham, obs, sgrid, tgrid, cap, r
             block *= np.exp(vals * coef[j])[:, None]
         acc += block
     return acc / inner
-
-
-def _mc_record_average(rho0, window, kappa, ham, obs, sgrid, tgrid, samples, seed, cap, inner):
-    if samples < 2:
-        raise ValueError("need at least 2 samples for an error estimate")
-    if kappa <= 0:
-        raise ValueError("record sampling requires kappa > 0")
-    rng = np.random.default_rng(seed)
-    n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
-    log_c = math.log(readout_measure_factor(kappa, dt))
-    nested = window is not None and not _plan_fits(window, n, cap)
-    total = np.zeros((n, n), dtype=complex)
-    total_re2 = np.zeros((n, n))
-    total_im2 = np.zeros((n, n))
-    for _ in range(samples):
-        a, log_q = _mixture_record(rng, obs.values, kappa, dt, n_steps)
-        w = math.exp(n_steps * log_c - log_q)
-        u1 = _conditioned_operator(a, window, kappa, ham, obs, sgrid, tgrid, cap, rng, inner)
-        if nested:
-            # unbiased product needs two independent estimates of U[a]
-            u2 = _conditioned_operator(a, window, kappa, ham, obs, sgrid, tgrid, cap, rng, inner)
-        else:
-            u2 = u1
-        term = w * (u1 @ rho0 @ u2.conj().T)
-        term = 0.5 * (term + term.conj().T)
-        total += term
-        total_re2 += term.real**2
-        total_im2 += term.imag**2
-    mean = total / samples
-    bessel = samples / (samples - 1.0)
-    var_re = np.maximum(total_re2 / samples - mean.real**2, 0.0) * bessel
-    var_im = np.maximum(total_im2 / samples - mean.imag**2, 0.0) * bessel
-    return mean, np.sqrt((var_re + var_im) / samples)
 
 
 def _plan_fits(window, n_sites, cap):
@@ -331,42 +302,34 @@ def superpropagate(
     seed=None,
     cap=DEFAULT_WORK_CAP,
     observer=None,
-    inner_samples=32,
 ):
     """Evolve a density matrix under a two-path decoherence weight.
 
-    kind "ideal" (and "coarse" with a delta profile) runs the per-step
-    closed-form sweep.  kind "coarse" contracts the doubled bra x ket
-    chain through the resolution window exactly (mode "exact") or
-    estimates it from sampled records (mode "mc").  The medium kinds
+    Mode "exact": kind "ideal" (and "coarse" with a delta profile) runs
+    the per-step closed-form sweep, kind "coarse" contracts the doubled
+    bra x ket chain through the resolution window, and the medium kinds
     enumerate lattice path pairs under the microscopic influence weight
-    (mode "exact", small grids only) or importance-sample path pairs
-    (mode "mc").  Paths take values in the monitored observable, which
-    the medium kernels interpret as positions in the interaction-range
-    metric.
+    (small grids only).  Mode "mc", for every kind, averages unitary
+    evolutions under the Gaussian phase field whose characteristic
+    function is the weight, and reports entrywise standard errors.
+    Paths take values in the monitored observable, which the medium
+    kernels interpret as positions in the interaction-range metric.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     kind, kappa = kernel_spec.kind, kernel_spec.kappa
     ff = kernel_spec.form_factor
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    if mode == "mc":
+        return _field_average(rho0, *_field_factors(kernel_spec, obs, tgrid), ham, sgrid,
+                              tgrid, samples, seed)
 
     if kind == "ideal" or (kind == "coarse" and ff.is_delta):
-        if mode == "mc":
-            rho, stderr = _mc_record_average(
-                rho0, None, kappa, ham, obs, sgrid, tgrid, samples, seed, cap, inner_samples
-            )
-            return AverageResult(rho=rho, mode=mode, stderr=stderr, n_samples=int(samples))
         rho = _ideal_average_sweep(rho0, kappa, ham, obs, sgrid, tgrid, observer)
         return AverageResult(rho=rho, mode=mode)
 
     if kind == "coarse":
         window = ff.window_matrix(tgrid.n_steps, tgrid.dt)
-        if mode == "mc":
-            rho, stderr = _mc_record_average(
-                rho0, window, kappa, ham, obs, sgrid, tgrid, samples, seed, cap, inner_samples
-            )
-            return AverageResult(rho=rho, mode=mode, stderr=stderr, n_samples=int(samples))
         n = sgrid.n_points
         WindowSpec.plan(window, n * n, cap)
         kernel = _dense_step_matrix(ham, sgrid, tgrid.dt)
@@ -378,12 +341,8 @@ def superpropagate(
         )
         return AverageResult(rho=vec.reshape(n, n), mode=mode)
 
-    # medium kinds
-    if mode == "exact":
-        rho = _medium_enumerate(rho0, kernel_spec, ham, obs, sgrid, tgrid, cap)
-        return AverageResult(rho=rho, mode=mode)
-    rho, stderr = _medium_mc(rho0, kernel_spec, ham, obs, sgrid, tgrid, samples, seed)
-    return AverageResult(rho=rho, mode=mode, stderr=stderr, n_samples=int(samples))
+    rho = _medium_enumerate(rho0, kernel_spec, ham, obs, sgrid, tgrid, cap)
+    return AverageResult(rho=rho, mode=mode)
 
 
 def _medium_log_weight_parts(kernel_spec, vpaths, time_kernel):
@@ -460,62 +419,79 @@ def _all_site_paths(n_sites, n_slices):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _medium_mc(rho0, kernel_spec, ham, obs, sgrid, tgrid, samples, seed):
-    """Importance-sample path pairs: chain proposals follow |kernel| columns."""
+# ----------------------------------------------------------------------
+# random-field unraveling (every mc average)
+
+
+def _psd_factor(matrix, name):
+    """F with F F^T = matrix, for a symmetric positive semidefinite matrix.
+
+    Eigenvalues down to -PSD_RTOL times the largest count as zero.  That is
+    safe: dropping them moves the covariance by at most that fraction of
+    its norm, far below any sampling error.  The 5-tau truncation of a
+    Gaussian profile leaves about -4e-7 of the largest; a profile with a
+    real negative lobe gives orders of magnitude more and is refused.
+    """
+    lam, vec = np.linalg.eigh(matrix)
+    if lam[0] < -PSD_RTOL * max(lam[-1], 0.0):
+        raise ValueError(
+            f"the {name} is not positive semidefinite (smallest eigenvalue {lam[0]:.3g}, "
+            f"largest {lam[-1]:.3g}), so no Gaussian field has it as covariance"
+        )
+    keep = lam > 0.0
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
+def _field_factors(kernel_spec, obs, tgrid):
+    """Time and space factors (T, S) of the phase field phi = T xi S^T.
+
+    The field's covariance T T^T (x) S S^T is chosen so that the average
+    of exp(i (phi . x - phi . y)) over xi ~ N(0, 1) is the kernel's weight
+    of the path pair (x, y): the window P gives T = sqrt(kappa dt) P^T
+    (the delta profile gives [I | 0]), the medium kinds a factor of the
+    stationary time kernel K and, for the exact bracket, of the spatial
+    Gaussian well.
+    """
+    kind, kappa, ff = kernel_spec.kind, kernel_spec.kappa, kernel_spec.form_factor
+    n_steps, dt = tgrid.n_steps, tgrid.dt
+    values = obs.values[:, None]
+    if kind in ("ideal", "coarse"):
+        profile = ff if kind == "coarse" else FormFactor.delta()
+        return math.sqrt(kappa * dt) * profile.window_matrix(n_steps, dt).T, values
+    time = _psd_factor(ff.stationary_matrix(n_steps + 1, dt), "time kernel")
+    if kind == "medium_firstorder":
+        return math.sqrt(kappa * dt) * time, values
+    ell = kernel_spec.ell
+    well = _psd_factor(np.exp(-((values - values.T) ** 2) / (2.0 * ell**2)), "spatial well")
+    return math.sqrt(kappa * ell**2 * dt) * time, well
+
+
+def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, seed):
+    """E_xi[U_xi rho0 U_xi^dagger] over the phase field phi = T xi S^T.
+
+    U_xi is the split-operator evolution with exp(i phi_j) multiplied in
+    at slices 0 .. N, phi_j the row of phi for slice j over the sites.
+    Samples run in batches, the identity block of each swept through
+    the steps side by side.
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples for an error estimate")
     rng = np.random.default_rng(seed)
     n, n_steps, dt = sgrid.n_points, tgrid.n_steps, tgrid.dt
-    j = n_steps + 1
-    kernel = _dense_step_matrix(ham, sgrid, dt)
-    col_mass = np.abs(kernel).sum(axis=0)  # proposal normalizers per column
-    col_prob = np.abs(kernel) / col_mass[None, :]
-    time_kernel = kernel_spec.form_factor.stationary_matrix(j, dt)
-    start_prob = np.abs(rho0)
-    if start_prob.sum() == 0:
-        raise ValueError("rho0 is identically zero")
-    start_prob = start_prob / start_prob.sum()
-
-    total = np.zeros((n, n), dtype=complex)
-    total_re2 = np.zeros((n, n))
-    total_im2 = np.zeros((n, n))
-    flat = np.arange(n * n)
-    for _ in range(samples):
-        s0 = rng.choice(flat, p=start_prob.ravel())
-        k0, l0 = divmod(s0, n)
-        q = start_prob[k0, l0]
-        p1 = _chain_sample(rng, col_prob, k0, j)
-        p2 = _chain_sample(rng, col_prob, l0, j)
-        amp = rho0[k0, l0] / q
-        for s in range(1, j):
-            amp *= kernel[p1[s], p1[s - 1]] / col_prob[p1[s], p1[s - 1]]
-            amp *= (kernel[p2[s], p2[s - 1]] / col_prob[p2[s], p2[s - 1]]).conj()
-        vp = obs.values[np.stack([p1, p2])]
-        pair = PathPair(r1=vp[0], r2=vp[1])
-        if kernel_spec.kind == "medium_exact":
-            w = influence_exact(pair, kernel_spec.form_factor, kernel_spec.kappa,
-                                kernel_spec.ell, dt)
-        else:
-            w = influence_firstorder(pair, kernel_spec.form_factor, kernel_spec.kappa, dt)
-        term = np.zeros((n, n), dtype=complex)
-        term[p1[-1], p2[-1]] = amp * w
-        term = 0.5 * (term + term.conj().T)
-        total += term
-        total_re2 += term.real**2
-        total_im2 += term.imag**2
-    mean = total / samples
-    bessel = samples / (samples - 1.0)
-    var_re = np.maximum(total_re2 / samples - mean.real**2, 0.0) * bessel
-    var_im = np.maximum(total_im2 / samples - mean.imag**2, 0.0) * bessel
-    return mean, np.sqrt((var_re + var_im) / samples)
-
-
-def _chain_sample(rng, col_prob, start, n_slices):
-    path = np.empty(n_slices, dtype=int)
-    path[0] = start
-    for s in range(1, n_slices):
-        path[s] = rng.choice(col_prob.shape[0], p=col_prob[:, path[s - 1]])
-    return path
+    moments = _Moments((n, n))
+    batch = max(1, _FIELD_BATCH_ELEMENTS // (n * n))
+    while moments.count < samples:
+        m = min(batch, samples - moments.count)
+        xi = rng.standard_normal((m, time_factor.shape[1], space_factor.shape[1]))
+        block = np.broadcast_to(np.eye(n, dtype=complex)[:, None, :], (n, m, n)).copy()
+        for j in range(n_steps + 1):  # block[:, s, :] is U so far of sample s
+            if j:
+                block = _step_columns(block.reshape(n, m * n), ham, sgrid, dt).reshape(n, m, n)
+            block *= np.exp(1j * (time_factor[j] @ xi @ space_factor.T)).T[:, :, None]
+        u = block.transpose(1, 0, 2)
+        moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0)
+    return AverageResult(rho=moments.mean(), mode="mc", stderr=moments.stderr(),
+                         n_samples=int(samples))
 
 
 # ----------------------------------------------------------------------
@@ -574,8 +550,7 @@ def check_generalized_unitarity(
     window = None if is_ideal else form_factor.window_matrix(n_steps, dt)
     nested = window is not None and not _plan_fits(window, n, cap)
     log_c = math.log(readout_measure_factor(kappa, dt))
-    total = np.zeros((n, n), dtype=complex)
-    total_sq = np.zeros((n, n))
+    moments = _Moments((n, n))
     for _ in range(int(samples)):
         a, log_q = _mixture_record(rng, obs.values, kappa, dt, n_steps)
         w = math.exp(n_steps * log_c - log_q)
@@ -584,18 +559,14 @@ def check_generalized_unitarity(
         u2 = u1 if not nested else _conditioned_operator(
             a, window, kappa, ham, obs, sgrid, tgrid, cap, rng, inner_samples
         )
-        term = w * (u1.conj().T @ u2)
-        total += term
-        total_sq += np.abs(term) ** 2
-    mean = total / samples
-    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0) * (samples / (samples - 1.0))
-    stderr_mat = np.sqrt(var / samples)
+        moments.add((w * (u1.conj().T @ u2))[None])
+    mean = moments.mean()
     deviation = float(np.max(np.abs(mean - np.eye(n))))
     return UnitarityReport(
         matrix=mean,
         deviation=deviation,
         mode=mode,
-        stderr=float(stderr_mat.max()),
+        stderr=float(moments.stderr().max()),
         n_samples=int(samples),
     )
 

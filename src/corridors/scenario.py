@@ -395,6 +395,7 @@ def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
         raise ConfigError(f"engine: {engine!r} is not auto, ideal, coarse, or mc")
 
     psi = result.final_state
+    finite = bool(np.all(np.isfinite(psi)))
     outputs = [
         (
             "final_state",
@@ -440,7 +441,7 @@ def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
             )
         )
     checks = [
-        _check("state_finite", bool(np.all(np.isfinite(psi))), None, True),
+        _check("state_finite", finite, None, finite),
         _check(
             "readout_probability_density",
             result.probability_density,
@@ -557,15 +558,13 @@ def _task_average(cfg, outdir, engine="lindblad", mode="exact", samples=1000, pa
             )
         )
 
+    # every engine, sampled ones included, returns an average of valid states
     report = check_density_matrix(rho, cfg.sgrid)
-    deterministic = result_stderr is None
     checks = [
-        _check("trace_error", report["trace_error"], 1e-8 if deterministic else None,
-               report["trace_error"] < 1e-8 if deterministic else True),
-        _check("hermiticity_error", report["herm_error"], 1e-8 if deterministic else None,
-               report["herm_error"] < 1e-8 if deterministic else True),
-        _check("min_eigenvalue", report["min_eigenvalue"], 1e-8 if deterministic else None,
-               report["min_eigenvalue"] > -1e-8 if deterministic else True),
+        _check("trace_error", report["trace_error"], 1e-8, report["trace_error"] < 1e-8),
+        _check("hermiticity_error", report["herm_error"], 1e-8, report["herm_error"] < 1e-8),
+        _check("min_eigenvalue", report["min_eigenvalue"], 1e-8,
+               report["min_eigenvalue"] > -1e-8),
     ]
     used = {"engine": engine, "mode": mode, "pair": [int(i), int(j)]}
     if n_samples is not None:

@@ -315,12 +315,9 @@ def evolve_selective_coarse_mc(
     drift = 2.0 * kappa * dt * b  # real part of the per-slice coefficients
 
     psi0 = np.asarray(psi0, dtype=complex)
-    total = np.zeros(n, dtype=complex)
-    total_re2 = np.zeros(n)
-    total_im2 = np.zeros(n)
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
+    moments = _Moments(n, parts=(np.real, np.imag))
+    while moments.count < samples:
+        m = min(batch, samples - moments.count)
         xi = rng.standard_normal((m, n_steps))
         coef = drift[None, :] + 1j * math.sqrt(2.0 * kappa * dt) * (xi @ window)
         block = np.broadcast_to(psi0[:, None], (n, m)).copy()
@@ -328,17 +325,10 @@ def evolve_selective_coarse_mc(
         for j in range(1, n_steps + 1):
             block = _step_columns(block, ham, sgrid, dt)
             block *= np.exp(a_vals[:, None] * coef[:, j][None, :])
-        total += block.sum(axis=1)
-        total_re2 += np.sum(block.real**2, axis=1)
-        total_im2 += np.sum(block.imag**2, axis=1)
-        done += m
+        moments.add(block, axis=1)
 
-    mean = total / samples
-    bessel = samples / (samples - 1.0)
-    var_re = np.maximum(total_re2 / samples - mean.real**2, 0.0) * bessel
-    var_im = np.maximum(total_im2 / samples - mean.imag**2, 0.0) * bessel
-    state_stderr = np.sqrt((var_re + var_im) / samples)
-
+    mean = moments.mean()
+    var_re, var_im = moments.variances()
     result = _wrap_result(mean, kappa, sgrid, tgrid)
     # linearized error of ||mean||^2 * c^N through the component means
     var_norm = float(
@@ -352,10 +342,44 @@ def evolve_selective_coarse_mc(
         norm_sq=result.norm_sq,
         measure_factor=result.measure_factor,
         probability_density=result.probability_density,
-        state_stderr=state_stderr,
+        state_stderr=moments.stderr(),
         probability_stderr=prob_stderr,
         n_samples=int(samples),
     )
+
+
+class _Moments:
+    """Entrywise mean and standard error of i.i.d. complex samples.
+
+    The spread is that of the real projections in ``parts``: the modulus,
+    or the real and imaginary parts for a caller that needs both variances.
+    """
+
+    def __init__(self, shape, parts=(np.abs,)):
+        self.count, self.parts = 0, parts
+        self.total = np.zeros(shape, dtype=complex)
+        self.squares = [np.zeros(shape) for _ in parts]
+
+    def add(self, batch, axis=0):
+        """Add the samples stacked along ``axis`` of ``batch``."""
+        self.count += batch.shape[axis]
+        self.total += batch.sum(axis=axis)
+        for sq, part in zip(self.squares, self.parts):
+            sq += np.sum(part(batch) ** 2, axis=axis)
+
+    def mean(self):
+        return self.total / self.count
+
+    def variances(self):
+        """Bessel-corrected sample variance of each part."""
+        mean, n = self.mean(), self.count
+        return [
+            np.maximum(sq / n - part(mean) ** 2, 0.0) * (n / (n - 1.0))
+            for sq, part in zip(self.squares, self.parts)
+        ]
+
+    def stderr(self):
+        return np.sqrt(sum(self.variances()) / self.count)
 
 
 def _wrap_result(psi, kappa, sgrid, tgrid):

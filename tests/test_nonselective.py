@@ -236,6 +236,88 @@ def test_superpropagate_medium_mc_agrees_within_errors():
     assert np.all(err < 5.0 * np.maximum(mc.stderr, 3e-4))
 
 
+def test_superpropagate_medium_firstorder_mc_agrees_within_errors():
+    g, tg, ham, obs, rho0, ff = _medium_setup()
+    spec = InfluenceKernelSpec("medium_firstorder", 0.9, form_factor=ff, ell=1.4)
+    exact = superpropagate(rho0, spec, ham, obs, g, tg).rho
+    mc = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=3000, seed=6)
+    err = np.abs(mc.rho - exact)
+    assert np.all(err < 5.0 * np.maximum(mc.stderr, 3e-4))
+
+
+def _all_kind_specs(ff):
+    return [
+        InfluenceKernelSpec("ideal", 0.9),
+        InfluenceKernelSpec("coarse", 0.9, form_factor=ff),
+        InfluenceKernelSpec("medium_exact", 0.9, form_factor=ff, ell=1.4),
+        InfluenceKernelSpec("medium_firstorder", 0.9, form_factor=ff, ell=1.4),
+    ]
+
+
+@pytest.mark.parametrize("kind_index", range(4))
+def test_mc_averages_are_valid_states_for_every_kind(kind_index):
+    # each field sample is a unitary evolution of rho0, so the sampled
+    # average keeps the trace to roundoff and stays hermitian and positive
+    g, tg, ham, obs, rho0, ff = _medium_setup()
+    spec = _all_kind_specs(ff)[kind_index]
+    results = [superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=50, seed=2)]
+    if spec.kind in ("ideal", "coarse"):
+        psi0 = gaussian_packet(g, width=0.8)
+        results.append(readout_average(
+            psi0, spec.kappa, ham, obs, g, tg, mode="mc", form_factor=spec.form_factor,
+            samples=50, seed=2,
+        ))
+    for res in results:
+        assert res.mode == "mc" and res.n_samples == 50
+        assert abs(density_trace(res.rho, g) - 1.0) < 1e-12
+        rep = check_density_matrix(res.rho, g, tol=1e-8)
+        assert rep["ok"], rep
+
+
+def test_mc_field_average_reruns_bit_identically():
+    g, tg, ham, obs, rho0, ff = _medium_setup()
+    for spec in _all_kind_specs(ff):
+        a = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=40, seed=9)
+        b = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=40, seed=9)
+        assert np.array_equal(a.rho, b.rho) and np.array_equal(a.stderr, b.stderr)
+
+
+def test_slow_detector_mc_matches_path_enumeration():
+    # tau = dt: the window couples every slice of the record, which puts the
+    # exact doubled contraction (working set n^(2 buffer)) out of reach at
+    # all but the smallest lattices; n = 3 keeps brute enumeration possible
+    g = SpatialGrid(3.0, 3)
+    tg = TimeGrid(0.8, 4)
+    ham = HamiltonianSpec.from_potential(g, lambda q: 0.4 * q**2, mass=0.8)
+    obs = ObservableSpec.position(g)
+    rho0 = pure_density(gaussian_packet(g, center=0.2, width=0.9))
+    kappa, ff = 1.5, FormFactor.gaussian(tg.dt)
+    kernel = short_time_kernel_matrix(ham, g, tg.dt)
+    exact = oracles.brute_superpropagator_final(
+        rho0, kernel, obs.values, kappa, tg.dt, ff.window_matrix(tg.n_steps, tg.dt)
+    )
+    mc = superpropagate(
+        rho0, InfluenceKernelSpec("coarse", kappa, form_factor=ff), ham, obs, g, tg,
+        mode="mc", samples=4000, seed=21,
+    )
+    assert np.all(np.abs(mc.rho - exact) < 4.0 * mc.stderr)
+    assert abs(density_trace(mc.rho, g) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["medium_exact", "medium_firstorder"])
+def test_medium_mc_refuses_a_kernel_that_is_not_a_covariance(kind):
+    # a tabulated profile with negative side lobes gives a time kernel with
+    # a clearly negative eigenvalue: no Gaussian field has it as covariance
+    g, _, ham, obs, rho0, _ = _medium_setup()
+    tg = TimeGrid(0.2, 2)
+    lobed = FormFactor.from_arrays(
+        np.linspace(-0.3, 0.3, 7), np.array([-0.3, 0.2, 0.8, 1.0, 0.8, 0.2, -0.3])
+    )
+    spec = InfluenceKernelSpec(kind, 0.9, form_factor=lobed, ell=1.4)
+    with pytest.raises(ValueError, match="time kernel is not positive semidefinite"):
+        superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=10, seed=1)
+
+
 def test_superpropagate_medium_cap():
     g, tg, ham, obs, rho0, ff = _medium_setup()
     spec = InfluenceKernelSpec("medium_exact", 0.9, form_factor=ff, ell=1.4)

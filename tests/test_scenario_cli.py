@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ kind = delta
 [run]
 seed = 11
 """
+
+
+SLOW_DETECTOR = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "slow_detector.ini"
 
 
 def write_scenario(tmp_path, text=BASE, name="scene.ini"):
@@ -243,6 +247,41 @@ def test_average_engines_agree(tmp_path):
         rhos.append(table[:, 2] + 1j * table[:, 3])
     assert np.max(np.abs(rhos[1] - rhos[2])) < 1e-14  # same sweep underneath
     assert np.max(np.abs(rhos[0] - rhos[1])) < 5e-2  # master eq vs average: O(dt)
+
+
+@pytest.mark.parametrize("engine", ["superpropagator", "quadrature"])
+def test_sampled_average_checks_are_real(tmp_path, engine):
+    # a sampled average is a mean of valid states, so it gets the same
+    # trace, hermiticity and positivity tolerances as the exact engines
+    cfg = load_config(SLOW_DETECTOR)
+    manifest = run_scenario(
+        cfg, task="average", outdir=tmp_path / engine, engine=engine, mode="mc", samples=100
+    )
+    assert {c["name"] for c in manifest.checks} == {
+        "trace_error", "hermiticity_error", "min_eigenvalue"
+    }
+    for check in manifest.checks:
+        assert check["tolerance"] == 1e-8 and check["passed"], check
+
+
+def test_evolve_flags_a_non_finite_state(tmp_path):
+    # the aux-field engine overflows on a record far out on a wide lattice;
+    # the state_finite check must say so instead of passing unconditionally
+    text = (
+        BASE.replace("extent = 10.0", "extent = 40.0")
+        .replace("n_points = 16", "n_points = 32")
+        .replace("duration = 0.6", "duration = 1.0")
+        .replace("n_steps = 12", "n_steps = 10")
+        .replace("kappa = 0.9", "kappa = 5.0")
+        .replace("kind = delta", "kind = gaussian\ntau = 0.04")
+    )
+    cfg = load_config(write_scenario(tmp_path, text))
+    out = tmp_path / "nan"
+    with np.errstate(all="ignore"), pytest.raises(CheckFailure, match="state_finite"):
+        run_scenario(cfg, task="evolve", outdir=out, engine="mc", readout="const:5")
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    finite = next(c for c in checks if c["name"] == "state_finite")
+    assert finite["value"] is False and finite["passed"] is False
 
 
 def test_unitarity_task_pass_and_fail(tmp_path):

@@ -14,12 +14,15 @@ via the FFT, and a second potential half step.  The scheme is exactly
 norm preserving and second-order accurate in the step size.  A mass of
 ``math.inf`` is allowed and turns the kinetic phase off exactly, which
 is the natural way to express potential-only (pointer-basis) models.
+Engines plan the step once per call and, up to a measured lattice size,
+step by products with its dense matrix, which is cheaper there than the FFT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +46,12 @@ __all__ = [
     "dense_hamiltonian",
 ]
 
-# Largest lattice for which materializing dense one-step kernels is the
-# intended usage.  Engines that genuinely need the dense matrix on bigger
-# grids build it privately; the public helper refuses, to keep callers from
-# accidentally leaving the FFT fast path.
+# Largest lattice short_time_kernel_matrix serves (the exhaustive path-space
+# work it exists for is out of reach above it); engine stepping is not capped.
 DENSE_KERNEL_MAX_POINTS = 16
+# Largest lattice the engines step by dense matrix products rather than the
+# FFT (measured crossover: dense wins at 128 points and loses at 256).
+_DENSE_STEP_MAX_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -276,36 +280,50 @@ def angular_wavenumbers(grid):
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
 
 
-def _kinetic_phase(ham, grid, dt):
-    k = angular_wavenumbers(grid)
-    if math.isinf(ham.mass):
-        return np.ones_like(k, dtype=complex)
-    return np.exp(-1j * ham.hbar * k**2 * dt / (2.0 * ham.mass))
+class _StepPlan:
+    """The one-step propagator M, its phases computed once per engine call.
 
+    ``dense`` (lattices up to ``_DENSE_STEP_MAX_POINTS``): every step is one
+    product with M, built on first use; otherwise every step runs the FFT.
+    """
 
-def _potential_phase(ham, dt):
-    return np.exp(-0.5j * ham.potential * dt / ham.hbar)
+    def __init__(self, ham, grid, dt):
+        self.n = grid.n_points
+        self.half_v = np.exp(-0.5j * ham.potential * dt / ham.hbar)[:, None]
+        k = angular_wavenumbers(grid)[:, None]
+        self.kinetic = np.ones_like(k, dtype=complex) if math.isinf(ham.mass) else \
+            np.exp(-1j * ham.hbar * k**2 * dt / (2.0 * ham.mass))
+        self.dense = self.n <= _DENSE_STEP_MAX_POINTS
+
+    def fft_step(self, block):
+        """The split-operator step of a vector or of every column of a block."""
+        out = self.half_v * np.reshape(block, (self.n, -1))
+        out = np.fft.ifft(self.kinetic * np.fft.fft(out, axis=0), axis=0)
+        return (self.half_v * out).reshape(np.shape(block))
+
+    @cached_property
+    def matrix(self):
+        """Dense M: column k is the split-operator image of basis vector k."""
+        return self.fft_step(np.eye(self.n, dtype=complex))
+
+    @cached_property
+    def matrix_h(self):  # M^dagger, contiguous
+        return np.ascontiguousarray(self.matrix.conj().T)
+
+    def step(self, block):
+        """M applied to a vector or to an (n, m) column block."""
+        return self.matrix @ block if self.dense else self.fft_step(block)
+
+    def conjugate(self, rho):
+        """M rho M^dagger."""
+        if self.dense:
+            return self.matrix @ rho @ self.matrix_h
+        return self.fft_step(self.fft_step(rho).conj().T).conj().T
 
 
 def unitary_step(psi, ham, grid, dt):
     """One split-operator step of exp(-i H dt / hbar) applied to psi."""
-    half_v = _potential_phase(ham, dt)
-    out = half_v * psi
-    out = np.fft.ifft(_kinetic_phase(ham, grid, dt) * np.fft.fft(out))
-    return half_v * out
-
-
-def _step_columns(block, ham, grid, dt):
-    # split-operator step applied to every column of an (n, m) block
-    half_v = _potential_phase(ham, dt)[:, None]
-    out = half_v * block
-    out = np.fft.ifft(_kinetic_phase(ham, grid, dt)[:, None] * np.fft.fft(out, axis=0), axis=0)
-    return half_v * out
-
-
-def _dense_step_matrix(ham, grid, dt):
-    # columns are the split-operator image of the lattice basis vectors
-    return _step_columns(np.eye(grid.n_points, dtype=complex), ham, grid, dt)
+    return _StepPlan(ham, grid, dt).fft_step(psi)
 
 
 def short_time_kernel_matrix(ham, grid, dt):
@@ -313,15 +331,15 @@ def short_time_kernel_matrix(ham, grid, dt):
 
     Matches :func:`unitary_step` exactly (column k is the image of the
     k-th basis vector).  Refuses grids larger than
-    ``DENSE_KERNEL_MAX_POINTS``: dense kernels are meant for exhaustive
-    path-space work on small lattices, not for production stepping.
+    ``DENSE_KERNEL_MAX_POINTS``: the kernel is handed out for exhaustive
+    path-space work, which small lattices only can afford.
     """
     if grid.n_points > DENSE_KERNEL_MAX_POINTS:
         raise ValueError(
             f"dense kernels are capped at n_points <= {DENSE_KERNEL_MAX_POINTS} "
             f"(got {grid.n_points}); use unitary_step for large grids"
         )
-    return _dense_step_matrix(ham, grid, dt)
+    return _StepPlan(ham, grid, dt).matrix
 
 
 def dense_hamiltonian(ham, grid):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .grids import _dense_step_matrix, _step_columns, pure_density
+from .grids import _StepPlan, pure_density
 from .medium import PathPair, influence_exact, influence_firstorder
 from .readout import FormFactor, readout_measure_factor
 from .selective import DEFAULT_WORK_CAP, WindowSpec, _contract_windowed, _Moments
@@ -127,25 +127,6 @@ def _decay_matrix(values, kappa, dt):
     return np.exp(-0.5 * kappa * dt * d**2)
 
 
-def _pair_integral_gh(x, y, kappa, dt, n_nodes=64):
-    """Gauss-Hermite check of the per-step pair integral closed form.
-
-    Kept next to the engine it validates; the tests pit it against
-    `_decay_matrix` so the closed form never goes unverified.
-    """
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    # substitute a = u / sqrt(2 kappa dt) + (x + y) / 2
-    mid = 0.5 * (x + y)
-    a = nodes / math.sqrt(2.0 * kappa * dt) + mid
-    f = np.exp(-kappa * dt * ((x - a) ** 2 + (y - a) ** 2) + nodes**2)
-    return float(np.sum(weights * f) / math.sqrt(math.pi))
-
-
-def _unitary_conjugate(rho, ham, grid, dt):
-    out = _step_columns(rho, ham, grid, dt)
-    return _step_columns(out.conj().T, ham, grid, dt).conj().T
-
-
 def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     """Master-equation evolution in Strang form.
 
@@ -155,13 +136,11 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     valid state at every step (up to roundoff).  ``observer(i, rho)``
     sees the state after each full step.
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho = np.asarray(rho0, dtype=complex)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
-    half = 0.5 * tgrid.dt
+    half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
     for i in range(tgrid.n_steps):
-        rho = _unitary_conjugate(rho, ham, sgrid, half)
-        rho *= decay
-        rho = _unitary_conjugate(rho, ham, sgrid, half)
+        rho = half.conjugate(half.conjugate(rho) * decay)
         if observer is not None:
             observer(i, rho)
     return rho
@@ -169,11 +148,11 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
 
 def _ideal_average_sweep(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     # decay first, then the kernel: the averaged left-rule selective step
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho = np.asarray(rho0, dtype=complex)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
+    plan = _StepPlan(ham, sgrid, tgrid.dt)
     for i in range(tgrid.n_steps):
-        rho *= decay
-        rho = _unitary_conjugate(rho, ham, sgrid, tgrid.dt)
+        rho = plan.conjugate(rho * decay)
         if observer is not None:
             observer(i, rho)
     return rho
@@ -237,7 +216,7 @@ def _mixture_record(rng, values, kappa, dt, n_steps):
     return a, log_q
 
 
-def _conditioned_operator(readout, window, kappa, ham, obs, sgrid, tgrid, cap, rng, inner):
+def _conditioned_operator(readout, window, kappa, plan, obs, tgrid, cap, rng, inner):
     """The (unnormalized) propagator U[a] for one record, as a matrix.
 
     Ideal records sweep the identity block with per-step diagonal weight
@@ -246,18 +225,16 @@ def _conditioned_operator(readout, window, kappa, ham, obs, sgrid, tgrid, cap, r
     averaged over ``inner`` field samples (unbiased; pair two independent
     calls when a product like U†U must stay unbiased).
     """
-    n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
+    n, dt, n_steps = plan.n, tgrid.dt, tgrid.n_steps
     vals = obs.values
     if window is None:
         block = np.eye(n, dtype=complex)
         for i in range(n_steps):
-            block = _step_columns(np.exp(-kappa * dt * (vals - readout[i]) ** 2)[:, None] * block,
-                                  ham, sgrid, dt)
+            block = plan.step(np.exp(-kappa * dt * (vals - readout[i]) ** 2)[:, None] * block)
         return block
     if _plan_fits(window, n, cap):
-        kernel = _dense_step_matrix(ham, sgrid, dt)
         cols = [
-            _contract_windowed(np.eye(n, dtype=complex)[:, j], kernel, vals, readout,
+            _contract_windowed(np.eye(n, dtype=complex)[:, j], plan.matrix, vals, readout,
                                kappa, window, dt)
             for j in range(n)
         ]
@@ -272,7 +249,7 @@ def _conditioned_operator(readout, window, kappa, ham, obs, sgrid, tgrid, cap, r
         coef = drift + 1j * math.sqrt(2.0 * kappa * dt) * (window.T @ rng.standard_normal(n_steps))
         block = np.eye(n, dtype=complex) * np.exp(vals * coef[0] + log_pref)[:, None]
         for j in range(1, n_steps + 1):
-            block = _step_columns(block, ham, sgrid, dt)
+            block = plan.step(block)
             block *= np.exp(vals * coef[j])[:, None]
         acc += block
     return acc / inner
@@ -330,19 +307,22 @@ def superpropagate(
 
     if kind == "coarse":
         window = ff.window_matrix(tgrid.n_steps, tgrid.dt)
-        n = sgrid.n_points
-        WindowSpec.plan(window, n * n, cap)
-        kernel = _dense_step_matrix(ham, sgrid, tgrid.dt)
-        doubled = np.kron(kernel, kernel.conj())
-        vals_diff = (obs.values[:, None] - obs.values[None, :]).ravel()
-        vec = _contract_windowed(
-            rho0.ravel(), doubled, vals_diff, np.zeros(tgrid.n_steps), 0.5 * kappa,
-            window, tgrid.dt,
-        )
-        return AverageResult(rho=vec.reshape(n, n), mode=mode)
+        kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
+        rho = _doubled_contraction(rho0, kernel, obs, kappa, window, tgrid.dt, cap)
+        return AverageResult(rho=rho, mode=mode)
 
     rho = _medium_enumerate(rho0, kernel_spec, ham, obs, sgrid, tgrid, cap)
     return AverageResult(rho=rho, mode=mode)
+
+
+def _doubled_contraction(rho0, kernel, obs, kappa, window, dt, cap):
+    """kernel rho kernel^dagger per step, through the doubled windowed chain."""
+    n = kernel.shape[0]
+    WindowSpec.plan(window, n * n, cap)
+    vals_diff = (obs.values[:, None] - obs.values[None, :]).ravel()
+    vec = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), vals_diff,
+                             np.zeros(window.shape[0]), 0.5 * kappa, window, dt)
+    return vec.reshape(n, n)
 
 
 def _medium_log_weight_parts(kernel_spec, vpaths, time_kernel):
@@ -395,7 +375,7 @@ def _medium_enumerate(rho0, kernel_spec, ham, obs, sgrid, tgrid, cap):
             f"above the cap {cap:.3g}; use mode='mc'"
         )
     paths = _all_site_paths(n, j)
-    kernel = _dense_step_matrix(ham, sgrid, dt)
+    kernel = _StepPlan(ham, sgrid, dt).matrix
     amps = np.ones(n_paths, dtype=complex)
     for s in range(1, j):
         amps *= kernel[paths[:, s], paths[:, s - 1]]
@@ -477,7 +457,8 @@ def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, 
     if samples < 2:
         raise ValueError("need at least 2 samples for an error estimate")
     rng = np.random.default_rng(seed)
-    n, n_steps, dt = sgrid.n_points, tgrid.n_steps, tgrid.dt
+    n, n_steps = sgrid.n_points, tgrid.n_steps
+    plan = _StepPlan(ham, sgrid, tgrid.dt)
     moments = _Moments((n, n))
     batch = max(1, _FIELD_BATCH_ELEMENTS // (n * n))
     while moments.count < samples:
@@ -486,7 +467,7 @@ def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, 
         block = np.broadcast_to(np.eye(n, dtype=complex)[:, None, :], (n, m, n)).copy()
         for j in range(n_steps + 1):  # block[:, s, :] is U so far of sample s
             if j:
-                block = _step_columns(block.reshape(n, m * n), ham, sgrid, dt).reshape(n, m, n)
+                block = plan.step(block.reshape(n, m * n)).reshape(n, m, n)
             block *= np.exp(1j * (time_factor[j] @ xi @ space_factor.T)).T[:, :, None]
         u = block.transpose(1, 0, 2)
         moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0)
@@ -522,24 +503,17 @@ def check_generalized_unitarity(
     """
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     is_ideal = form_factor is None or form_factor.is_delta
+    plan = _StepPlan(ham, sgrid, dt)
     if mode == "exact":
-        kernel = _dense_step_matrix(ham, sgrid, dt)
         if is_ideal:
             decay = _decay_matrix(obs.values, kappa, dt)
-            x = np.eye(n, dtype=complex)
+            matrix = np.eye(n, dtype=complex)
             for _ in range(n_steps):
-                x = decay * (kernel.conj().T @ x @ kernel)
-            matrix = x
+                matrix = decay * (plan.matrix_h @ matrix @ plan.matrix)
         else:
             window = form_factor.window_matrix(n_steps, dt)[::-1, ::-1].copy()
-            WindowSpec.plan(window, n * n, cap)
-            doubled = np.kron(kernel.conj().T, kernel.T)
-            vals_diff = (obs.values[:, None] - obs.values[None, :]).ravel()
-            vec = _contract_windowed(
-                np.eye(n, dtype=complex).ravel(), doubled, vals_diff,
-                np.zeros(n_steps), 0.5 * kappa, window, dt,
-            )
-            matrix = vec.reshape(n, n)
+            matrix = _doubled_contraction(np.eye(n, dtype=complex), plan.matrix_h, obs, kappa,
+                                          window, dt, cap)
         deviation = float(np.max(np.abs(matrix - np.eye(n))))
         return UnitarityReport(matrix=matrix, deviation=deviation, mode=mode)
     if mode != "mc":
@@ -554,10 +528,9 @@ def check_generalized_unitarity(
     for _ in range(int(samples)):
         a, log_q = _mixture_record(rng, obs.values, kappa, dt, n_steps)
         w = math.exp(n_steps * log_c - log_q)
-        u1 = _conditioned_operator(a, window, kappa, ham, obs, sgrid, tgrid, cap, rng,
-                                   inner_samples)
+        u1 = _conditioned_operator(a, window, kappa, plan, obs, tgrid, cap, rng, inner_samples)
         u2 = u1 if not nested else _conditioned_operator(
-            a, window, kappa, ham, obs, sgrid, tgrid, cap, rng, inner_samples
+            a, window, kappa, plan, obs, tgrid, cap, rng, inner_samples
         )
         moments.add((w * (u1.conj().T @ u2))[None])
     mean = moments.mean()

@@ -700,6 +700,11 @@ def _task_zeno(cfg, outdir, kappas=None):
     return checks, outputs, {"kappas": [float(k) for k in kappas]}
 
 
+# convergence distances up to this many ulps of the initial state's largest
+# entry are roundoff: they need not decrease, and the slope fit skips them
+_ROUNDOFF_ULPS = 64
+
+
 def _task_convergence(cfg, outdir, study="dt", levels=4):
     kappa = cfg.meas.kappa
     psi0 = cfg.initial_packet()
@@ -739,24 +744,28 @@ def _task_convergence(cfg, outdir, study="dt", levels=4):
 
     params, dists = np.asarray(params), np.asarray(dists)
     orders = np.full(params.size, np.nan)
-    positive = dists > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         orders[1:] = np.log2(dists[:-1] / dists[1:])
-    slope = float(np.polyfit(np.log(params[positive]), np.log(dists[positive]), 1)[0]) \
-        if positive.sum() >= 2 else np.nan
+    floor = _ROUNDOFF_ULPS * np.finfo(float).eps * float(np.max(np.abs(rho0)))
+    fit = dists > floor
+    slope = float(np.polyfit(np.log(params[fit]), np.log(dists[fit]), 1)[0]) \
+        if fit.sum() >= 2 else np.nan
     outputs = [
         (
             "convergence",
             emit_plot_data(
                 outdir / f"convergence_{study}.txt",
                 [(name, params), ("distance", dists), ("order", orders)],
-                header=[desc, f"log-log fitted slope = {slope:.17g}"],
+                header=[desc, f"log-log fitted slope = {slope:.17g}",
+                        f"roundoff floor = {floor:.17g} (excluded from the fit)"],
             ),
         )
     ]
-    shrinking = bool(np.all(np.diff(dists) < 0))
+    # strictly decreasing down to the roundoff floor: the largest distance
+    # not below its predecessor may only be a stall at roundoff
+    stalled = float(np.max(dists[1:][dists[1:] >= dists[:-1]], initial=0.0))
     checks = [
-        _check("distances_strictly_decreasing", float(np.max(np.diff(dists))), 0.0, shrinking),
+        _check("distances_strictly_decreasing", stalled, floor, stalled <= floor),
         _check("fitted_slope", slope, None, True),
     ]
     return checks, outputs, {"study": study, "levels": levels}

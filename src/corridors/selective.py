@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _dense_step_matrix, _step_columns, norm_sq, normalized, unitary_step
+from .grids import _StepPlan, norm_sq, normalized, unitary_step
 from .readout import readout_measure_factor
 
 __all__ = [
@@ -239,11 +239,11 @@ def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observe
     n_steps = tgrid.n_steps
     if readout.shape != (n_steps,):
         raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
-    dt = tgrid.dt
-    psi = np.asarray(psi0, dtype=complex).copy()
-    a_vals = obs.values
+    dt, a_vals = tgrid.dt, obs.values
+    psi = np.asarray(psi0, dtype=complex)
+    plan = _StepPlan(ham, sgrid, dt)
     for i in range(n_steps):
-        psi = unitary_step(np.exp(-kappa * dt * (a_vals - readout[i]) ** 2) * psi, ham, sgrid, dt)
+        psi = plan.step(np.exp(-kappa * dt * (a_vals - readout[i]) ** 2) * psi)
         if observer is not None:
             observer(i, psi)
     return _wrap_result(psi, kappa, sgrid, tgrid)
@@ -264,10 +264,9 @@ def evolve_selective_coarse(
         return evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid)
     window = form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
     WindowSpec.plan(window, sgrid.n_points, cap)
-    kernel = _dense_step_matrix(ham, sgrid, tgrid.dt)
-    psi = _contract_windowed(
-        np.asarray(psi0, dtype=complex), kernel, obs.values, readout, kappa, window, tgrid.dt
-    )
+    kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
+    psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, obs.values, readout,
+                             kappa, window, tgrid.dt)
     return _wrap_result(psi, kappa, sgrid, tgrid)
 
 
@@ -315,6 +314,7 @@ def evolve_selective_coarse_mc(
     drift = 2.0 * kappa * dt * b  # real part of the per-slice coefficients
 
     psi0 = np.asarray(psi0, dtype=complex)
+    plan = _StepPlan(ham, sgrid, dt)
     moments = _Moments(n, parts=(np.real, np.imag))
     while moments.count < samples:
         m = min(batch, samples - moments.count)
@@ -323,7 +323,7 @@ def evolve_selective_coarse_mc(
         block = np.broadcast_to(psi0[:, None], (n, m)).copy()
         block *= np.exp(a_vals[:, None] * coef[:, 0][None, :] + log_pref)
         for j in range(1, n_steps + 1):
-            block = _step_columns(block, ham, sgrid, dt)
+            block = plan.step(block)
             block *= np.exp(a_vals[:, None] * coef[:, j][None, :])
         moments.add(block, axis=1)
 

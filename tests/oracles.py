@@ -62,6 +62,15 @@ def pair_step_integral_numeric(x, y, kappa, dt, span=40.0, n_nodes=40001):
     return float(c * np.trapezoid(f, a))
 
 
+def pair_step_integral_gh(x, y, kappa, dt, n_nodes=64):
+    """The same integral by Gauss-Hermite quadrature about (x + y) / 2."""
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    # substitute a = u / sqrt(2 kappa dt) + (x + y) / 2
+    a = nodes / np.sqrt(2.0 * kappa * dt) + 0.5 * (x + y)
+    f = np.exp(-kappa * dt * ((x - a) ** 2 + (y - a) ** 2) + nodes**2)
+    return float(np.sum(weights * f) / np.sqrt(np.pi))
+
+
 def brute_superpropagator_final(rho0, kernel, site_values, kappa, dt, window):
     """Readout-averaged final density matrix by double-path enumeration.
 

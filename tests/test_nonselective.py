@@ -21,7 +21,6 @@ from corridors.medium import PathPair, influence_exact, influence_firstorder
 from corridors.nonselective import (
     InfluenceKernelSpec,
     _decay_matrix,
-    _pair_integral_gh,
     check_generalized_unitarity,
     influence_eval,
     lindblad_evolve,
@@ -67,7 +66,7 @@ def test_per_step_pair_integral_closed_form():
     for _ in range(5):
         x, y = rng.normal(size=2) * 2.0
         closed = math.exp(-0.5 * kappa * dt * (x - y) ** 2)
-        assert abs(_pair_integral_gh(x, y, kappa, dt) - closed) < 1e-13
+        assert abs(oracles.pair_step_integral_gh(x, y, kappa, dt) - closed) < 1e-13
         assert abs(oracles.pair_step_integral_numeric(x, y, kappa, dt) - closed) < 1e-12
     d = _decay_matrix(np.array([x, y]), kappa, dt)
     assert_allclose(d[0, 1], closed, rtol=1e-15)

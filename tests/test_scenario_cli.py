@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from corridors.cli import main
+from corridors.nonselective import AverageResult
 from corridors.scenario import (
     CheckFailure,
     ConfigError,
@@ -355,6 +357,41 @@ def test_convergence_tau_task(tmp_path):
     assert table.shape == (2, 3)
     assert table[1, 1] < table[0, 1]
     assert manifest.options == {"study": "tau", "levels": 2}
+
+
+def test_convergence_tau_passes_once_distances_reach_roundoff(tmp_path):
+    # the demo's last two tau levels both sit at roundoff (~2e-16): the
+    # decrease is required only above the floor, and the fit skips them
+    manifest = run_scenario(load_config(SLOW_DETECTOR), task="convergence",
+                            outdir=tmp_path / "c", study="tau")
+    checks = {c["name"]: c for c in manifest.checks}
+    decreasing = checks["distances_strictly_decreasing"]
+    assert decreasing["passed"] and decreasing["tolerance"] < 1e-14
+    dists = np.loadtxt(tmp_path / "c" / "convergence_tau.txt")[:, 1]
+    assert dists[-1] >= dists[-2] and dists[-1] <= decreasing["tolerance"]
+    # fitted on the two levels above the floor only
+    assert_allclose(checks["fitted_slope"]["value"], np.log2(dists[0] / dists[1]), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "distances",
+    [[1e-3, 2e-3, 4e-3, 8e-3], [1e-3, 1e-6, 2e-16, 1e-9], [1e-3, 1e-3, 1e-4, 1e-5]],
+    ids=["increasing", "rise-off-the-floor", "stall-above-the-floor"],
+)
+def test_convergence_check_fails_unless_decreasing_to_the_floor(tmp_path, monkeypatch, distances):
+    # a synthetic tau study: level r (tau = tau0 / 2^r) sits at distances[r]
+    from corridors import scenario
+
+    def synthetic(rho0, spec, *args, **kwargs):
+        if spec.kind == "ideal":
+            return AverageResult(rho=rho0, mode="exact")
+        level = round(math.log2(0.04 / spec.form_factor.tau))
+        return AverageResult(rho=rho0 + distances[level], mode="exact")
+
+    monkeypatch.setattr(scenario, "superpropagate", synthetic)
+    with pytest.raises(CheckFailure, match="distances_strictly_decreasing"):
+        run_scenario(load_config(SLOW_DETECTOR), task="convergence", outdir=tmp_path / "c",
+                     study="tau")
 
 
 def test_readout_sources(tmp_path):

@@ -1,0 +1,120 @@
+"""The planned one-step propagator: its dense and FFT branches agree.
+
+Engines step with the dense matrix M on lattices up to the crossover and
+with the split-operator FFT above it.  Both branches are the same
+operator, so they must agree to roundoff on every lattice, and the
+engines' outputs must not depend on which branch ran.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corridors import grids
+from corridors.grids import (
+    HamiltonianSpec,
+    ObservableSpec,
+    SpatialGrid,
+    build_grids,
+    gaussian_packet,
+    pure_density,
+    unitary_step,
+)
+from corridors.nonselective import lindblad_evolve, readout_average
+from corridors.readout import FormFactor
+from corridors.selective import _contract_windowed, evolve_selective_coarse, evolve_selective_ideal
+
+
+def rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log2_n=st.integers(1, 8),
+    mass=st.one_of(st.just(math.inf), st.floats(0.05, 20.0)),
+    dt=st.floats(1e-4, 2.0),
+    extent=st.floats(1.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_and_fft_branches_agree(log2_n, mass, dt, extent, seed):
+    n = 2**log2_n  # 2 .. 256, both sides of the crossover
+    rng = np.random.default_rng(seed)
+    grid = SpatialGrid(extent, n)
+    ham = HamiltonianSpec(mass=mass, potential=rng.uniform(-30.0, 30.0, n))
+    plan = grids._StepPlan(ham, grid, dt)
+    assert plan.dense == (n <= grids._DENSE_STEP_MAX_POINTS)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = x @ x.conj().T
+    out = {}
+    for dense in (True, False):
+        plan.dense = dense
+        out[dense] = plan.step(block), plan.step(block[:, 0]), plan.conjugate(rho)
+    for dense_out, fft_out in zip(out[True], out[False]):
+        assert rel_gap(dense_out, fft_out) <= 1e-12
+
+
+def test_plan_matrices_are_the_fft_image_of_the_identity():
+    grid = SpatialGrid(8.0, 16)
+    ham = HamiltonianSpec.harmonic(grid, 0.9)
+    plan = grids._StepPlan(ham, grid, 0.01)
+    columns = [unitary_step(e, ham, grid, 0.01) for e in np.eye(16, dtype=complex)]
+    assert np.array_equal(plan.matrix, np.stack(columns, axis=1))
+    assert np.array_equal(plan.matrix_h, plan.matrix.conj().T)
+
+
+def chained_state(psi0, record, kappa, ham, obs, sgrid, dt, segment=32):
+    # normalized final state of the ideal selective sweep, run in segments
+    # renormalized in between: an 8192-step record underflows in one piece
+    psi = psi0
+    for start in range(0, record.size, segment):
+        part = record[start : start + segment]
+        tgrid = grids.TimeGrid(dt * part.size, part.size)
+        psi = evolve_selective_ideal(psi, part, kappa, ham, obs, sgrid, tgrid).normalized_state(sgrid)
+    return psi
+
+
+def test_engines_match_the_fft_branch_at_the_long_ideal_shape(monkeypatch):
+    # n = 16, N = 8192: the engines step densely; forcing every plan onto
+    # the FFT must move their outputs by roundoff only
+    kappa = 1.0
+    sgrid, tgrid = build_grids(8.0, 16, 1.0, 8192)
+    ham = HamiltonianSpec.free(sgrid)
+    obs = ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.0, 1.2, 0.4)
+    rng = np.random.default_rng(5)
+    record = rng.standard_normal(tgrid.n_steps) / math.sqrt(4.0 * kappa * tgrid.dt)
+
+    def outputs():
+        return (
+            lindblad_evolve(pure_density(psi0), kappa, ham, obs, sgrid, tgrid),
+            readout_average(psi0, kappa, ham, obs, sgrid, tgrid).rho,
+            chained_state(psi0, record, kappa, ham, obs, sgrid, tgrid.dt),
+        )
+
+    assert grids._StepPlan(ham, sgrid, tgrid.dt).dense
+    dense = outputs()
+    monkeypatch.setattr(grids, "_DENSE_STEP_MAX_POINTS", 0)
+    assert not grids._StepPlan(ham, sgrid, tgrid.dt).dense
+    for dense_out, fft_out in zip(dense, outputs()):
+        assert rel_gap(dense_out, fft_out) <= 1e-11
+
+
+def test_windowed_contraction_is_bit_identical_to_a_column_built_kernel():
+    kappa, n = 1.0, 16
+    sgrid = SpatialGrid(6.0, n)
+    tgrid = grids.TimeGrid(0.6, 6)
+    dt = tgrid.dt
+    ham = HamiltonianSpec.harmonic(sgrid, 0.9)
+    obs = ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.3, 1.0, 0.0)
+    record = np.random.default_rng(2).standard_normal(6)
+    ff = FormFactor.gaussian(0.2 * dt)
+    kernel = np.stack([unitary_step(e, ham, sgrid, dt) for e in np.eye(n, dtype=complex)], axis=1)
+    window = ff.window_matrix(tgrid.n_steps, dt)
+    expect = _contract_windowed(psi0, kernel, obs.values, record, kappa, window, dt)
+    got = evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid).final_state
+    assert np.array_equal(got, expect)

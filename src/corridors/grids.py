@@ -16,6 +16,9 @@ norm preserving and second-order accurate in the step size.  A mass of
 is the natural way to express potential-only (pointer-basis) models.
 Engines plan the step once per call and, up to a measured lattice size,
 step by products with its dense matrix, which is cheaper there than the FFT.
+Above it a density matrix is conjugated, M rho M^dagger, by one 2-D FFT pair
+with the phases applied as outer products; this relies on the kinetic phase
+being even in k, which k^2 on the FFT-ordered lattice is at every n.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "SpatialGrid",
@@ -50,7 +54,8 @@ __all__ = [
 # work it exists for is out of reach above it); engine stepping is not capped.
 DENSE_KERNEL_MAX_POINTS = 16
 # Largest lattice the engines step by dense matrix products rather than the
-# FFT (measured crossover: dense wins at 128 points and loses at 256).
+# FFT (measured crossover: dense wins at 128 points and loses at 256; only
+# M rho M^dagger by the 2-D FFT pair already wins at 128).
 _DENSE_STEP_MAX_POINTS = 128
 
 
@@ -284,7 +289,18 @@ class _StepPlan:
     """The one-step propagator M, its phases computed once per engine call.
 
     ``dense`` (lattices up to ``_DENSE_STEP_MAX_POINTS``): every step is one
-    product with M, built on first use; otherwise every step runs the FFT.
+    product with M, built on first use; otherwise every step runs the FFT,
+    and a conjugation is one 2-D transform pair,
+
+        M rho M^dagger = V2 . ifft2(K2 . fft2(V2 . rho)),
+
+    with ``.`` the elementwise product, V2 = v v^dagger and K2 = k k^dagger
+    the outer products of the half-potential and kinetic phases.  The
+    right-hand FFT of rho M^dagger is a transform of the conjugate
+    frequency -k, so the identity needs the kinetic phase to be even in k.
+    It is: k^2 of the FFT-ordered wavenumbers is exactly even at every n,
+    the self-paired Nyquist bin of an even lattice included.  A plan for
+    -dt has exactly the conjugate phases, so it is M^dagger.
     """
 
     def __init__(self, ham, grid, dt):
@@ -314,11 +330,20 @@ class _StepPlan:
         """M applied to a vector or to an (n, m) column block."""
         return self.matrix @ block if self.dense else self.fft_step(block)
 
+    @cached_property
+    def outer_phases(self):  # (V2, K2) of the 2-D conjugation
+        return self.half_v * self.half_v.conj().T, self.kinetic * self.kinetic.conj().T
+
     def conjugate(self, rho):
         """M rho M^dagger."""
         if self.dense:
             return self.matrix @ rho @ self.matrix_h
-        return self.fft_step(self.fft_step(rho).conj().T).conj().T
+        v2, k2 = self.outer_phases
+        out = scipy.fft.fft2(v2 * rho, overwrite_x=True)
+        out *= k2
+        out = scipy.fft.ifft2(out, overwrite_x=True)
+        out *= v2
+        return out
 
 
 def unitary_step(psi, ham, grid, dt):

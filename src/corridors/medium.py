@@ -128,14 +128,6 @@ class SpectralDensity:
             band=("gaussian", float(nu_peak), float(sigma_omega), float(center)),
         )
 
-    @classmethod
-    def from_medium(cls, medium: MediumSpec, omega_max):
-        return cls(
-            nu=lambda omega: nu_of_omega(medium, omega),
-            range_l=medium.range_l,
-            omega_max=float(omega_max),
-        )
-
 
 def correlation_function(density: SpectralDensity, t):
     """C(t) = integral_0^inf nu(omega) cos(omega t) domega."""

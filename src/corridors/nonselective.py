@@ -496,20 +496,23 @@ def check_generalized_unitarity(
 
     Ideal resolution uses the backward closed-form recursion
     X <- decay . (M† X M), which collapses to the identity up to the
-    roundoff of the one-step kernels.  A windowed profile couples the
-    record integrals across steps; mode "exact" contracts the doubled
-    chain backward in time (the window matrix is flipped accordingly),
-    mode "mc" importance-samples records and reports a standard error.
+    roundoff of the one-step kernels; M† X M is the conjugation by the
+    plan for -dt, whose phases are the conjugates.  A windowed profile
+    couples the record integrals across steps; mode "exact" contracts the
+    doubled chain backward in time (the window matrix is flipped
+    accordingly), mode "mc" importance-samples records and reports a
+    standard error.
     """
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     is_ideal = form_factor is None or form_factor.is_delta
     plan = _StepPlan(ham, sgrid, dt)
     if mode == "exact":
         if is_ideal:
+            back = _StepPlan(ham, sgrid, -dt)
             decay = _decay_matrix(obs.values, kappa, dt)
             matrix = np.eye(n, dtype=complex)
             for _ in range(n_steps):
-                matrix = decay * (plan.matrix_h @ matrix @ plan.matrix)
+                matrix = decay * back.conjugate(matrix)
         else:
             window = form_factor.window_matrix(n_steps, dt)[::-1, ::-1].copy()
             matrix = _doubled_contraction(np.eye(n, dtype=complex), plan.matrix_h, obs, kappa,

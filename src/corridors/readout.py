@@ -42,7 +42,6 @@ __all__ = [
     "weight_ideal",
     "weight_coarse",
     "sample_readout",
-    "factorize_formfactor",
 ]
 
 # profiles with tails (gaussian) are truncated to zero beyond this many
@@ -242,11 +241,6 @@ def _renormalize_rows(raw, where):
             "is too narrow for this step size"
         )
     return raw / sums[:, None]
-
-
-def factorize_formfactor(ff: FormFactor) -> FormFactor:
-    """Module-level alias for :meth:`FormFactor.factorize`."""
-    return ff.factorize()
 
 
 # ----------------------------------------------------------------------

@@ -273,7 +273,6 @@ class RunManifest:
     config: dict
     version: str
     seed: int
-    workers: int
     wall_clock_seconds: float
     checks: list
     outputs: list
@@ -285,7 +284,6 @@ class RunManifest:
             "config": self.config,
             "version": self.version,
             "seed": self.seed,
-            "workers": self.workers,
             "wall_clock_seconds": self.wall_clock_seconds,
             "checks": self.checks,
             "outputs": self.outputs,
@@ -302,7 +300,9 @@ class RunManifest:
 
     @classmethod
     def read(cls, path):
-        return cls(**json.loads(Path(path).read_text()))
+        body = json.loads(Path(path).read_text())
+        body.pop("workers", None)  # written by older versions, always 1
+        return cls(**body)
 
 
 def _check(name, value, tolerance, passed):
@@ -801,7 +801,6 @@ def run_scenario(config, task="evolve", outdir=None, **options):
         config=config.snapshot,
         version=__version__,
         seed=config.seed,
-        workers=1,
         wall_clock_seconds=time.perf_counter() - started,
         checks=checks,
         outputs=[

@@ -27,14 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _StepPlan, norm_sq, normalized, unitary_step
+from .grids import _StepPlan, norm_sq, normalized
+# unused here, kept as a module name: the benchmark's tracer self-test
+# checks that selective.unitary_step is rebound and restored
+from .grids import unitary_step  # noqa: F401
 from .readout import readout_measure_factor
 
 __all__ = [
     "WindowSpec",
     "SelectiveResult",
     "DEFAULT_WORK_CAP",
-    "effective_step",
     "evolve_selective_ideal",
     "evolve_selective_coarse",
     "evolve_selective_coarse_mc",
@@ -212,20 +214,6 @@ def _contract_windowed(vec0, kernel, site_values, readout, kappa, window, dt):
 
 # ----------------------------------------------------------------------
 # engines
-
-
-def effective_step(psi, a_value, kappa, ham, obs, grid, dt):
-    """One symmetrically split step of the damped one-record generator.
-
-    Propagates psi by exp(dt * G) with G = -i H / hbar - kappa (A - a)^2
-    using the Strang form  D(dt/2) U(dt) D(dt/2),  D the Gaussian damping
-    half-factor: second-order accurate in dt as a standalone integrator.
-    Note the composition engines pair the *full* weight with each step
-    (left rule) instead, trading the per-step order for exact aggregate
-    probability conservation; see `evolve_selective_ideal`.
-    """
-    half = np.exp(-0.5 * kappa * dt * (obs.values - a_value) ** 2)
-    return half * unitary_step(half * psi, ham, grid, dt)
 
 
 def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observer=None):

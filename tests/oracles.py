@@ -3,11 +3,14 @@
 Everything here is deliberately naive: explicit enumeration of all
 lattice paths, dense matrix exponentials, and plain numeric quadrature.
 The engines must reproduce these numbers; nothing here shares code with
-the package beyond the one-step kernel matrices handed in by the tests.
+the package beyond the one-step kernel: the matrices handed in by the
+tests and the public `unitary_step`.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from corridors.grids import unitary_step
 
 
 def all_paths(n_sites, n_slices):
@@ -135,6 +138,25 @@ def average_density_numeric(rho0, kernel, site_values, kappa, dt, n_steps, span=
             acc += (d[:, None] * d[None, :]) * rho
         rho = kernel @ (c * da * acc) @ kernel.conj().T
     return rho
+
+
+def effective_step(psi, a_value, kappa, ham, obs, grid, dt):
+    """One symmetrically split step of the damped one-record generator.
+
+    Propagates psi by exp(dt * G) with G = -i H / hbar - kappa (A - a)^2
+    using the Strang form  D(dt/2) U(dt) D(dt/2),  D the Gaussian damping
+    half-factor: second-order accurate in dt as a standalone integrator.
+    The engines pair the *full* weight with each step (left rule) instead,
+    trading the per-step order for exact aggregate probability
+    conservation; see `evolve_selective_ideal`.
+    """
+    half = np.exp(-0.5 * kappa * dt * (obs.values - a_value) ** 2)
+    return half * unitary_step(half * psi, ham, grid, dt)
+
+
+def conjugate_by_column_sweeps(plan, rho):
+    """M rho M^dagger by two FFT sweeps over the columns of a plan."""
+    return plan.fft_step(plan.fft_step(rho).conj().T).conj().T
 
 
 def damped_generator_step(h_dense, site_values, a_value, kappa, hbar, dt):

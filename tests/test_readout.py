@@ -10,7 +10,6 @@ from corridors.readout import (
     FormFactor,
     MeasurementSpec,
     coarse_grain,
-    factorize_formfactor,
     readout_measure_factor,
     sample_readout,
     weight_coarse,
@@ -118,7 +117,7 @@ def test_factorize_gaussian_convolution_property():
     ds = s[1] - s[0]
     conv = np.convolve(half.density(s), half.density(s), mode="same") * ds
     assert_allclose(conv[1000:3001], ff.density(s)[1000:3001], atol=2e-4)
-    assert factorize_formfactor(FormFactor.delta()).is_delta
+    assert FormFactor.delta().factorize().is_delta
     tab = FormFactor.from_arrays(np.linspace(-1, 1, 41), np.exp(-np.linspace(-1, 1, 41) ** 2))
     with pytest.raises(ValueError):
         tab.factorize()

@@ -161,7 +161,7 @@ def test_emit_plot_data_edge_cases(tmp_path):
 def test_manifest_digest_ignores_wall_clock(tmp_path):
     kwargs = dict(
         task="evolve", options={}, config={"run": {"seed": "1"}}, version="0.1.0",
-        seed=1, workers=1, checks=[], outputs=[],
+        seed=1, checks=[], outputs=[],
     )
     a = RunManifest(wall_clock_seconds=0.5, **kwargs)
     b = RunManifest(wall_clock_seconds=99.0, **kwargs)
@@ -170,6 +170,10 @@ def test_manifest_digest_ignores_wall_clock(tmp_path):
     again = RunManifest.read(tmp_path / "m.json")
     assert again.digest() == a.digest()
     assert again.wall_clock_seconds == 0.5
+    # manifests from older versions carry a constant "workers": 1
+    old = dict(a.to_dict(), workers=1)
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    assert RunManifest.read(tmp_path / "old.json").digest() == a.digest()
 
 
 def test_run_scenario_writes_everything_it_references(tmp_path):
@@ -181,7 +185,7 @@ def test_run_scenario_writes_everything_it_references(tmp_path):
     for entry in manifest.outputs:
         assert file_sha256(out / entry["file"]) == entry["sha256"]
     saved = json.loads((out / "manifest.json").read_text())
-    assert saved["seed"] == 11 and saved["workers"] == 1
+    assert saved["seed"] == 11 and "workers" not in saved
     assert RunManifest.read(out / "manifest.json").digest() == manifest.digest()
 
 

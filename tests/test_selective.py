@@ -20,7 +20,6 @@ from corridors.readout import FormFactor, readout_measure_factor
 from corridors.selective import (
     WindowSpec,
     _contract_windowed,
-    effective_step,
     evolve_selective_coarse,
     evolve_selective_coarse_mc,
     evolve_selective_ideal,
@@ -57,7 +56,7 @@ def test_effective_step_is_second_order_against_expm():
         dt = t_final / n
         psi = psi0.copy()
         for _ in range(n):
-            psi = effective_step(psi, a_value, kappa, ham, obs, g, dt)
+            psi = oracles.effective_step(psi, a_value, kappa, ham, obs, g, dt)
         step = oracles.damped_generator_step(h, obs.values, a_value, kappa, ham.hbar, t_final / n)
         ref = np.linalg.matrix_power(step, n) @ psi0
         errs.append(np.max(np.abs(psi - ref)))
@@ -212,7 +211,7 @@ def test_mc_engine_exact_at_kappa_zero():
 
 
 def test_left_rule_composition_differs_from_strang_by_first_order():
-    # the composition engine and repeated effective_step converge to the
+    # the composition engine and repeated oracles.effective_step converge to the
     # same continuum limit; their mutual gap shrinks ~ dt
     g = SpatialGrid(6.0, 6)
     ham = HamiltonianSpec.harmonic(g, omega=1.1)
@@ -226,7 +225,7 @@ def test_left_rule_composition_differs_from_strang_by_first_order():
         res = evolve_selective_ideal(psi0, readout, kappa, ham, obs, g, tg)
         psi = psi0.copy()
         for i in range(n):
-            psi = effective_step(psi, readout[i], kappa, ham, obs, g, tg.dt)
+            psi = oracles.effective_step(psi, readout[i], kappa, ham, obs, g, tg.dt)
         gaps.append(np.max(np.abs(res.final_state - psi)))
     orders = np.log2(np.array(gaps[:-1]) / gaps[1:])
     assert np.all(orders > 0.8), (gaps, orders)

@@ -18,14 +18,16 @@ Every averaged weight here (ideal, windowed, or from the medium) is the
 characteristic function of a Gaussian phase field, so the averaged state
 is also E_xi[U_xi rho U_xi†], U_xi the plain dynamics under random slice
 phases (Kubo's identity; Chenu, Beau, Cao & del Campo, PRL 118, 140403
-(2017)).  The "mc" modes sample that field: each sample is a valid
-state, at a cost independent of the window width.
+(2017)).  The "mc" modes sample that field with the selective engines'
+field sweep: each sample is a valid state, at a cost independent of the
+window width.
 
 `check_generalized_unitarity` verifies the defining property of the
 corridor decomposition — the record-integrated U†U is the identity —
 either in closed form (ideal), by an exact time-reversed doubled
 contraction (windowed), or by importance-sampled records with error
-bars.  `influence_eval` and `superpropagate` accept pluggable two-path
+bars, each record conditioned through the selective cores.
+`influence_eval` and `superpropagate` accept pluggable two-path
 weights, including the oscillator-medium kernels, so the same machinery
 covers phenomenological and microscopic decoherence models.
 """
@@ -41,7 +43,15 @@ from scipy.special import logsumexp
 from .grids import _StepPlan, pure_density
 from .medium import PathPair, influence_exact, influence_firstorder
 from .readout import FormFactor, readout_measure_factor
-from .selective import DEFAULT_WORK_CAP, WindowSpec, _contract_windowed, _Moments
+from .selective import (
+    DEFAULT_WORK_CAP,
+    WindowSpec,
+    _aux_field_sweep,
+    _contract_windowed,
+    _field_sweep,
+    _ideal_sweep,
+    _Moments,
+)
 
 __all__ = [
     "InfluenceKernelSpec",
@@ -59,8 +69,6 @@ KERNEL_KINDS = ("ideal", "coarse", "medium_exact", "medium_firstorder")
 # relative eigenvalue floor of a medium kernel factored as a field
 # covariance (see _psd_factor)
 PSD_RTOL = 1e-6
-# complex elements in one batch of sampled propagators (256 KB)
-_FIELD_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -214,53 +222,6 @@ def _mixture_record(rng, values, kappa, dt, n_steps):
         - n_steps * (math.log(n) + math.log(sigma * math.sqrt(2.0 * math.pi)))
     )
     return a, log_q
-
-
-def _conditioned_operator(readout, window, kappa, plan, obs, tgrid, cap, rng, inner):
-    """The (unnormalized) propagator U[a] for one record, as a matrix.
-
-    Ideal records sweep the identity block with per-step diagonal weight
-    factors; windowed records run one exact contraction per column when
-    the working set fits the cap, otherwise an auxiliary-field estimate
-    averaged over ``inner`` field samples (unbiased; pair two independent
-    calls when a product like U†U must stay unbiased).
-    """
-    n, dt, n_steps = plan.n, tgrid.dt, tgrid.n_steps
-    vals = obs.values
-    if window is None:
-        block = np.eye(n, dtype=complex)
-        for i in range(n_steps):
-            block = plan.step(np.exp(-kappa * dt * (vals - readout[i]) ** 2)[:, None] * block)
-        return block
-    if _plan_fits(window, n, cap):
-        cols = [
-            _contract_windowed(np.eye(n, dtype=complex)[:, j], plan.matrix, vals, readout,
-                               kappa, window, dt)
-            for j in range(n)
-        ]
-        return np.stack(cols, axis=1)
-    # auxiliary-field fallback: same decoupling as the selective mc engine,
-    # applied to the whole identity block per field sample
-    b = window.T @ readout
-    log_pref = -kappa * dt * float(np.sum(readout**2))
-    drift = 2.0 * kappa * dt * b
-    acc = np.zeros((n, n), dtype=complex)
-    for _ in range(inner):
-        coef = drift + 1j * math.sqrt(2.0 * kappa * dt) * (window.T @ rng.standard_normal(n_steps))
-        block = np.eye(n, dtype=complex) * np.exp(vals * coef[0] + log_pref)[:, None]
-        for j in range(1, n_steps + 1):
-            block = plan.step(block)
-            block *= np.exp(vals * coef[j])[:, None]
-        acc += block
-    return acc / inner
-
-
-def _plan_fits(window, n_sites, cap):
-    try:
-        WindowSpec.plan(window, n_sites, cap)
-        return True
-    except ValueError:
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -450,26 +411,15 @@ def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, 
     """E_xi[U_xi rho0 U_xi^dagger] over the phase field phi = T xi S^T.
 
     U_xi is the split-operator evolution with exp(i phi_j) multiplied in
-    at slices 0 .. N, phi_j the row of phi for slice j over the sites.
-    Samples run in batches, the identity block of each swept through
-    the steps side by side.
+    at slices 0 .. N, phi_j the row of phi for slice j over the sites: the
+    identity block of each sample runs through `_field_sweep`.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for an error estimate")
-    rng = np.random.default_rng(seed)
-    n, n_steps = sgrid.n_points, tgrid.n_steps
+    n = sgrid.n_points
+    moments = _Moments((n, n), samples)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
-    moments = _Moments((n, n))
-    batch = max(1, _FIELD_BATCH_ELEMENTS // (n * n))
-    while moments.count < samples:
-        m = min(batch, samples - moments.count)
-        xi = rng.standard_normal((m, time_factor.shape[1], space_factor.shape[1]))
-        block = np.broadcast_to(np.eye(n, dtype=complex)[:, None, :], (n, m, n)).copy()
-        for j in range(n_steps + 1):  # block[:, s, :] is U so far of sample s
-            if j:
-                block = plan.step(block.reshape(n, m * n)).reshape(n, m, n)
-            block *= np.exp(1j * (time_factor[j] @ xi @ space_factor.T)).T[:, :, None]
-        u = block.transpose(1, 0, 2)
+    for block in _field_sweep(plan, np.eye(n), time_factor, space_factor, samples,
+                              np.random.default_rng(seed)):
+        u = block.transpose(1, 0, 2)  # u[s] is U_xi of sample s
         moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0)
     return AverageResult(rho=moments.mean(), mode="mc", stderr=moments.stderr(),
                          n_samples=int(samples))
@@ -500,8 +450,8 @@ def check_generalized_unitarity(
     plan for -dt, whose phases are the conjugates.  A windowed profile
     couples the record integrals across steps; mode "exact" contracts the
     doubled chain backward in time (the window matrix is flipped
-    accordingly), mode "mc" importance-samples records and reports a
-    standard error.
+    accordingly), mode "mc" importance-samples records (at least 2) and
+    reports a standard error.
     """
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     is_ideal = form_factor is None or form_factor.is_delta
@@ -523,18 +473,31 @@ def check_generalized_unitarity(
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if kappa <= 0:
         raise ValueError("record sampling requires kappa > 0")
+    moments = _Moments((n, n), samples)
     rng = np.random.default_rng(seed)
+    vals, eye = obs.values, np.eye(n, dtype=complex)
     window = None if is_ideal else form_factor.window_matrix(n_steps, dt)
-    nested = window is not None and not _plan_fits(window, n, cap)
+    nested = window is not None and not WindowSpec.fits(window, n, cap)
+    if nested and inner_samples < 1:
+        raise ValueError("the auxiliary-field estimate of U[a] needs at least 1 inner sample")
+
+    def conditioned(a):
+        # the unnormalized propagator U[a] of one record, by a selective core;
+        # the nested estimate is unbiased, so U† U pairs two independent ones
+        if window is None:
+            return _ideal_sweep(plan, eye, a, kappa, vals, dt)
+        if not nested:
+            return np.stack([_contract_windowed(eye[:, j], plan.matrix, vals, a, kappa, window, dt)
+                             for j in range(n)], axis=1)
+        blocks = _aux_field_sweep(plan, eye, a, window, kappa, vals, dt, inner_samples, rng)
+        return sum(block.sum(axis=1) for block in blocks) / inner_samples
+
     log_c = math.log(readout_measure_factor(kappa, dt))
-    moments = _Moments((n, n))
     for _ in range(int(samples)):
-        a, log_q = _mixture_record(rng, obs.values, kappa, dt, n_steps)
+        a, log_q = _mixture_record(rng, vals, kappa, dt, n_steps)
         w = math.exp(n_steps * log_c - log_q)
-        u1 = _conditioned_operator(a, window, kappa, plan, obs, tgrid, cap, rng, inner_samples)
-        u2 = u1 if not nested else _conditioned_operator(
-            a, window, kappa, plan, obs, tgrid, cap, rng, inner_samples
-        )
+        u1 = conditioned(a)
+        u2 = conditioned(a) if nested else u1
         moments.add((w * (u1.conj().T @ u2))[None])
     mean = moments.mean()
     deviation = float(np.max(np.abs(mean - np.eye(n))))

@@ -366,11 +366,8 @@ def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
         if cfg.form.is_delta:
             engine = "ideal"
         else:
-            try:
-                WindowSpec.plan(cfg.form.window_matrix(cfg.tgrid.n_steps, dt), cfg.sgrid.n_points)
-                engine = "coarse"
-            except ValueError:
-                engine = "mc"
+            window = cfg.form.window_matrix(cfg.tgrid.n_steps, dt)
+            engine = "coarse" if WindowSpec.fits(window, cfg.sgrid.n_points) else "mc"
     series = []
 
     def watch(i, psi):

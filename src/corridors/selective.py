@@ -9,10 +9,15 @@ window the weight couples slices up to the window width apart and the
 path sum no longer factorizes; it is still exactly contractible with a
 sliding buffer of live slice axes (a transfer-tensor sweep) whose size
 is set by the window band, and that is what `evolve_selective_coarse`
-does.  When the buffer would not fit in memory, a Monte-Carlo unraveling
+does.  When the buffer would not fit in memory (`WindowSpec.fits` is the
+one exact-or-sample rule), a Monte-Carlo unraveling
 (`evolve_selective_coarse_mc`) decouples the window with an auxiliary
 Gaussian field: every sample is again a diagonal-factor sweep, unbiased
-for the exact result, with errors dropping as 1/sqrt(samples).
+for the exact result, with errors dropping as 1/sqrt(samples).  One field
+sweep, `_field_sweep`, runs both this sampler and the random-phase
+samplers of `nonselective`, and that module's Monte-Carlo unitarity check
+conditions each record through the cores here: the ideal sweep, the
+contraction, or the auxiliary field.
 
 All engines use the left-rule weight pairing (the step-i factor
 multiplies the state before the step-i kernel); for that discretization
@@ -23,7 +28,7 @@ step size, not just in the small-step limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +51,8 @@ __all__ = [
 # elements (8e8 bytes at complex128); beyond this the exact sweep refuses
 # and callers should fall back to the Monte-Carlo unraveling
 DEFAULT_WORK_CAP = 100_000_000
+# complex elements in one batch of sampled propagators (256 KB)
+_FIELD_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,32 +82,29 @@ class SelectiveResult:
 
 
 def _band_structure(window):
-    """Per-row nonzero column ranges and the emission schedule.
+    """Per-row first and last nonzero columns, and the live-slice schedule.
 
     Row i of the window can only be turned into a weight factor once its
-    last contributing slice exists; emit_at[j] lists the rows that become
-    complete when slice j is added.  Derived from the actual nonzero
+    last contributing slice exists, and a slice axis can be summed out
+    once no pending row reaches back to it.  live[j], the oldest slice
+    still live once slice j is added and its complete rows emitted, is the
+    earliest first column among the rows completed after j (a suffix-min),
+    capped at j; it never decreases.  Derived from the actual nonzero
     pattern, so shifted or asymmetric bands (including time-reversed
     windows) schedule correctly.
     """
-    n_rows = window.shape[0]
-    cols = [np.nonzero(window[i])[0] for i in range(n_rows)]
-    for i, c in enumerate(cols):
-        if c.size == 0:
-            raise ValueError(f"window row {i} is identically zero")
-    first = np.array([c[0] for c in cols])
-    last = np.array([c[-1] for c in cols])
-    emit_at = {}
-    for i in range(n_rows):
-        emit_at.setdefault(int(last[i]), []).append(i)
-    return cols, first, last, emit_at
-
-
-def _keep_from(first, last, j):
-    # oldest slice still needed: pending rows' earliest column, or the
-    # current slice itself
-    pending = [int(first[i]) for i in range(len(first)) if int(last[i]) > j]
-    return min(pending + [j])
+    nonzero = np.asarray(window) != 0
+    empty = np.flatnonzero(~nonzero.any(axis=1))
+    if empty.size:
+        raise ValueError(f"window row {empty[0]} is identically zero")
+    n_slices = nonzero.shape[1]
+    first = np.argmax(nonzero, axis=1)
+    last = n_slices - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    # reach[s]: earliest first column among the rows completed at slice s
+    reach = np.full(n_slices + 1, n_slices)
+    np.minimum.at(reach, last, first)
+    pending = np.minimum.accumulate(reach[::-1])[::-1][1:]
+    return first, last, np.minimum(pending, np.arange(n_slices))
 
 
 @dataclass(frozen=True)
@@ -121,21 +125,18 @@ class WindowSpec:
 
     @classmethod
     def plan(cls, window, n_sites, cap=DEFAULT_WORK_CAP):
-        """Dry-run the contraction schedule (indices only) and check the cap."""
+        """Schedule the contraction (indices only) and check the cap."""
         window = np.asarray(window)
         n_steps = window.shape[0]
         if window.shape[1] != n_steps + 1:
             raise ValueError(
                 f"window must be (N, N+1), got {window.shape}"
             )
-        _, first, last, _ = _band_structure(window)
-        bandwidth = int(max(np.max(np.arange(n_steps) - first), np.max(last - np.arange(n_steps))))
-        buf_lo, buf_hi = 0, 0  # live slice axes are the contiguous range [lo, hi]
-        peak = 1
-        for j in range(n_steps + 1):
-            buf_hi = j
-            peak = max(peak, buf_hi - buf_lo + 1)
-            buf_lo = max(buf_lo, min(_keep_from(first, last, j), buf_hi))
+        first, last, live = _band_structure(window)
+        steps = np.arange(n_steps)
+        bandwidth = int(max(np.max(steps - first), np.max(last - steps)))
+        # slice j joins the live axes [live[j - 1], j]
+        peak = int(np.max(np.arange(1, n_steps + 2) - np.concatenate(([0], live[:-1]))))
         work = n_sites**peak
         if work > cap:
             raise ValueError(
@@ -151,6 +152,15 @@ class WindowSpec:
             work_elements=int(work),
             cap=int(cap),
         )
+
+    @classmethod
+    def fits(cls, window, n_sites, cap=DEFAULT_WORK_CAP):
+        """The exact-or-sample rule: whether `plan` accepts the contraction."""
+        try:
+            cls.plan(window, n_sites, cap)
+        except ValueError:
+            return False
+        return True
 
 
 def _contract_windowed(vec0, kernel, site_values, readout, kappa, window, dt):
@@ -171,7 +181,12 @@ def _contract_windowed(vec0, kernel, site_values, readout, kappa, window, dt):
     readout = np.asarray(readout, dtype=float)
     if readout.shape != (n_steps,):
         raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
-    cols, first, last, emit_at = _band_structure(window)
+    _, last, live = _band_structure(window)
+    live = live.tolist()
+    emit_at = {}  # slice j -> the rows complete once it exists
+    for i, s in enumerate(last.tolist()):
+        emit_at.setdefault(s, []).append(i)
+    cols = [np.flatnonzero(row) for row in window]
     site_values = np.asarray(site_values, dtype=float)
     n = site_values.size
     kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
@@ -190,23 +205,16 @@ def _contract_windowed(vec0, kernel, site_values, readout, kappa, window, dt):
             smoothed = smoothed + window[i, j] * site_values.reshape(shape)
         return state * np.exp(-kappa * dt * (smoothed - readout[i]) ** 2)
 
-    def trim(state, oldest, j):
-        keep = _keep_from(first, last, j)
-        while oldest < keep and state.ndim > 1:
-            state = state.sum(axis=0)
-            oldest += 1
-        return state, oldest
-
-    for i in emit_at.get(0, ()):
-        state = emit(state, i)
-    state, oldest = trim(state, oldest, 0)
-    for j in range(1, n_steps + 1):
-        # append the axis for slice j; the kernel contraction over slice
-        # j-1 is deferred until that axis is trimmed
-        state = state[..., :, None] * kernel_t
+    for j in range(n_steps + 1):
+        if j:
+            # append the axis for slice j; the kernel contraction over
+            # slice j-1 is deferred until that axis is summed out
+            state = state[..., :, None] * kernel_t
         for i in emit_at.get(j, ()):
             state = emit(state, i)
-        state, oldest = trim(state, oldest, j)
+        while oldest < live[j]:
+            state = state.sum(axis=0)
+            oldest += 1
     while state.ndim > 1:
         state = state.sum(axis=0)
     return state
@@ -214,6 +222,16 @@ def _contract_windowed(vec0, kernel, site_values, readout, kappa, window, dt):
 
 # ----------------------------------------------------------------------
 # engines
+
+
+def _ideal_sweep(plan, block, readout, kappa, values, dt, observer=None):
+    """Left-rule conditioned sweep of a vector, or of the columns of a block."""
+    values = np.reshape(values, (-1,) + (1,) * (np.ndim(block) - 1))
+    for i, a in enumerate(readout):
+        block = plan.step(np.exp(-kappa * dt * (values - a) ** 2) * block)
+        if observer is not None:
+            observer(i, block)
+    return block
 
 
 def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observer=None):
@@ -224,16 +242,10 @@ def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observe
     sees the unnormalized working state after every step.
     """
     readout = np.asarray(readout, dtype=float)
-    n_steps = tgrid.n_steps
-    if readout.shape != (n_steps,):
-        raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
-    dt, a_vals = tgrid.dt, obs.values
-    psi = np.asarray(psi0, dtype=complex)
-    plan = _StepPlan(ham, sgrid, dt)
-    for i in range(n_steps):
-        psi = plan.step(np.exp(-kappa * dt * (a_vals - readout[i]) ** 2) * psi)
-        if observer is not None:
-            observer(i, psi)
+    if readout.shape != (tgrid.n_steps,):
+        raise ValueError(f"readout must have {tgrid.n_steps} entries, got {readout.shape}")
+    psi = _ideal_sweep(_StepPlan(ham, sgrid, tgrid.dt), np.asarray(psi0, dtype=complex),
+                       readout, kappa, obs.values, tgrid.dt, observer)
     return _wrap_result(psi, kappa, sgrid, tgrid)
 
 
@@ -269,7 +281,6 @@ def evolve_selective_coarse_mc(
     tgrid,
     samples=1000,
     seed=None,
-    batch=256,
 ):
     """Monte-Carlo estimate of the windowed conditioned evolution.
 
@@ -281,39 +292,24 @@ def evolve_selective_coarse_mc(
                                      + i sqrt(2 kappa dt) (P^T xi)_j) )
 
     with P the window matrix and b = P^T a, so each sample costs one
-    diagonal-factor sweep regardless of the window width.  The estimate
-    is unbiased; at kappa = 0 the estimator is exact with zero variance.
-    Per-component standard errors of the state mean are returned, and a
-    linearized standard error for the probability density.
+    diagonal-factor sweep regardless of the window width.  Samples run
+    side by side in batches of about _FIELD_BATCH_ELEMENTS state
+    elements, drawn in order from one stream, so a seed fixes the samples
+    whatever the batch size.  The estimate is unbiased; at kappa = 0 the
+    estimator is exact with zero variance.  Per-component standard errors
+    of the state mean are returned, and a linearized standard error for
+    the probability density.
     """
     readout = np.asarray(readout, dtype=float)
     n_steps, dt = tgrid.n_steps, tgrid.dt
     if readout.shape != (n_steps,):
         raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
-    if samples < 2:
-        raise ValueError("need at least 2 samples for an error estimate")
+    moments = _Moments(sgrid.n_points, samples, parts=(np.real, np.imag))
     window = form_factor.window_matrix(n_steps, dt)
-    rng = np.random.default_rng(seed)
-
-    a_vals = obs.values
-    n = a_vals.size
-    b = window.T @ readout
-    log_pref = -kappa * dt * float(np.sum(readout**2))
-    drift = 2.0 * kappa * dt * b  # real part of the per-slice coefficients
-
-    psi0 = np.asarray(psi0, dtype=complex)
     plan = _StepPlan(ham, sgrid, dt)
-    moments = _Moments(n, parts=(np.real, np.imag))
-    while moments.count < samples:
-        m = min(batch, samples - moments.count)
-        xi = rng.standard_normal((m, n_steps))
-        coef = drift[None, :] + 1j * math.sqrt(2.0 * kappa * dt) * (xi @ window)
-        block = np.broadcast_to(psi0[:, None], (n, m)).copy()
-        block *= np.exp(a_vals[:, None] * coef[:, 0][None, :] + log_pref)
-        for j in range(1, n_steps + 1):
-            block = plan.step(block)
-            block *= np.exp(a_vals[:, None] * coef[:, j][None, :])
-        moments.add(block, axis=1)
+    for block in _aux_field_sweep(plan, psi0, readout, window, kappa, obs.values, dt, samples,
+                                  np.random.default_rng(seed)):
+        moments.add(block[:, :, 0], axis=1)
 
     mean = moments.mean()
     var_re, var_im = moments.variances()
@@ -324,16 +320,54 @@ def evolve_selective_coarse_mc(
         / samples
         * sgrid.spacing**2
     )
-    prob_stderr = result.measure_factor * math.sqrt(var_norm)
-    return SelectiveResult(
-        final_state=result.final_state,
-        norm_sq=result.norm_sq,
-        measure_factor=result.measure_factor,
-        probability_density=result.probability_density,
-        state_stderr=moments.stderr(),
-        probability_stderr=prob_stderr,
-        n_samples=int(samples),
-    )
+    return replace(result, state_stderr=moments.stderr(),
+                   probability_stderr=result.measure_factor * math.sqrt(var_norm),
+                   n_samples=int(samples))
+
+
+# ----------------------------------------------------------------------
+# Gaussian-field sampling (the aux-field and random-phase samplers)
+
+
+def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weight=None):
+    """Batches of U_xi applied to ``start``, over the field phi = T xi S^T.
+
+    U_xi is the split-operator evolution with exp(log_weight_j + i phi_j)
+    multiplied in at slices 0 .. N: phi_j is the row of phi for slice j
+    over the sites, log_weight an optional real (N+1, n) array.  Each
+    sample's xi ~ N(0, 1), shaped (T columns, S columns), is drawn in turn
+    from ``rng``.  Yields (n, m, k) blocks, m samples side by side, k the
+    columns of ``start``, each of about _FIELD_BATCH_ELEMENTS elements.
+    """
+    n = plan.n
+    start = np.asarray(start, dtype=complex).reshape(n, 1, -1)
+    k = start.shape[2]
+    batch = max(1, _FIELD_BATCH_ELEMENTS // (n * k))
+    for done in range(0, samples, batch):
+        m = min(batch, samples - done)
+        xi = rng.standard_normal((m, time_factor.shape[1], space_factor.shape[1]))
+        time_part = np.tensordot(time_factor, xi, axes=(1, 1))  # (N+1, m, S columns)
+        block = np.broadcast_to(start, (n, m, k)).copy()
+        for j, part in enumerate(time_part):
+            if j:
+                block = plan.step(block.reshape(n, m * k)).reshape(n, m, k)
+            # (n, m); keep a vectorized ufunc between the BLAS product and the
+            # exp: numpy's scalar complex exp measured 10x slower right after one
+            exponent = 1j * (space_factor @ part.T)
+            if log_weight is not None:
+                exponent += log_weight[j][:, None]
+            block *= np.exp(exponent)[:, :, None]
+        yield block
+
+
+def _aux_field_sweep(plan, start, readout, window, kappa, values, dt, samples, rng):
+    """`_field_sweep` under the auxiliary field that decouples a window:
+    T = sqrt(2 kappa dt) P^T, S = A, and the real log weight 2 kappa dt b_j A
+    (b = P^T a), with -kappa dt ||a||^2 at slice 0."""
+    log_weight = np.outer(2.0 * kappa * dt * (window.T @ readout), values)
+    log_weight[0] -= kappa * dt * float(np.sum(readout**2))
+    return _field_sweep(plan, start, math.sqrt(2.0 * kappa * dt) * window.T, values[:, None],
+                        samples, rng, log_weight)
 
 
 class _Moments:
@@ -341,9 +375,12 @@ class _Moments:
 
     The spread is that of the real projections in ``parts``: the modulus,
     or the real and imaginary parts for a caller that needs both variances.
+    ``samples``, the count the caller will add, must be at least 2.
     """
 
-    def __init__(self, shape, parts=(np.abs,)):
+    def __init__(self, shape, samples, parts=(np.abs,)):
+        if samples < 2:
+            raise ValueError("need at least 2 samples for an error estimate")
         self.count, self.parts = 0, parts
         self.total = np.zeros(shape, dtype=complex)
         self.squares = [np.zeros(shape) for _ in parts]

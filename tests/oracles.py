@@ -7,6 +7,8 @@ the package beyond the one-step kernel: the matrices handed in by the
 tests and the public `unitary_step`.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -50,6 +52,50 @@ def brute_conditioned_state(psi0, kernel, site_values, readout, kappa, dt, windo
     out = np.zeros(n, dtype=complex)
     np.add.at(out, paths[:, -1], amps * weights)
     return out
+
+
+def dry_run_window_plan(window):
+    """(bandwidth, buffer_len) of a windowed contraction, slice by slice.
+
+    Follows the live slice axes [lo, j] through the sweep: slice j is
+    appended, then every slice that no pending row (one whose last nonzero
+    column lies after j) reaches back to is summed out.
+    """
+    window = np.asarray(window)
+    n_steps = window.shape[0]
+    cols = [np.nonzero(row)[0] for row in window]
+    first, last = [int(c[0]) for c in cols], [int(c[-1]) for c in cols]
+    bandwidth = max(max(i - first[i], last[i] - i) for i in range(n_steps))
+    lo, peak = 0, 1
+    for j in range(n_steps + 1):
+        peak = max(peak, j - lo + 1)
+        pending = [first[i] for i in range(n_steps) if last[i] > j]
+        lo = max(lo, min(pending + [j]))
+    return bandwidth, peak
+
+
+def aux_field_conditioned_state(psi0, kernel, site_values, readout, kappa, dt, window, xi):
+    """Mean over the rows of ``xi`` of the auxiliary-field sample, one at a time.
+
+    Sample xi multiplies exp(A (2 kappa dt b_j + i sqrt(2 kappa dt) (P^T xi)_j))
+    in at slices j = 0 .. N, the kernel stepping between slices, and the
+    whole by exp(-kappa dt ||a||^2); P is the window, b = P^T a.
+    """
+    vals = np.asarray(site_values, dtype=float)
+    readout = np.asarray(readout, dtype=float)
+    b = window.T @ readout
+    prefactor = math.exp(-kappa * dt * float(np.sum(readout**2)))
+    total = np.zeros(vals.size, dtype=complex)
+    for x in xi:
+        field = window.T @ x
+        psi = prefactor * np.asarray(psi0, dtype=complex)
+        for j in range(window.shape[1]):
+            if j:
+                psi = kernel @ psi
+            psi = psi * np.exp(vals * (2.0 * kappa * dt * b[j]
+                                       + 1j * math.sqrt(2.0 * kappa * dt) * field[j]))
+        total += psi
+    return total / len(xi)
 
 
 def pair_step_integral_numeric(x, y, kappa, dt, span=40.0, n_nodes=40001):

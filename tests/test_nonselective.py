@@ -367,6 +367,23 @@ def test_unitarity_mc_nested_estimator_under_tiny_cap():
     assert rep.deviation < 5.0 * rep.stderr + 0.1
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+@pytest.mark.parametrize("windowed", [False, True])
+def test_unitarity_mc_refuses_too_few_samples(samples, windowed):
+    # samples=0 gave a NaN deviation, samples=1 a bare ZeroDivisionError
+    g, tg, ham, obs, _, kappa, ff = _coarse_setup()
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff if windowed else None,
+                                    mode="mc", samples=samples, seed=1)
+
+
+def test_unitarity_mc_nested_refuses_zero_inner_samples():
+    g, tg, ham, obs, _, kappa, ff = _coarse_setup()
+    with pytest.raises(ValueError, match="at least 1 inner sample"):
+        check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
+                                    samples=10, seed=1, cap=10, inner_samples=0)
+
+
 def test_influence_eval_step_kinds():
     dt, kappa = 0.2, 0.9
     rng = np.random.default_rng(1)

@@ -440,6 +440,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "[FAIL]" in captured.out
 
 
+def test_cli_mc_unitarity_refuses_one_sample(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    assert main([
+        "unitarity-check", str(scenario), "--mode", "mc", "--samples", "1",
+        "--outdir", str(tmp_path / "u"),
+    ]) == 1
+    assert "invalid run" in capsys.readouterr().err
+
+
 def test_cli_average_and_sweeps(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     assert main([

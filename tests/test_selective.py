@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -18,6 +20,7 @@ from corridors.grids import (
 )
 from corridors.readout import FormFactor, readout_measure_factor
 from corridors.selective import (
+    _FIELD_BATCH_ELEMENTS,
     WindowSpec,
     _contract_windowed,
     evolve_selective_coarse,
@@ -159,6 +162,37 @@ def test_window_spec_plan_reports_and_caps():
         WindowSpec.plan(window[:, :-1], n_sites=4)  # not (N, N+1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n_steps=st.integers(1, 40),
+    reach=st.integers(0, 6),
+    shift=st.integers(-4, 4),
+    reverse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_spec_plan_matches_dry_run(n_steps, reach, shift, reverse, seed):
+    # random bands: per-row spans around a shifted diagonal, with holes
+    rng = np.random.default_rng(seed)
+    window = np.zeros((n_steps, n_steps + 1))
+    for i in range(n_steps):
+        lo = int(np.clip(i + shift - rng.integers(0, reach + 1), 0, n_steps))
+        hi = int(np.clip(i + shift + rng.integers(0, reach + 1), lo, n_steps))
+        window[i, lo : hi + 1] = rng.uniform(0.1, 1.0, hi - lo + 1) * (rng.random(hi - lo + 1) < 0.7)
+        window[i, [lo, hi]] = 0.5
+    if reverse:
+        window = window[::-1, ::-1].copy()
+    spec = WindowSpec.plan(window, n_sites=2, cap=2**64)
+    assert (spec.bandwidth, spec.buffer_len) == oracles.dry_run_window_plan(window)
+    assert spec.work_elements == 2**spec.buffer_len
+
+
+def test_window_spec_fits_is_the_plan_cap():
+    window = FormFactor.gaussian(0.08).window_matrix(20, 0.2)
+    work = WindowSpec.plan(window, n_sites=4).work_elements
+    assert WindowSpec.fits(window, 4, cap=work)
+    assert not WindowSpec.fits(window, 4, cap=work - 1)
+
+
 def test_coarse_cap_is_enforced_by_engine():
     g, tg, ham, obs, psi0, readout, kappa = _setup_b()
     with pytest.raises(ValueError, match="cap"):
@@ -183,6 +217,27 @@ def test_mc_engine_agrees_within_error_bars():
         psi0, readout, ff, kappa, ham, obs, g, tg, samples=4000, seed=5
     )
     assert np.array_equal(mc.final_state, again.final_state)
+
+
+@pytest.mark.parametrize("extra", [0, 5])
+def test_mc_engine_matches_naive_aux_field_loop(extra):
+    # the random stream is a contract: sample s uses row s of one
+    # (samples, N) standard-normal draw, at a batch boundary and off it
+    g = SpatialGrid(8.0, 32)
+    tg = TimeGrid(0.8, 4)
+    ham = HamiltonianSpec.harmonic(g, omega=0.7)
+    obs = ObservableSpec.position(g)
+    psi0 = gaussian_packet(g, center=0.3, width=1.1)
+    readout, kappa, ff = np.array([0.2, -0.4, 0.1, 0.3]), 1.2, FormFactor.gaussian(0.25)
+    samples = 2 * (_FIELD_BATCH_ELEMENTS // g.n_points) + extra
+    mc = evolve_selective_coarse_mc(psi0, readout, ff, kappa, ham, obs, g, tg,
+                                    samples=samples, seed=21)
+    xi = np.random.default_rng(21).standard_normal((samples, tg.n_steps))
+    ref = oracles.aux_field_conditioned_state(
+        psi0, unitary_step(np.eye(g.n_points), ham, g, tg.dt), obs.values, readout, kappa, tg.dt,
+        ff.window_matrix(tg.n_steps, tg.dt), xi,
+    )
+    assert np.max(np.abs(mc.final_state - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mc_engine_error_shrinks_with_samples():

@@ -37,17 +37,14 @@ __all__ = [
     "ObservableSpec",
     "build_grids",
     "gaussian_packet",
-    "position_state",
     "norm_sq",
     "normalized",
     "pure_density",
     "density_trace",
     "purity",
     "check_density_matrix",
-    "angular_wavenumbers",
     "unitary_step",
     "short_time_kernel_matrix",
-    "dense_hamiltonian",
 ]
 
 # Largest lattice short_time_kernel_matrix serves (the exhaustive path-space
@@ -218,13 +215,6 @@ def gaussian_packet(grid, center=0.0, width=1.0, momentum=0.0, hbar=1.0):
     return normalized(psi, grid)
 
 
-def position_state(grid, k):
-    """Unit-norm state concentrated in cell k (lattice delta)."""
-    psi = np.zeros(grid.n_points, dtype=complex)
-    psi[k] = 1.0 / math.sqrt(grid.spacing)
-    return psi
-
-
 def norm_sq(psi, grid):
     """<psi|psi> = sum |psi_k|^2 * spacing."""
     return float(np.sum(np.abs(psi) ** 2) * grid.spacing)
@@ -280,11 +270,6 @@ def check_density_matrix(rho, grid, tol=1e-10):
 # propagation
 
 
-def angular_wavenumbers(grid):
-    """FFT-ordered angular wavenumbers k (so that p = hbar k)."""
-    return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-
-
 class _StepPlan:
     """The one-step propagator M, its phases computed once per engine call.
 
@@ -306,7 +291,8 @@ class _StepPlan:
     def __init__(self, ham, grid, dt):
         self.n = grid.n_points
         self.half_v = np.exp(-0.5j * ham.potential * dt / ham.hbar)[:, None]
-        k = angular_wavenumbers(grid)[:, None]
+        # FFT-ordered angular wavenumbers (p = hbar k)
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)[:, None]
         self.kinetic = np.ones_like(k, dtype=complex) if math.isinf(ham.mass) else \
             np.exp(-1j * ham.hbar * k**2 * dt / (2.0 * ham.mass))
         self.dense = self.n <= _DENSE_STEP_MAX_POINTS
@@ -366,20 +352,3 @@ def short_time_kernel_matrix(ham, grid, dt):
         )
     return _StepPlan(ham, grid, dt).matrix
 
-
-def dense_hamiltonian(ham, grid):
-    """Dense Hermitian matrix of H on the lattice (for small-grid checks).
-
-    Kinetic part built by conjugating the diagonal hbar^2 k^2 / (2m)
-    multiplier with the FFT, so it is consistent with the stepping scheme's
-    periodic momentum space rather than with any finite-difference stencil.
-    """
-    n = grid.n_points
-    k = angular_wavenumbers(grid)
-    if math.isinf(ham.mass):
-        t_op = np.zeros((n, n), dtype=complex)
-    else:
-        w = ham.hbar**2 * k**2 / (2.0 * ham.mass)
-        t_op = np.fft.ifft(w[:, None] * np.fft.fft(np.eye(n, dtype=complex), axis=0), axis=0)
-    h = t_op + np.diag(ham.potential).astype(complex)
-    return 0.5 * (h + h.conj().T)

@@ -49,12 +49,10 @@ __all__ = [
     "ReductionResult",
     "nu_of_omega",
     "correlation_function",
-    "influence_single_frequency",
     "form_factor_from_medium",
     "influence_exact",
     "influence_firstorder",
     "firstorder_log_weights",
-    "verify_window_moment_identity",
     "reduce_to_phenomenological",
     "load_path_pair",
 ]
@@ -210,21 +208,6 @@ def _linear_bracket(pair: PathPair):
 # influence weights
 
 
-def influence_single_frequency(pair: PathPair, omega, medium: MediumSpec, dt):
-    """Suppression from a unit-bandwidth slice of the medium at omega.
-
-    Exponent: -nu(omega) * dt^2 sum_{jk} cos(omega (t_j - t_k)) *
-    [three-Gaussian bracket]; the full medium is the product (integral in
-    the exponent) of these over its band.
-    """
-    j = pair.n_slices
-    t = dt * np.arange(j)
-    cos_kernel = np.cos(omega * (t[:, None] - t[None, :]))
-    bracket = _gaussian_bracket(pair, medium.range_l)
-    nu = float(nu_of_omega(medium, omega))
-    return float(np.exp(-nu * dt**2 * np.sum(cos_kernel * bracket)))
-
-
 def influence_exact(pair: PathPair, form_factor: FormFactor, kappa, ell, dt):
     """Medium influence weight with the full Gaussian-well bracket.
 
@@ -282,31 +265,6 @@ def form_factor_from_medium(density: SpectralDensity, n_lags=401):
     lags = np.linspace(-t_max, t_max, int(n_lags))
     values = correlation_function(density, lags) / (math.pi * nu0)
     return FormFactor.from_arrays(lags, values), kappa
-
-
-def verify_window_moment_identity(pair: PathPair, window, dt):
-    """Check the algebraic collapse of the double-window bracket sum.
-
-    For any real matrix P (rows: readout times, columns: path slices),
-
-        dt * sum_i sum_{jk} P_ij P_ik B_jk
-            = 2 dt * sum_i |(P r2)_i - (P r1)_i|^2
-
-    with B the linearized bracket: the squared-difference terms cancel
-    through first and second moments.  Returns (lhs, rhs, |lhs - rhs|);
-    the identity is exact, so the difference is pure roundoff.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[1] != pair.n_slices:
-        raise ValueError(
-            f"window needs {pair.n_slices} columns to match the paths, got {window.shape}"
-        )
-    bracket = _linear_bracket(pair)
-    lhs = dt * float(np.sum((window.T @ window) * bracket))
-    r1, r2 = pair.planar()
-    gap = window @ (r2 - r1)
-    rhs = 2.0 * dt * float(np.sum(gap**2))
-    return lhs, rhs, abs(lhs - rhs)
 
 
 @dataclass(frozen=True)

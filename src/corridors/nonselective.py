@@ -12,7 +12,11 @@ no quadrature error, and composing steps gives the monitoring master
 equation  d rho/dt = -i[H, rho]/hbar - (kappa/2) [A, [A, rho]]  in Strang
 form.  Finite time resolution correlates the decay across a window of
 steps; the doubled (bra x ket) lattice chain is then contracted exactly
-with the same sliding-buffer sweep the selective engine uses.
+with the same sliding-buffer sweep the selective engine uses.  The
+oscillator medium's pair influence couples slices through the
+stationary time kernel in the same way (a Feynman-Vernon influence with
+that kernel as its memory), so its exact mode is the same doubled
+contraction with other weight rows, and ``cap`` bounds its working tensor.
 
 Every averaged weight here (ideal, windowed, or from the medium) is the
 characteristic function of a Gaussian phase field, so the averaged state
@@ -27,9 +31,9 @@ corridor decomposition — the record-integrated U†U is the identity —
 either in closed form (ideal), by an exact time-reversed doubled
 contraction (windowed), or by importance-sampled records with error
 bars, each record conditioned through the selective cores.
-`influence_eval` and `superpropagate` accept pluggable two-path
-weights, including the oscillator-medium kernels, so the same machinery
-covers phenomenological and microscopic decoherence models.
+`superpropagate` accepts pluggable two-path weights, including the
+oscillator-medium kernels, so the same machinery covers phenomenological
+and microscopic decoherence models.
 """
 
 from __future__ import annotations
@@ -41,13 +45,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .grids import _StepPlan, pure_density
-from .medium import PathPair, influence_exact, influence_firstorder
 from .readout import FormFactor, readout_measure_factor
 from .selective import (
     DEFAULT_WORK_CAP,
     WindowSpec,
     _aux_field_sweep,
     _contract_windowed,
+    _corridor_rows,
     _field_sweep,
     _ideal_sweep,
     _Moments,
@@ -61,7 +65,6 @@ __all__ = [
     "readout_average",
     "superpropagate",
     "check_generalized_unitarity",
-    "influence_eval",
 ]
 
 KERNEL_KINDS = ("ideal", "coarse", "medium_exact", "medium_firstorder")
@@ -244,10 +247,12 @@ def superpropagate(
     """Evolve a density matrix under a two-path decoherence weight.
 
     Mode "exact": kind "ideal" (and "coarse" with a delta profile) runs
-    the per-step closed-form sweep, kind "coarse" contracts the doubled
+    the per-step closed-form sweep; kind "coarse" contracts the doubled
     bra x ket chain through the resolution window, and the medium kinds
-    enumerate lattice path pairs under the microscopic influence weight
-    (small grids only).  Mode "mc", for every kind, averages unitary
+    contract the same chain under the microscopic influence weight, whose
+    slice couplings are the stationary time kernel.  ``cap`` bounds the
+    contraction's working tensor, and the call refuses above it.  Exact
+    mode takes any time kernel.  Mode "mc", for every kind, averages unitary
     evolutions under the Gaussian phase field whose characteristic
     function is the weight, and reports entrywise standard errors.
     Paths take values in the monitored observable, which the medium
@@ -267,97 +272,63 @@ def superpropagate(
         return AverageResult(rho=rho, mode=mode)
 
     if kind == "coarse":
-        window = ff.window_matrix(tgrid.n_steps, tgrid.dt)
-        kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
-        rho = _doubled_contraction(rho0, kernel, obs, kappa, window, tgrid.dt, cap)
-        return AverageResult(rho=rho, mode=mode)
-
-    rho = _medium_enumerate(rho0, kernel_spec, ham, obs, sgrid, tgrid, cap)
-    return AverageResult(rho=rho, mode=mode)
+        rows = _coarse_rows(ff.window_matrix(tgrid.n_steps, tgrid.dt), obs, kappa, tgrid.dt)
+    else:
+        rows = _medium_rows(kernel_spec, obs, tgrid)
+    kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
+    return AverageResult(rho=_doubled_contraction(rho0, kernel, *rows, cap), mode=mode)
 
 
-def _doubled_contraction(rho0, kernel, obs, kappa, window, dt, cap):
-    """kernel rho kernel^dagger per step, through the doubled windowed chain."""
+def _doubled_contraction(rho0, kernel, pattern, log_row, cap):
+    """kernel rho kernel^dagger per step, through the doubled windowed chain.
+
+    The doubled site (x, y), bra x and ket y, is flattened as x n + y;
+    ``pattern`` and ``log_row`` give the weight rows on those sites.
+    """
     n = kernel.shape[0]
-    WindowSpec.plan(window, n * n, cap)
-    vals_diff = (obs.values[:, None] - obs.values[None, :]).ravel()
-    vec = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), vals_diff,
-                             np.zeros(window.shape[0]), 0.5 * kappa, window, dt)
+    WindowSpec.plan(pattern, n * n, cap)
+    vec = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), pattern, log_row)
     return vec.reshape(n, n)
 
 
-def _medium_log_weight_parts(kernel_spec, vpaths, time_kernel):
-    """Self and cross sums of the medium bracket over site-value paths.
+def _coarse_rows(window, obs, kappa, dt):
+    """Rows of the record-averaged windowed corridor weight on the doubled
+    chain: exp(-(kappa/2) dt (P (x - y))_i^2) for step i."""
+    vals_diff = (obs.values[:, None] - obs.values[None, :]).ravel()
+    return _corridor_rows(window, vals_diff, np.zeros(window.shape[0]), 0.5 * kappa, dt)
 
-    Returns (self_terms, cross) with ln W(p, p') assembled by the caller:
-      exact      : -(kappa l^2 / 2) dt [ g-self(p) + g-self(p') - 2 g-cross(p', p) ]
-      firstorder : -(kappa / 4) dt [ 2 d2-cross(p', p) - d2-self(p) - d2-self(p') ]
-    where g is the Gaussian well and d2 the squared difference.
+
+def _medium_rows(kernel_spec, obs, tgrid):
+    """Rows of a medium kind's pair influence weight on the doubled chain.
+
+    The weight is exp(-(s/2) sum_ab K_ab u(a) . u(b)), K the stationary
+    time kernel over slices 0 .. N and u = S(x) - S(y) on the doubled
+    sites (see `_medium_space`).  Each coupling K_ab with a <= b, doubled
+    when a != b, goes into row b - 1, and the (0, 0) term into row 0.
     """
-    n_paths, j = vpaths.shape
-    exact = kernel_spec.kind == "medium_exact"
-    two_l2 = None if not exact else 2.0 * kernel_spec.ell**2
+    n_steps, dt = tgrid.n_steps, tgrid.dt
+    scale, space = _medium_space(kernel_spec, obs, dt)
+    # u[r] over the doubled sites, one contiguous row per space column r
+    u = (space.T[:, :, None] - space.T[:, None, :]).reshape(space.shape[1], -1)
+    time = kernel_spec.form_factor.stationary_matrix(n_steps + 1, dt)
+    coupling = np.triu(time + time.T, 1) + np.diag(np.diag(time))
+    owner = np.maximum(np.arange(n_steps + 1) - 1, 0)  # the row of slice b's couplings
+    pattern = np.eye(n_steps, n_steps + 1, 1, dtype=bool)  # no row is left empty
+    np.logical_or.at(pattern, owner, coupling.T != 0)
+    slices = [np.flatnonzero(owner == i) for i in range(n_steps)]
+    partners = [np.flatnonzero(coupling[:, b]) for b in range(n_steps + 1)]
 
-    def pair_fn(x, y):
-        d2 = (x - y) ** 2
-        return np.exp(-d2 / two_l2) if exact else d2
+    def log_row(i, place):
+        total = 0.0
+        for b in slices[i]:
+            for ur in u:
+                inner = 0.0
+                for a in partners[b]:
+                    inner = inner + coupling[a, b] * place(a, ur)
+                total = total + place(b, ur) * inner
+        return -0.5 * scale * total
 
-    self_terms = np.zeros(n_paths)
-    cross = np.zeros((n_paths, n_paths))
-    for a in range(j):
-        for b in range(j):
-            k = time_kernel[a, b]
-            if k == 0.0:
-                continue
-            self_terms += k * pair_fn(vpaths[:, a], vpaths[:, b])
-            cross += k * pair_fn(vpaths[:, a][:, None], vpaths[:, b][None, :])
-    return self_terms, cross
-
-
-def _medium_pair_log_w(kernel_spec, self_terms, cross, dt):
-    kind, kappa = kernel_spec.kind, kernel_spec.kappa
-    s1 = self_terms[:, None]
-    s2 = self_terms[None, :]
-    # cross[p1, p2] above sums K_ab f(vp1_a, vp2_b); the bracket wants the
-    # (second path, first path) orientation, which is cross.T — but the time
-    # kernel is symmetric, so the two agree
-    if kind == "medium_exact":
-        return -0.5 * kappa * kernel_spec.ell**2 * dt * (s1 + s2 - 2.0 * cross)
-    return -0.25 * kappa * dt * (2.0 * cross - s1 - s2)
-
-
-def _medium_enumerate(rho0, kernel_spec, ham, obs, sgrid, tgrid, cap):
-    n, n_steps, dt = sgrid.n_points, tgrid.n_steps, tgrid.dt
-    j = n_steps + 1
-    n_paths = n**j
-    if n_paths**2 > cap:
-        raise ValueError(
-            f"medium enumeration needs {n_paths}^2 = {n_paths**2:.3g} path pairs, "
-            f"above the cap {cap:.3g}; use mode='mc'"
-        )
-    paths = _all_site_paths(n, j)
-    kernel = _StepPlan(ham, sgrid, dt).matrix
-    amps = np.ones(n_paths, dtype=complex)
-    for s in range(1, j):
-        amps *= kernel[paths[:, s], paths[:, s - 1]]
-    vpaths = obs.values[paths]
-    time_kernel = kernel_spec.form_factor.stationary_matrix(j, dt)
-    self_terms, cross = _medium_log_weight_parts(kernel_spec, vpaths, time_kernel)
-    log_w = _medium_pair_log_w(kernel_spec, self_terms, cross, dt)
-    contrib = (
-        amps[:, None]
-        * amps[None, :].conj()
-        * np.exp(log_w)
-        * rho0[paths[:, 0][:, None], paths[:, 0][None, :]]
-    )
-    out = np.zeros((n, n), dtype=complex)
-    np.add.at(out, (paths[:, -1][:, None], paths[:, -1][None, :]), contrib)
-    return out
-
-
-def _all_site_paths(n_sites, n_slices):
-    mesh = np.meshgrid(*([np.arange(n_sites)] * n_slices), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return pattern, log_row
 
 
 # ----------------------------------------------------------------------
@@ -395,16 +366,28 @@ def _field_factors(kernel_spec, obs, tgrid):
     """
     kind, kappa, ff = kernel_spec.kind, kernel_spec.kappa, kernel_spec.form_factor
     n_steps, dt = tgrid.n_steps, tgrid.dt
-    values = obs.values[:, None]
     if kind in ("ideal", "coarse"):
         profile = ff if kind == "coarse" else FormFactor.delta()
-        return math.sqrt(kappa * dt) * profile.window_matrix(n_steps, dt).T, values
+        return math.sqrt(kappa * dt) * profile.window_matrix(n_steps, dt).T, obs.values[:, None]
     time = _psd_factor(ff.stationary_matrix(n_steps + 1, dt), "time kernel")
-    if kind == "medium_firstorder":
-        return math.sqrt(kappa * dt) * time, values
+    scale, space = _medium_space(kernel_spec, obs, dt)
+    return math.sqrt(scale) * time, space
+
+
+def _medium_space(kernel_spec, obs, dt):
+    """(s, S) of a medium kind: its pair weight is
+    exp(-(s/2) sum_ab K_ab sum_r u_r(a) u_r(b)), u_r = S_r(x) - S_r(y).
+
+    First order has s = kappa dt and S = A, so u is the path difference;
+    the exact bracket has s = kappa l^2 dt and S a factor of the Gaussian
+    well exp(-(A_k - A_l)^2 / (2 l^2)).
+    """
+    values = obs.values[:, None]
+    if kernel_spec.kind == "medium_firstorder":
+        return kernel_spec.kappa * dt, values
     ell = kernel_spec.ell
     well = _psd_factor(np.exp(-((values - values.T) ** 2) / (2.0 * ell**2)), "spatial well")
-    return math.sqrt(kappa * ell**2 * dt) * time, well
+    return kernel_spec.kappa * ell**2 * dt, well
 
 
 def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, seed):
@@ -465,8 +448,8 @@ def check_generalized_unitarity(
                 matrix = decay * back.conjugate(matrix)
         else:
             window = form_factor.window_matrix(n_steps, dt)[::-1, ::-1].copy()
-            matrix = _doubled_contraction(np.eye(n, dtype=complex), plan.matrix_h, obs, kappa,
-                                          window, dt, cap)
+            matrix = _doubled_contraction(np.eye(n, dtype=complex), plan.matrix_h,
+                                          *_coarse_rows(window, obs, kappa, dt), cap)
         deviation = float(np.max(np.abs(matrix - np.eye(n))))
         return UnitarityReport(matrix=matrix, deviation=deviation, mode=mode)
     if mode != "mc":
@@ -480,6 +463,9 @@ def check_generalized_unitarity(
     nested = window is not None and not WindowSpec.fits(window, n, cap)
     if nested and inner_samples < 1:
         raise ValueError("the auxiliary-field estimate of U[a] needs at least 1 inner sample")
+    if window is not None and not nested:
+        # identity columns per contraction, batched as far as the cap allows
+        batch = max(1, cap // WindowSpec.plan(window, n, cap).work_elements)
 
     def conditioned(a):
         # the unnormalized propagator U[a] of one record, by a selective core;
@@ -487,8 +473,10 @@ def check_generalized_unitarity(
         if window is None:
             return _ideal_sweep(plan, eye, a, kappa, vals, dt)
         if not nested:
-            return np.stack([_contract_windowed(eye[:, j], plan.matrix, vals, a, kappa, window, dt)
-                             for j in range(n)], axis=1)
+            # the identity columns ride as one leading batch axis
+            rows = _corridor_rows(window, vals, a, kappa, dt)
+            return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, *rows)
+                                   for c in range(0, n, batch)]).T
         blocks = _aux_field_sweep(plan, eye, a, window, kappa, vals, dt, inner_samples, rng)
         return sum(block.sum(axis=1) for block in blocks) / inner_samples
 
@@ -508,33 +496,3 @@ def check_generalized_unitarity(
         stderr=float(moments.stderr().max()),
         n_samples=int(samples),
     )
-
-
-# ----------------------------------------------------------------------
-# standalone two-path weights
-
-
-def influence_eval(path1, path2, kernel_spec: InfluenceKernelSpec, dt):
-    """Decoherence weight of a pair of observable-value paths.
-
-    The ideal and coarse kinds are step functionals: inputs are
-    (N+1)-slice paths and the weight is the record integral of the two
-    corridor weights, exp(-(kappa/2) dt sum_i |x_i - y_i|^2) with x, y
-    the (smoothed) per-step values.  The medium kinds are double-time
-    integrals over all J slices with the microscopic brackets.
-    """
-    pair = PathPair(r1=np.asarray(path1, dtype=float), r2=np.asarray(path2, dtype=float))
-    kind, kappa = kernel_spec.kind, kernel_spec.kappa
-    if kind == "medium_exact":
-        return influence_exact(pair, kernel_spec.form_factor, kappa, kernel_spec.ell, dt)
-    if kind == "medium_firstorder":
-        return influence_firstorder(pair, kernel_spec.form_factor, kappa, dt)
-    r1, r2 = pair.planar()
-    if pair.n_slices < 2:
-        raise ValueError("step-functional kinds need at least two slices")
-    if kind == "coarse" and not kernel_spec.form_factor.is_delta:
-        window = kernel_spec.form_factor.window_matrix(pair.n_slices - 1, dt)
-        x, y = window @ r1, window @ r2
-    else:
-        x, y = r1[:-1], r2[:-1]
-    return float(np.exp(-0.5 * kappa * dt * np.sum((x - y) ** 2)))

@@ -38,9 +38,6 @@ __all__ = [
     "FormFactor",
     "ReadoutSample",
     "readout_measure_factor",
-    "coarse_grain",
-    "weight_ideal",
-    "weight_coarse",
     "sample_readout",
 ]
 
@@ -241,49 +238,6 @@ def _renormalize_rows(raw, where):
             "is too narrow for this step size"
         )
     return raw / sums[:, None]
-
-
-# ----------------------------------------------------------------------
-# weights
-
-
-def coarse_grain(path, form_factor, dt):
-    """Smooth an (N+1)-slice path into the N per-step values seen by the
-    instrument.  Delta resolution returns path[:-1] unchanged (exactly)."""
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 1 or path.size < 2:
-        raise ValueError("path must be a 1-D array of at least two slice values")
-    n = path.size - 1
-    if form_factor.is_delta:
-        return path[:-1].copy()
-    return form_factor.window_matrix(n, dt) @ path
-
-
-def _gaussian_weight(step_values, readout, kappa, dt):
-    step_values = np.asarray(step_values, dtype=float)
-    readout = np.asarray(readout, dtype=float)
-    if step_values.shape != readout.shape:
-        raise ValueError(
-            f"per-step values {step_values.shape} and readout {readout.shape} differ"
-        )
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return float(np.exp(-kappa * dt * np.sum((step_values - readout) ** 2)))
-
-
-def weight_ideal(path, readout, kappa, dt):
-    """Corridor weight of an (N+1)-slice path against an N-step readout."""
-    path = np.asarray(path, dtype=float)
-    if path.size != np.asarray(readout).size + 1:
-        raise ValueError("path must have exactly one more slice than the readout has steps")
-    return _gaussian_weight(path[:-1], readout, kappa, dt)
-
-
-def weight_coarse(path, readout, form_factor, kappa, dt):
-    """Corridor weight with the path smoothed by the instrument profile."""
-    readout = np.asarray(readout, dtype=float)
-    smoothed = coarse_grain(path, form_factor, dt)
-    return _gaussian_weight(smoothed, readout, kappa, dt)
 
 
 # ----------------------------------------------------------------------

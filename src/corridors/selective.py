@@ -9,8 +9,11 @@ window the weight couples slices up to the window width apart and the
 path sum no longer factorizes; it is still exactly contractible with a
 sliding buffer of live slice axes (a transfer-tensor sweep) whose size
 is set by the window band, and that is what `evolve_selective_coarse`
-does.  When the buffer would not fit in memory (`WindowSpec.fits` is the
-one exact-or-sample rule), a Monte-Carlo unraveling
+does.  The contraction takes its weight rows from the caller, so the
+averaged engines of `nonselective` run the same sweep on the doubled
+(bra x ket) chain, for the windowed decay and the medium weights.  When
+the buffer would not fit in memory (`WindowSpec.fits` is the one
+exact-or-sample rule), a Monte-Carlo unraveling
 (`evolve_selective_coarse_mc`) decouples the window with an auxiliary
 Gaussian field: every sample is again a diagonal-factor sweep, unbiased
 for the exact result, with errors dropping as 1/sqrt(samples).  One field
@@ -125,7 +128,11 @@ class WindowSpec:
 
     @classmethod
     def plan(cls, window, n_sites, cap=DEFAULT_WORK_CAP):
-        """Schedule the contraction (indices only) and check the cap."""
+        """Schedule the contraction (indices only) and check the cap.
+
+        ``window`` is the (N, N+1) window, or any weight pattern of that
+        shape whose nonzero entries are the slices each row couples.
+        """
         window = np.asarray(window)
         n_steps = window.shape[0]
         if window.shape[1] != n_steps + 1:
@@ -142,7 +149,8 @@ class WindowSpec:
             raise ValueError(
                 f"windowed contraction needs a working tensor of {n_sites}^{peak} "
                 f"= {work:.3g} elements, above the cap {cap:.3g}; reduce the window "
-                "width or use the Monte-Carlo engine (evolve_selective_coarse_mc)"
+                "width or use a Monte-Carlo engine: evolve_selective_coarse_mc, or "
+                "mode='mc' of superpropagate or check_generalized_unitarity"
             )
         return cls(
             n_sites=int(n_sites),
@@ -163,61 +171,75 @@ class WindowSpec:
         return True
 
 
-def _contract_windowed(vec0, kernel, site_values, readout, kappa, window, dt):
-    """Sum over lattice paths of amplitude x windowed Gaussian weight.
+def _contract_windowed(vec0, kernel, pattern, log_row):
+    """Sum over lattice paths of amplitude x a slice-coupled weight.
 
-    vec0        : initial vector over n sites (any flat dimension)
-    kernel      : (n, n) one-step amplitude matrix, applied N times
-    site_values : observable value attached to each site
-    readout     : N record values (row i of the window compares against it)
-    window      : (N, N+1) smoothing matrix (rows: steps, cols: slices)
+    vec0    : initial vector over n sites, after any leading batch axes
+    kernel  : (n, n) one-step amplitude matrix, applied N times
+    pattern : (N, N+1) array whose nonzero entries are the slices row i
+              of the weight couples (a window, or any band of the same shape)
+    log_row : log_row(i, place) is row i's log weight, built from
+              place(j, values), which puts per-site values of slice j on
+              that slice's live axis; the sum broadcasts over the live axes
 
-    Returns the final vector over slice-N sites.  Live slice axes are kept
-    in chronological order; a slice axis is contracted through the kernel
-    as soon as no un-emitted window row references it.
+    Returns the final vector over slice-N sites (after the batch axes).
+    Live slice axes are kept in chronological order; a slice axis is
+    contracted through the kernel as soon as no un-emitted row references
+    it.  This is Makri & Makarov's augmented propagator (J. Chem. Phys.
+    102, 4600 (1995)).
     """
-    window = np.asarray(window, dtype=float)
-    n_steps = window.shape[0]
-    readout = np.asarray(readout, dtype=float)
-    if readout.shape != (n_steps,):
-        raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
-    _, last, live = _band_structure(window)
+    _, last, live = _band_structure(pattern)
     live = live.tolist()
     emit_at = {}  # slice j -> the rows complete once it exists
     for i, s in enumerate(last.tolist()):
         emit_at.setdefault(s, []).append(i)
-    cols = [np.flatnonzero(row) for row in window]
-    site_values = np.asarray(site_values, dtype=float)
-    n = site_values.size
     kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
 
     state = np.asarray(vec0, dtype=complex).copy()
-    oldest = 0  # slice index carried by axis 0 of `state`
+    lead = state.ndim - 1  # batch axes ahead of the live slice axes
+    oldest = 0  # slice index carried by axis `lead` of `state`
 
-    def emit(state, i):
-        # multiply in the weight factor of window row i; its smoothed value
-        # is a broadcast sum over the live axes it touches
-        smoothed = 0.0
-        for j in cols[i]:
-            axis = j - oldest
-            shape = [1] * state.ndim
-            shape[axis] = n
-            smoothed = smoothed + window[i, j] * site_values.reshape(shape)
-        return state * np.exp(-kappa * dt * (smoothed - readout[i]) ** 2)
+    def place(j, values):
+        shape = [1] * state.ndim
+        shape[lead + j - oldest] = values.size
+        return values.reshape(shape)
 
-    for j in range(n_steps + 1):
+    for j in range(len(live)):
         if j:
             # append the axis for slice j; the kernel contraction over
             # slice j-1 is deferred until that axis is summed out
             state = state[..., :, None] * kernel_t
         for i in emit_at.get(j, ()):
-            state = emit(state, i)
+            state = state * np.exp(log_row(i, place))
         while oldest < live[j]:
-            state = state.sum(axis=0)
+            state = state.sum(axis=lead)
             oldest += 1
-    while state.ndim > 1:
-        state = state.sum(axis=0)
+    while state.ndim > lead + 1:
+        state = state.sum(axis=lead)
     return state
+
+
+def _corridor_rows(window, site_values, readout, kappa, dt):
+    """(pattern, log_row) of the windowed Gaussian corridor weight.
+
+    Row i is -kappa dt ((P A)_i - readout_i)^2: the window-smoothed
+    observable of the live slices against record value i.
+    """
+    window = np.asarray(window, dtype=float)
+    readout = np.asarray(readout, dtype=float)
+    if readout.shape != (window.shape[0],):
+        raise ValueError(f"readout must have {window.shape[0]} entries, got {readout.shape}")
+    cols = [np.flatnonzero(row) for row in window]
+    site_values = np.asarray(site_values, dtype=float)
+
+    def log_row(i, place):
+        # the smoothed value is a broadcast sum over the live axes it touches
+        smoothed = 0.0
+        for j in cols[i]:
+            smoothed = smoothed + window[i, j] * place(j, site_values)
+        return -kappa * dt * (smoothed - readout[i]) ** 2
+
+    return window, log_row
 
 
 # ----------------------------------------------------------------------
@@ -265,8 +287,8 @@ def evolve_selective_coarse(
     window = form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
     WindowSpec.plan(window, sgrid.n_points, cap)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
-    psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, obs.values, readout,
-                             kappa, window, tgrid.dt)
+    psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel,
+                             *_corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
     return _wrap_result(psi, kappa, sgrid, tgrid)
 
 

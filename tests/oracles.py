@@ -5,6 +5,11 @@ lattice paths, dense matrix exponentials, and plain numeric quadrature.
 The engines must reproduce these numbers; nothing here shares code with
 the package beyond the one-step kernel: the matrices handed in by the
 tests and the public `unitary_step`.
+
+The last section holds the closed-form single-path and path-pair weights,
+lattice states and dense Hamiltonian that only the tests evaluate.  They
+use the package's data types (form factors, path pairs) and, where a
+weight delegates, its public medium weights.
 """
 
 import math
@@ -13,6 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from corridors.grids import unitary_step
+from corridors.medium import PathPair, influence_exact, influence_firstorder, nu_of_omega
 
 
 def all_paths(n_sites, n_slices):
@@ -148,6 +154,52 @@ def brute_superpropagator_final(rho0, kernel, site_values, kappa, dt, window):
     return out
 
 
+def medium_pair_log_weights(x, y, kernel_spec, dt):
+    """ln W of every pair (x_p, y_q) of 1-D site-value paths, shaped (P, Q).
+
+    The double-time bracket sums of `influence_exact` (Gaussian well) and
+    `influence_firstorder` (squared distances) over the stationary time
+    kernel, written out slice pair by slice pair.
+    """
+    n_slices = x.shape[1]
+    time = kernel_spec.form_factor.stationary_matrix(n_slices, dt)
+    exact = kernel_spec.kind == "medium_exact"
+    total = 0.0
+    for a in range(n_slices):
+        for b in range(n_slices):
+            same_x = (x[:, a] - x[:, b])[:, None] ** 2
+            same_y = (y[:, a] - y[:, b])[None, :] ** 2
+            cross = (y[None, :, a] - x[:, None, b]) ** 2
+            if exact:
+                s = 2.0 * kernel_spec.ell**2
+                bracket = np.exp(-same_x / s) + np.exp(-same_y / s) - 2.0 * np.exp(-cross / s)
+            else:
+                bracket = 2.0 * cross - same_x - same_y
+            total = total + time[a, b] * bracket
+    if exact:
+        return -0.5 * kernel_spec.kappa * kernel_spec.ell**2 * dt * total
+    return -0.25 * kernel_spec.kappa * dt * total
+
+
+def brute_medium_final(rho0, kernel, site_values, kernel_spec, dt, n_steps):
+    """Final density matrix under a medium pair weight, by double-path enumeration."""
+    n = len(site_values)
+    paths = all_paths(n, n_steps + 1)
+    amps = path_amplitudes(np.ones(n), kernel, paths)
+    vals = np.asarray(site_values, dtype=float)[paths]
+    weight = np.exp(medium_pair_log_weights(vals, vals, kernel_spec, dt))
+    rho0 = np.asarray(rho0, dtype=complex)
+    contrib = (
+        amps[:, None]
+        * amps[None, :].conj()
+        * weight
+        * rho0[paths[:, 0][:, None], paths[:, 0][None, :]]
+    )
+    out = np.zeros((n, n), dtype=complex)
+    np.add.at(out, (paths[:, -1][:, None], paths[:, -1][None, :]), contrib)
+    return out
+
+
 def brute_unitarity_matrix(kernel, site_values, kappa, dt, window):
     """integral d[a] U[a]^dagger U[a] by double-path enumeration."""
     n = len(site_values)
@@ -209,3 +261,149 @@ def damped_generator_step(h_dense, site_values, a_value, kappa, hbar, dt):
     """Dense expm of the one-record damped generator over one step."""
     g = -1j * h_dense / hbar - kappa * np.diag((np.asarray(site_values) - a_value) ** 2)
     return expm(g * dt)
+
+
+# ----------------------------------------------------------------------
+# closed-form weights, states and operators that only the tests evaluate
+
+
+def angular_wavenumbers(grid):
+    """FFT-ordered angular wavenumbers k (so that p = hbar k)."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+
+
+def position_state(grid, k):
+    """Unit-norm state concentrated in cell k (lattice delta)."""
+    psi = np.zeros(grid.n_points, dtype=complex)
+    psi[k] = 1.0 / math.sqrt(grid.spacing)
+    return psi
+
+
+def dense_hamiltonian(ham, grid):
+    """Dense Hermitian matrix of H on the lattice (for small-grid checks).
+
+    Kinetic part built by conjugating the diagonal hbar^2 k^2 / (2m)
+    multiplier with the FFT, so it is consistent with the stepping scheme's
+    periodic momentum space rather than with any finite-difference stencil.
+    """
+    n = grid.n_points
+    k = angular_wavenumbers(grid)
+    if math.isinf(ham.mass):
+        t_op = np.zeros((n, n), dtype=complex)
+    else:
+        w = ham.hbar**2 * k**2 / (2.0 * ham.mass)
+        t_op = np.fft.ifft(w[:, None] * np.fft.fft(np.eye(n, dtype=complex), axis=0), axis=0)
+    h = t_op + np.diag(ham.potential).astype(complex)
+    return 0.5 * (h + h.conj().T)
+
+
+def coarse_grain(path, form_factor, dt):
+    """Smooth an (N+1)-slice path into the N per-step values seen by the
+    instrument.  Delta resolution returns path[:-1] unchanged (exactly)."""
+    path = np.asarray(path, dtype=float)
+    if path.ndim != 1 or path.size < 2:
+        raise ValueError("path must be a 1-D array of at least two slice values")
+    n = path.size - 1
+    if form_factor.is_delta:
+        return path[:-1].copy()
+    return form_factor.window_matrix(n, dt) @ path
+
+
+def _gaussian_weight(step_values, readout, kappa, dt):
+    step_values = np.asarray(step_values, dtype=float)
+    readout = np.asarray(readout, dtype=float)
+    if step_values.shape != readout.shape:
+        raise ValueError(
+            f"per-step values {step_values.shape} and readout {readout.shape} differ"
+        )
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    return float(np.exp(-kappa * dt * np.sum((step_values - readout) ** 2)))
+
+
+def weight_ideal(path, readout, kappa, dt):
+    """Corridor weight of an (N+1)-slice path against an N-step readout."""
+    path = np.asarray(path, dtype=float)
+    if path.size != np.asarray(readout).size + 1:
+        raise ValueError("path must have exactly one more slice than the readout has steps")
+    return _gaussian_weight(path[:-1], readout, kappa, dt)
+
+
+def weight_coarse(path, readout, form_factor, kappa, dt):
+    """Corridor weight with the path smoothed by the instrument profile."""
+    readout = np.asarray(readout, dtype=float)
+    smoothed = coarse_grain(path, form_factor, dt)
+    return _gaussian_weight(smoothed, readout, kappa, dt)
+
+
+def influence_eval(path1, path2, kernel_spec, dt):
+    """Decoherence weight of a pair of observable-value paths.
+
+    The ideal and coarse kinds are step functionals: inputs are
+    (N+1)-slice paths and the weight is the record integral of the two
+    corridor weights, exp(-(kappa/2) dt sum_i |x_i - y_i|^2) with x, y
+    the (smoothed) per-step values.  The medium kinds are double-time
+    integrals over all J slices with the microscopic brackets.
+    """
+    pair = PathPair(r1=np.asarray(path1, dtype=float), r2=np.asarray(path2, dtype=float))
+    kind, kappa = kernel_spec.kind, kernel_spec.kappa
+    if kind == "medium_exact":
+        return influence_exact(pair, kernel_spec.form_factor, kappa, kernel_spec.ell, dt)
+    if kind == "medium_firstorder":
+        return influence_firstorder(pair, kernel_spec.form_factor, kappa, dt)
+    r1, r2 = pair.planar()
+    if pair.n_slices < 2:
+        raise ValueError("step-functional kinds need at least two slices")
+    if kind == "coarse" and not kernel_spec.form_factor.is_delta:
+        window = kernel_spec.form_factor.window_matrix(pair.n_slices - 1, dt)
+        x, y = window @ r1, window @ r2
+    else:
+        x, y = r1[:-1], r2[:-1]
+    return float(np.exp(-0.5 * kappa * dt * np.sum((x - y) ** 2)))
+
+
+def _sq_dists(x, y):
+    """(J, J) matrix of |x_j - y_k|^2 for (J, d) paths."""
+    return np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+
+
+def influence_single_frequency(pair, omega, medium, dt):
+    """Suppression from a unit-bandwidth slice of the medium at omega.
+
+    Exponent: -nu(omega) * dt^2 sum_{jk} cos(omega (t_j - t_k)) *
+    [three-Gaussian bracket]; the full medium is the product (integral in
+    the exponent) of these over its band.
+    """
+    t = dt * np.arange(pair.n_slices)
+    cos_kernel = np.cos(omega * (t[:, None] - t[None, :]))
+    r1, r2 = pair.planar()
+    s = 2.0 * medium.range_l**2
+    bracket = (np.exp(-_sq_dists(r1, r1) / s) + np.exp(-_sq_dists(r2, r2) / s)
+               - 2.0 * np.exp(-_sq_dists(r2, r1) / s))
+    nu = float(nu_of_omega(medium, omega))
+    return float(np.exp(-nu * dt**2 * np.sum(cos_kernel * bracket)))
+
+
+def verify_window_moment_identity(pair, window, dt):
+    """Check the algebraic collapse of the double-window bracket sum.
+
+    For any real matrix P (rows: readout times, columns: path slices),
+
+        dt * sum_i sum_{jk} P_ij P_ik B_jk
+            = 2 dt * sum_i |(P r2)_i - (P r1)_i|^2
+
+    with B the linearized bracket: the squared-difference terms cancel
+    through first and second moments.  Returns (lhs, rhs, |lhs - rhs|);
+    the identity is exact, so the difference is pure roundoff.
+    """
+    window = np.asarray(window, dtype=float)
+    if window.ndim != 2 or window.shape[1] != pair.n_slices:
+        raise ValueError(
+            f"window needs {pair.n_slices} columns to match the paths, got {window.shape}"
+        )
+    r1, r2 = pair.planar()
+    bracket = 2.0 * _sq_dists(r2, r1) - _sq_dists(r1, r1) - _sq_dists(r2, r2)
+    lhs = dt * float(np.sum((window.T @ window) * bracket))
+    gap = window @ (r2 - r1)
+    rhs = 2.0 * dt * float(np.sum(gap**2))
+    return lhs, rhs, abs(lhs - rhs)

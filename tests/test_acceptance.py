@@ -26,7 +26,6 @@ from corridors.medium import (
     PathPair,
     firstorder_log_weights,
     reduce_to_phenomenological,
-    verify_window_moment_identity,
 )
 from corridors.nonselective import (
     InfluenceKernelSpec,
@@ -233,7 +232,7 @@ def test_criterion_5_moment_identity(capsys):
             window = FormFactor.gaussian(float(rng.uniform(0.3, 3.0)) * dt).square_window(n, dt)
         dim = int(rng.integers(1, 4))
         pair = PathPair(rng.normal(size=(n, dim)), rng.normal(size=(n, dim)))
-        lhs, rhs, diff = verify_window_moment_identity(pair, window, dt)
+        lhs, rhs, diff = oracles.verify_window_moment_identity(pair, window, dt)
         worst = max(worst, diff)
     ok = worst < 1e-12
     announce(

@@ -1,17 +1,24 @@
-"""Every private helper of the package is named somewhere besides its definition.
+"""Every private helper of the package is named somewhere besides its definition,
+and every public name is reached from outside its module.
 
 A module-level private function, class or constant, or a private method,
 that nothing in ``corridors`` refers to is dead code left behind by a
-refactor.  The scan is syntactic (names, attributes and imports), so a
-helper reached only through a string would need its own mention here.
+refactor.  A name in a module's ``__all__`` that no other package module,
+no demo and not the README reaches is a helper only the tests call; it
+belongs in ``tests/oracles.py``.  A public class its own module builds
+is a result type, reached through the functions that return it.  The
+scans are syntactic (names, attributes and imports; words of the README),
+so a name reached only through a string would need its own mention here.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import corridors
 
 PACKAGE = Path(corridors.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _private(name):
@@ -55,3 +62,33 @@ def test_no_private_helper_is_dead():
         if _private(name) and name not in referenced
     ]
     assert not dead, "private names nothing in the package refers to: " + ", ".join(dead)
+
+
+def _public(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            yield from ast.literal_eval(node.value)
+
+
+def _built_classes(tree):
+    """The module's classes that it calls by name: result types it returns."""
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)} & called
+
+
+def test_no_public_name_is_test_only():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    outside = {name for path in sorted((REPO / "demos").glob("*.py"))
+               for name in _references(ast.parse(path.read_text()))}
+    outside |= set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+    orphans = [
+        f"{module} {name}"
+        for module, tree in trees.items()
+        for name in _public(tree)
+        if name not in outside | _built_classes(tree)
+        and not any(name in _references(other) for key, other in trees.items() if key != module)
+    ]
+    assert not orphans, "public names only the tests reach: " + ", ".join(orphans)

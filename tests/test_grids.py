@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from corridors import grids
+import oracles
 from corridors.grids import (
     HamiltonianSpec,
     ObservableSpec,
@@ -13,11 +13,9 @@ from corridors.grids import (
     TimeGrid,
     build_grids,
     check_density_matrix,
-    dense_hamiltonian,
     density_trace,
     gaussian_packet,
     norm_sq,
-    position_state,
     pure_density,
     purity,
     short_time_kernel_matrix,
@@ -65,7 +63,7 @@ def test_gaussian_packet_moments():
     assert_allclose(mean, 1.5, atol=1e-9)
     assert_allclose(math.sqrt(var), 0.8, rtol=1e-9)
     # mean momentum read off in the FFT basis
-    k = grids.angular_wavenumbers(g)
+    k = oracles.angular_wavenumbers(g)
     amp_k = np.fft.fft(psi)
     w = np.abs(amp_k) ** 2
     assert_allclose(np.sum(w * k) / np.sum(w), 2.0, atol=1e-9)
@@ -73,7 +71,7 @@ def test_gaussian_packet_moments():
 
 def test_position_state_norm_and_density():
     g = SpatialGrid(extent=4.0, n_points=8)
-    psi = position_state(g, 3)
+    psi = oracles.position_state(g, 3)
     assert_allclose(norm_sq(psi, g), 1.0)
     rho = pure_density(psi)
     assert_allclose(density_trace(rho, g), 1.0)
@@ -82,7 +80,8 @@ def test_position_state_norm_and_density():
 
 def test_purity_of_mixture_below_one():
     g = SpatialGrid(extent=4.0, n_points=8)
-    rho = 0.5 * pure_density(position_state(g, 1)) + 0.5 * pure_density(position_state(g, 5))
+    rho = 0.5 * (pure_density(oracles.position_state(g, 1))
+                 + pure_density(oracles.position_state(g, 5)))
     assert_allclose(density_trace(rho, g), 1.0)
     assert_allclose(purity(rho, g), 0.5, atol=1e-12)
     rep = check_density_matrix(rho, g)
@@ -91,7 +90,7 @@ def test_purity_of_mixture_below_one():
 
 def test_check_density_matrix_flags_bad_input():
     g = SpatialGrid(extent=4.0, n_points=8)
-    rho = pure_density(position_state(g, 2))
+    rho = pure_density(oracles.position_state(g, 2))
     rho[0, 1] = 0.3  # break hermiticity
     rep = check_density_matrix(rho, g)
     assert not rep["ok"]
@@ -112,7 +111,7 @@ def test_unitary_step_free_particle_exact():
     g = SpatialGrid(extent=16.0, n_points=16)
     ham = HamiltonianSpec.free(g, mass=0.7)
     psi0 = gaussian_packet(g, width=1.2, momentum=0.9)
-    h = dense_hamiltonian(ham, g)
+    h = oracles.dense_hamiltonian(ham, g)
     psi_ref = expm(-1j * h * 0.8 / ham.hbar) @ psi0
     psi = unitary_step(psi0, ham, g, 0.8)
     assert_allclose(psi, psi_ref, atol=1e-12)
@@ -130,7 +129,7 @@ def test_unitary_step_infinite_mass_is_pure_phase():
 def test_split_step_second_order_against_expm():
     g = SpatialGrid(extent=12.0, n_points=16)
     ham = HamiltonianSpec.harmonic(g, omega=1.0, mass=1.0)
-    h = dense_hamiltonian(ham, g)
+    h = oracles.dense_hamiltonian(ham, g)
     psi0 = gaussian_packet(g, center=1.0, width=0.9)
     t_final = 0.5
     errs = []
@@ -181,9 +180,9 @@ def test_short_time_kernel_matrix_cap():
 def test_dense_hamiltonian_free_spectrum():
     g = SpatialGrid(extent=10.0, n_points=16)
     ham = HamiltonianSpec.free(g, mass=2.0, hbar=1.5)
-    h = dense_hamiltonian(ham, g)
+    h = oracles.dense_hamiltonian(ham, g)
     assert_allclose(h, h.conj().T, atol=1e-14)
-    k = grids.angular_wavenumbers(g)
+    k = oracles.angular_wavenumbers(g)
     expect = np.sort(ham.hbar**2 * k**2 / (2.0 * ham.mass))
     assert_allclose(np.sort(np.linalg.eigvalsh(h)), expect, atol=1e-10)
 
@@ -191,7 +190,7 @@ def test_dense_hamiltonian_free_spectrum():
 def test_dense_hamiltonian_harmonic_ground_energy():
     g = SpatialGrid(extent=30.0, n_points=256)
     ham = HamiltonianSpec.harmonic(g, omega=1.0)
-    e0 = np.linalg.eigvalsh(dense_hamiltonian(ham, g))[0]
+    e0 = np.linalg.eigvalsh(oracles.dense_hamiltonian(ham, g))[0]
     assert_allclose(e0, 0.5, atol=1e-8)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import influence_single_frequency, verify_window_moment_identity
 from corridors.medium import (
     MediumSpec,
     PathPair,
@@ -13,11 +14,9 @@ from corridors.medium import (
     form_factor_from_medium,
     influence_exact,
     influence_firstorder,
-    influence_single_frequency,
     load_path_pair,
     nu_of_omega,
     reduce_to_phenomenological,
-    verify_window_moment_identity,
 )
 from corridors.readout import FormFactor
 

@@ -22,12 +22,12 @@ from corridors.nonselective import (
     InfluenceKernelSpec,
     _decay_matrix,
     check_generalized_unitarity,
-    influence_eval,
     lindblad_evolve,
     readout_average,
     superpropagate,
 )
 from corridors.readout import FormFactor
+from corridors.selective import DEFAULT_WORK_CAP, WindowSpec
 
 
 def _free_pointer_setup():
@@ -198,32 +198,71 @@ def test_superpropagate_coarse_mc_agrees_within_errors():
     assert np.all(err < 5.0 * np.maximum(mc.stderr, 1e-300))
 
 
-def test_superpropagate_medium_kinds_match_pair_sums():
+def _lobed_profile():
+    # a tabulated profile with negative side lobes: at dt = 0.1 its time
+    # kernel over three or more slices has a clearly negative eigenvalue
+    return FormFactor.from_arrays(
+        np.linspace(-0.3, 0.3, 7), np.array([-0.3, 0.2, 0.8, 1.0, 0.8, 0.2, -0.3])
+    )
+
+
+def test_medium_pair_sum_oracle_matches_the_pair_weights():
     g, tg, ham, obs, rho0, ff = _medium_setup()
-    kappa, ell = 0.9, 1.4
-    kernel = short_time_kernel_matrix(ham, g, tg.dt)
-    paths = oracles.all_paths(g.n_points, tg.n_steps + 1)
-    amps = oracles.path_amplitudes(np.ones(g.n_points), kernel, paths)
+    paths = obs.values[oracles.all_paths(g.n_points, tg.n_steps + 1)]
+    for spec, weight_fn in (
+        (InfluenceKernelSpec("medium_exact", 0.9, form_factor=ff, ell=1.4),
+         lambda pp: influence_exact(pp, ff, 0.9, 1.4, tg.dt)),
+        (InfluenceKernelSpec("medium_firstorder", 0.9, form_factor=ff, ell=1.4),
+         lambda pp: influence_firstorder(pp, ff, 0.9, tg.dt)),
+    ):
+        got = np.exp(oracles.medium_pair_log_weights(paths, paths, spec, tg.dt))
+        ref = np.array([[weight_fn(PathPair(x, y)) for y in paths] for x in paths])
+        assert_allclose(got, ref, rtol=1e-13, atol=0)
 
-    def brute(weight_fn):
-        out = np.zeros((g.n_points, g.n_points), dtype=complex)
-        for i1 in range(len(paths)):
-            for i2 in range(len(paths)):
-                pp = PathPair(obs.values[paths[i1]], obs.values[paths[i2]])
-                out[paths[i1, -1], paths[i2, -1]] += (
-                    amps[i1] * np.conj(amps[i2]) * weight_fn(pp) * rho0[paths[i1, 0], paths[i2, 0]]
-                )
-        return out
 
-    spec_e = InfluenceKernelSpec("medium_exact", kappa, form_factor=ff, ell=ell)
-    got_e = superpropagate(rho0, spec_e, ham, obs, g, tg).rho
-    ref_e = brute(lambda pp: influence_exact(pp, ff, kappa, ell, tg.dt))
-    assert np.max(np.abs(got_e - ref_e)) < 1e-13
+def test_superpropagate_medium_kinds_match_pair_sums():
+    # exact mode contracts the doubled chain; the oracle enumerates every
+    # path pair, for Gaussian profiles across the slice coupling range and
+    # for a time kernel that is not a covariance, which exact mode accepts
+    def check(g, tg, ham, obs, rho0, ff):
+        kernel = short_time_kernel_matrix(ham, g, tg.dt)
+        for kind in ("medium_exact", "medium_firstorder"):
+            spec = InfluenceKernelSpec(kind, 0.9, form_factor=ff, ell=1.4)
+            got = superpropagate(rho0, spec, ham, obs, g, tg).rho
+            ref = oracles.brute_medium_final(rho0, kernel, obs.values, spec, tg.dt, tg.n_steps)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (
+                g.n_points, tg.n_steps, ff, kind)
 
-    spec_f = InfluenceKernelSpec("medium_firstorder", kappa, form_factor=ff, ell=ell)
-    got_f = superpropagate(rho0, spec_f, ham, obs, g, tg).rho
-    ref_f = brute(lambda pp: influence_firstorder(pp, ff, kappa, tg.dt))
-    assert np.max(np.abs(got_f - ref_f)) < 1e-13
+    check(*_medium_setup())
+    dt = 0.1
+    assert np.linalg.eigvalsh(_lobed_profile().stationary_matrix(3, dt))[0] < -1e-3
+    profiles = [FormFactor.gaussian(f * dt) for f in (0.3, 1.0, 3.0)] + [_lobed_profile()]
+    for n in (2, 3):
+        g = SpatialGrid(3.0, n)
+        ham = HamiltonianSpec.from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
+        obs = ObservableSpec.position(g)
+        rho0 = pure_density(gaussian_packet(g, center=0.3, width=0.8, momentum=0.5))
+        for n_steps in (1, 2, 3, 4):
+            for ff in profiles:
+                check(g, TimeGrid(n_steps * dt, n_steps), ham, obs, rho0, ff)
+
+
+@pytest.mark.parametrize("kind", ["medium_exact", "medium_firstorder"])
+def test_superpropagate_medium_reaches_long_records(kind):
+    # n = 4 over 64 steps: 4^130 path pairs, out of reach of enumeration;
+    # the doubled contraction at tau = 0.4 dt keeps three slices live
+    g = SpatialGrid(3.0, 4)
+    tg = TimeGrid(6.4, 64)
+    ham = HamiltonianSpec.from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
+    obs = ObservableSpec.position(g)
+    rho0 = pure_density(gaussian_packet(g, width=0.8))
+    spec = InfluenceKernelSpec(kind, 0.9, form_factor=FormFactor.gaussian(0.4 * tg.dt), ell=1.4)
+    rho = superpropagate(rho0, spec, ham, obs, g, tg).rho
+    assert abs(density_trace(rho, g) - 1.0) < 1e-12
+    rep = check_density_matrix(rho, g, tol=1e-8)
+    assert rep["ok"], rep
+    mc = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=400, seed=4)
+    assert np.all(np.abs(mc.rho - rho) < 4.0 * mc.stderr)
 
 
 def test_superpropagate_medium_mc_agrees_within_errors():
@@ -309,10 +348,7 @@ def test_medium_mc_refuses_a_kernel_that_is_not_a_covariance(kind):
     # a clearly negative eigenvalue: no Gaussian field has it as covariance
     g, _, ham, obs, rho0, _ = _medium_setup()
     tg = TimeGrid(0.2, 2)
-    lobed = FormFactor.from_arrays(
-        np.linspace(-0.3, 0.3, 7), np.array([-0.3, 0.2, 0.8, 1.0, 0.8, 0.2, -0.3])
-    )
-    spec = InfluenceKernelSpec(kind, 0.9, form_factor=lobed, ell=1.4)
+    spec = InfluenceKernelSpec(kind, 0.9, form_factor=_lobed_profile(), ell=1.4)
     with pytest.raises(ValueError, match="time kernel is not positive semidefinite"):
         superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=10, seed=1)
 
@@ -367,6 +403,21 @@ def test_unitarity_mc_nested_estimator_under_tiny_cap():
     assert rep.deviation < 5.0 * rep.stderr + 0.1
 
 
+def test_unitarity_mc_batches_identity_columns_under_the_cap():
+    # the windowed core contracts the identity columns in batches as large
+    # as the cap allows (one per column up to all at once, here n = 4);
+    # every batching gives the same estimate
+    g, tg, ham, obs, _, kappa, ff = _coarse_setup()
+    work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
+    mats = [
+        check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
+                                    samples=20, seed=7, cap=cap).matrix
+        for cap in (work, 2 * work, 3 * work, DEFAULT_WORK_CAP)
+    ]
+    for m in mats[1:]:
+        assert np.max(np.abs(m - mats[0])) <= 1e-15 * np.max(np.abs(mats[0]))
+
+
 @pytest.mark.parametrize("samples", [0, 1])
 @pytest.mark.parametrize("windowed", [False, True])
 def test_unitarity_mc_refuses_too_few_samples(samples, windowed):
@@ -388,16 +439,16 @@ def test_influence_eval_step_kinds():
     dt, kappa = 0.2, 0.9
     rng = np.random.default_rng(1)
     p1, p2 = rng.normal(size=6), rng.normal(size=6)
-    w = influence_eval(p1, p2, InfluenceKernelSpec("ideal", kappa), dt)
+    w = oracles.influence_eval(p1, p2, InfluenceKernelSpec("ideal", kappa), dt)
     manual = math.exp(-0.5 * kappa * dt * np.sum((p1[:-1] - p2[:-1]) ** 2))
     assert_allclose(w, manual, rtol=1e-14)
     # delta-window coarse collapses to ideal
-    w_d = influence_eval(
+    w_d = oracles.influence_eval(
         p1, p2, InfluenceKernelSpec("coarse", kappa, form_factor=FormFactor.delta()), dt
     )
     assert w_d == w
     ff = FormFactor.gaussian(0.3)
-    w_c = influence_eval(
+    w_c = oracles.influence_eval(
         p1, p2, InfluenceKernelSpec("coarse", kappa, form_factor=ff), dt
     )
     window = ff.window_matrix(5, dt)
@@ -413,13 +464,13 @@ def test_influence_eval_medium_kinds_delegate():
     ff = FormFactor.gaussian(0.3)
     spec_e = InfluenceKernelSpec("medium_exact", 0.9, form_factor=ff, ell=1.1)
     assert_allclose(
-        influence_eval(p1, p2, spec_e, dt),
+        oracles.influence_eval(p1, p2, spec_e, dt),
         influence_exact(PathPair(p1, p2), ff, 0.9, 1.1, dt),
         rtol=1e-15,
     )
     spec_f = InfluenceKernelSpec("medium_firstorder", 0.9, form_factor=ff, ell=1.1)
     assert_allclose(
-        influence_eval(p1, p2, spec_f, dt),
+        oracles.influence_eval(p1, p2, spec_f, dt),
         influence_firstorder(PathPair(p1, p2), ff, 0.9, dt),
         rtol=1e-15,
     )

@@ -6,14 +6,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from oracles import coarse_grain, weight_coarse, weight_ideal
 from corridors.readout import (
     FormFactor,
     MeasurementSpec,
-    coarse_grain,
     readout_measure_factor,
     sample_readout,
-    weight_coarse,
-    weight_ideal,
 )
 
 

@@ -12,7 +12,6 @@ from corridors.grids import (
     ObservableSpec,
     SpatialGrid,
     TimeGrid,
-    dense_hamiltonian,
     gaussian_packet,
     norm_sq,
     short_time_kernel_matrix,
@@ -23,6 +22,7 @@ from corridors.selective import (
     _FIELD_BATCH_ELEMENTS,
     WindowSpec,
     _contract_windowed,
+    _corridor_rows,
     evolve_selective_coarse,
     evolve_selective_coarse_mc,
     evolve_selective_ideal,
@@ -51,7 +51,7 @@ def _setup_b():
 
 def test_effective_step_is_second_order_against_expm():
     g, _, ham, obs, psi0, _, kappa = _setup_a()
-    h = dense_hamiltonian(ham, g)
+    h = oracles.dense_hamiltonian(ham, g)
     a_value = 0.4
     t_final = 0.4
     errs = []
@@ -141,7 +141,7 @@ def test_contraction_handles_shifted_bands():
     window = FormFactor.gaussian(0.4 * tg.dt).window_matrix(tg.n_steps, tg.dt)[::-1, ::-1].copy()
     kernel = short_time_kernel_matrix(ham, g, tg.dt)
     got = _contract_windowed(
-        psi0.astype(complex), kernel, obs.values, readout, kappa, window, tg.dt
+        psi0.astype(complex), kernel, *_corridor_rows(window, obs.values, readout, kappa, tg.dt)
     )
     ref = oracles.brute_conditioned_state(
         psi0, kernel, obs.values, readout, kappa, tg.dt, window

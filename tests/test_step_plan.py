@@ -27,7 +27,12 @@ from corridors.grids import (
 )
 from corridors.nonselective import check_generalized_unitarity, lindblad_evolve, readout_average
 from corridors.readout import FormFactor
-from corridors.selective import _contract_windowed, evolve_selective_coarse, evolve_selective_ideal
+from corridors.selective import (
+    _contract_windowed,
+    _corridor_rows,
+    evolve_selective_coarse,
+    evolve_selective_ideal,
+)
 
 
 def rel_gap(a, b):
@@ -129,7 +134,7 @@ def test_windowed_contraction_is_bit_identical_to_a_column_built_kernel():
     ff = FormFactor.gaussian(0.2 * dt)
     kernel = np.stack([unitary_step(e, ham, sgrid, dt) for e in np.eye(n, dtype=complex)], axis=1)
     window = ff.window_matrix(tgrid.n_steps, dt)
-    expect = _contract_windowed(psi0, kernel, obs.values, record, kappa, window, dt)
+    expect = _contract_windowed(psi0, kernel, *_corridor_rows(window, obs.values, record, kappa, dt))
     got = evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid).final_state
     assert np.array_equal(got, expect)
 

@@ -30,7 +30,10 @@ window width.
 corridor decomposition — the record-integrated U†U is the identity —
 either in closed form (ideal), by an exact time-reversed doubled
 contraction (windowed), or by importance-sampled records with error
-bars, each record conditioned through the selective cores.
+bars.  The sampled records are conditioned through the selective cores
+in batches, side by side in one sweep, with records x identity columns
+x live elements within the samplers' batch (`_FIELD_BATCH_ELEMENTS`)
+and the cap.
 `superpropagate` accepts pluggable two-path weights, including the
 oscillator-medium kernels, so the same machinery covers phenomenological
 and microscopic decoherence models.
@@ -47,6 +50,7 @@ from scipy.special import logsumexp
 from .grids import _StepPlan, pure_density
 from .readout import FormFactor, readout_measure_factor
 from .selective import (
+    _FIELD_BATCH_ELEMENTS,
     DEFAULT_WORK_CAP,
     WindowSpec,
     _aux_field_sweep,
@@ -212,18 +216,17 @@ def readout_average(
 # record sampling machinery (unitarity mc)
 
 
-def _mixture_record(rng, values, kappa, dt, n_steps):
-    """Draw a record from the per-step equal-weight mixture of normals
-    centered on the observable's lattice values; returns (a, log q(a))."""
+def _mixture_records(rng, values, kappa, dt, n_steps, count):
+    """Draw ``count`` records, each from the per-step equal-weight mixture
+    of normals centered on the observable's lattice values and in turn
+    from ``rng``; returns the (count, N) records a and their log q(a)."""
     n = values.size
     sigma = 1.0 / math.sqrt(4.0 * kappa * dt)
-    centers = values[rng.integers(0, n, size=n_steps)]
-    a = centers + sigma * rng.standard_normal(n_steps)
-    z = -((a[:, None] - values[None, :]) ** 2) / (2.0 * sigma**2)
-    log_q = float(
-        np.sum(logsumexp(z, axis=1))
-        - n_steps * (math.log(n) + math.log(sigma * math.sqrt(2.0 * math.pi)))
-    )
+    a = np.array([values[rng.integers(0, n, size=n_steps)] + sigma * rng.standard_normal(n_steps)
+                  for _ in range(count)])
+    z = -((a[:, :, None] - values) ** 2) / (2.0 * sigma**2)
+    log_q = np.sum(logsumexp(z, axis=2), axis=1) - n_steps * (
+        math.log(n) + math.log(sigma * math.sqrt(2.0 * math.pi)))
     return a, log_q
 
 
@@ -435,6 +438,16 @@ def check_generalized_unitarity(
     doubled chain backward in time (the window matrix is flipped
     accordingly), mode "mc" importance-samples records (at least 2) and
     reports a standard error.
+
+    Mode "mc" conditions its records in batches: m records side by side in
+    one ideal sweep, or in one windowed contraction whose records x
+    identity columns x live elements stay within `_FIELD_BATCH_ELEMENTS`
+    and ``cap`` (at least one record per batch, its columns split under
+    ``cap``).  A window whose contraction does not fit ``cap`` falls back
+    to the nested auxiliary-field estimate of each U[a] from
+    ``inner_samples`` draws, one record per batch.  Records are drawn in
+    turn from one stream, so a seed fixes the estimate up to the order of
+    sums whatever the batch size.
     """
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     is_ideal = form_factor is None or form_factor.is_delta
@@ -457,36 +470,47 @@ def check_generalized_unitarity(
     if kappa <= 0:
         raise ValueError("record sampling requires kappa > 0")
     moments = _Moments((n, n), samples)
+    samples = int(samples)
     rng = np.random.default_rng(seed)
     vals, eye = obs.values, np.eye(n, dtype=complex)
     window = None if is_ideal else form_factor.window_matrix(n_steps, dt)
     nested = window is not None and not WindowSpec.fits(window, n, cap)
     if nested and inner_samples < 1:
         raise ValueError("the auxiliary-field estimate of U[a] needs at least 1 inner sample")
-    if window is not None and not nested:
-        # identity columns per contraction, batched as far as the cap allows
-        batch = max(1, cap // WindowSpec.plan(window, n, cap).work_elements)
-
-    def conditioned(a):
-        # the unnormalized propagator U[a] of one record, by a selective core;
-        # the nested estimate is unbiased, so U† U pairs two independent ones
-        if window is None:
-            return _ideal_sweep(plan, eye, a, kappa, vals, dt)
-        if not nested:
-            # the identity columns ride as one leading batch axis
-            rows = _corridor_rows(window, vals, a, kappa, dt)
-            return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, *rows)
-                                   for c in range(0, n, batch)]).T
-        blocks = _aux_field_sweep(plan, eye, a, window, kappa, vals, dt, inner_samples, rng)
-        return sum(block.sum(axis=1) for block in blocks) / inner_samples
+    # records side by side: records x identity columns x live elements stay
+    # within the samplers' batch and the cap; the nested estimate conditions
+    # one record at a time, so its inner draws follow that record's
+    if window is None:
+        cols = work = n
+    elif not nested:
+        work = WindowSpec.plan(window, n, cap).work_elements
+        cols = min(n, cap // work)
+    batch = 1 if nested else max(1, min(_FIELD_BATCH_ELEMENTS, cap) // (cols * work))
 
     log_c = math.log(readout_measure_factor(kappa, dt))
-    for _ in range(int(samples)):
-        a, log_q = _mixture_record(rng, vals, kappa, dt, n_steps)
-        w = math.exp(n_steps * log_c - log_q)
-        u1 = conditioned(a)
-        u2 = conditioned(a) if nested else u1
-        moments.add((w * (u1.conj().T @ u2))[None])
+    for done in range(0, samples, batch):
+        a, log_q = _mixture_records(rng, vals, kappa, dt, n_steps, min(batch, samples - done))
+        if nested:
+            # the nested estimate of U[a] is unbiased, so U† U pairs two independent ones
+            u1, u2 = (sum(block.sum(axis=1) for block in _aux_field_sweep(
+                plan, eye, a[0], window, kappa, vals, dt, inner_samples, rng)) / inner_samples
+                for _ in range(2))
+            pairs = (u1.conj().T @ u2)[None]
+        else:
+            starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
+            if window is None:
+                u = _ideal_sweep(plan, starts.transpose(1, 0, 2), a, kappa, vals, dt)
+                u = u.transpose(1, 0, 2)
+            else:
+                # the records and the identity columns ride as two leading batch axes
+                rows = _corridor_rows(window, vals, a, kappa, dt)
+                u = np.concatenate([_contract_windowed(starts[:, c:c + cols], plan.matrix, *rows)
+                                    for c in range(0, n, cols)], axis=1).transpose(0, 2, 1)
+            pairs = u.conj().transpose(0, 2, 1) @ u
+        # libm's exp per record (numpy's vectorized exp can differ in the last bit),
+        # so a record weighs what it weighs alone
+        w = np.array([math.exp(n_steps * log_c - q) for q in log_q])
+        moments.add(w[:, None, None] * pairs)
     mean = moments.mean()
     deviation = float(np.max(np.abs(mean - np.eye(n))))
     return UnitarityReport(

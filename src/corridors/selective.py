@@ -19,8 +19,8 @@ Gaussian field: every sample is again a diagonal-factor sweep, unbiased
 for the exact result, with errors dropping as 1/sqrt(samples).  One field
 sweep, `_field_sweep`, runs both this sampler and the random-phase
 samplers of `nonselective`, and that module's Monte-Carlo unitarity check
-conditions each record through the cores here: the ideal sweep, the
-contraction, or the auxiliary field.
+conditions its records through the cores here, in batches side by side:
+the ideal sweep, the contraction, or the auxiliary field.
 
 All engines use the left-rule weight pairing (the step-i factor
 multiplies the state before the step-i kernel); for that discretization
@@ -54,7 +54,9 @@ __all__ = [
 # elements (8e8 bytes at complex128); beyond this the exact sweep refuses
 # and callers should fall back to the Monte-Carlo unraveling
 DEFAULT_WORK_CAP = 100_000_000
-# complex elements in one batch of sampled propagators (256 KB)
+# complex elements in one batch of samples side by side (256 KB): sampled
+# propagators here, and the records the Monte-Carlo unitarity check
+# conditions together (records x columns x live elements, within the cap)
 _FIELD_BATCH_ELEMENTS = 1 << 14
 
 
@@ -178,9 +180,10 @@ def _contract_windowed(vec0, kernel, pattern, log_row):
     kernel  : (n, n) one-step amplitude matrix, applied N times
     pattern : (N, N+1) array whose nonzero entries are the slices row i
               of the weight couples (a window, or any band of the same shape)
-    log_row : log_row(i, place) is row i's log weight, built from
-              place(j, values), which puts per-site values of slice j on
-              that slice's live axis; the sum broadcasts over the live axes
+    log_row : log_row(i, place) is row i's log weight, a new real array
+              built from place(j, values), which puts per-site values of
+              slice j on that slice's live axis; it broadcasts over the
+              live axes and may vary along the batch axes
 
     Returns the final vector over slice-N sites (after the batch axes).
     Live slice axes are kept in chronological order; a slice axis is
@@ -210,7 +213,8 @@ def _contract_windowed(vec0, kernel, pattern, log_row):
             # slice j-1 is deferred until that axis is summed out
             state = state[..., :, None] * kernel_t
         for i in emit_at.get(j, ()):
-            state = state * np.exp(log_row(i, place))
+            weight = log_row(i, place)
+            state *= np.exp(weight, out=weight)
         while oldest < live[j]:
             state = state.sum(axis=lead)
             oldest += 1
@@ -223,21 +227,28 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
     """(pattern, log_row) of the windowed Gaussian corridor weight.
 
     Row i is -kappa dt ((P A)_i - readout_i)^2: the window-smoothed
-    observable of the live slices against record value i.
+    observable of the live slices against record value i.  ``readout`` is
+    one (N,) record, or (m, N) for m records on the contraction's first
+    batch axis.
     """
     window = np.asarray(window, dtype=float)
     readout = np.asarray(readout, dtype=float)
-    if readout.shape != (window.shape[0],):
+    if readout.ndim not in (1, 2) or readout.shape[-1] != window.shape[0]:
         raise ValueError(f"readout must have {window.shape[0]} entries, got {readout.shape}")
     cols = [np.flatnonzero(row) for row in window]
     site_values = np.asarray(site_values, dtype=float)
+    records = readout.shape[:-1]
 
     def log_row(i, place):
         # the smoothed value is a broadcast sum over the live axes it touches
         smoothed = 0.0
         for j in cols[i]:
             smoothed = smoothed + window[i, j] * place(j, site_values)
-        return -kappa * dt * (smoothed - readout[i]) ** 2
+        # allocates: the records' axis reaches beyond the smoothed value's shape
+        out = smoothed - readout[..., i].reshape(records + (1,) * (smoothed.ndim - len(records)))
+        np.square(out, out=out)
+        out *= -kappa * dt
+        return out
 
     return window, log_row
 
@@ -247,10 +258,19 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
 
 
 def _ideal_sweep(plan, block, readout, kappa, values, dt, observer=None):
-    """Left-rule conditioned sweep of a vector, or of the columns of a block."""
+    """Left-rule conditioned sweep of a vector, or of the columns of a block.
+
+    ``readout`` is one (N,) record, or (m, N) for m records side by side:
+    record r then conditions block[:, r] of an (n, m, ...) block.
+    """
     values = np.reshape(values, (-1,) + (1,) * (np.ndim(block) - 1))
-    for i, a in enumerate(readout):
-        block = plan.step(np.exp(-kappa * dt * (values - a) ** 2) * block)
+    # step i's record values, on the block's record axis when there is one
+    steps = readout.T.reshape(readout.shape[::-1] + (1,) * (np.ndim(block) - readout.ndim))
+    # a vector or an (n, k) block steps as it is, with no per-step reshape
+    step = plan.step if np.ndim(block) <= 2 else \
+        (lambda b: plan.step(b.reshape(plan.n, -1)).reshape(b.shape))
+    for i, a in enumerate(steps):
+        block = step(np.exp(-kappa * dt * (values - a) ** 2) * block)
         if observer is not None:
             observer(i, block)
     return block

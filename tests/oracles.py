@@ -6,19 +6,34 @@ The engines must reproduce these numbers; nothing here shares code with
 the package beyond the one-step kernel: the matrices handed in by the
 tests and the public `unitary_step`.
 
-The last section holds the closed-form single-path and path-pair weights,
+The next section holds the closed-form single-path and path-pair weights,
 lattice states and dense Hamiltonian that only the tests evaluate.  They
 use the package's data types (form factors, path pairs) and, where a
 weight delegates, its public medium weights.
+
+The last section is the one exception to independence: the one-record-
+at-a-time loop of the Monte-Carlo unitarity check, on the package's own
+conditioning cores.  It is the reference for batching records side by
+side, which must change nothing but the order of sums.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import logsumexp
 
-from corridors.grids import unitary_step
+from corridors.grids import _StepPlan, unitary_step
 from corridors.medium import PathPair, influence_exact, influence_firstorder, nu_of_omega
+from corridors.readout import readout_measure_factor
+from corridors.selective import (
+    DEFAULT_WORK_CAP,
+    WindowSpec,
+    _aux_field_sweep,
+    _contract_windowed,
+    _corridor_rows,
+    _ideal_sweep,
+)
 
 
 def all_paths(n_sites, n_slices):
@@ -407,3 +422,60 @@ def verify_window_moment_identity(pair, window, dt):
     gap = window @ (r2 - r1)
     rhs = 2.0 * dt * float(np.sum(gap**2))
     return lhs, rhs, abs(lhs - rhs)
+
+
+# ----------------------------------------------------------------------
+# the per-record Monte-Carlo unitarity loop (reference for record batches)
+
+
+def mixture_record(rng, values, kappa, dt, n_steps):
+    """Draw a record from the per-step equal-weight mixture of normals
+    centered on the observable's lattice values; returns (a, log q(a))."""
+    n = values.size
+    sigma = 1.0 / math.sqrt(4.0 * kappa * dt)
+    centers = values[rng.integers(0, n, size=n_steps)]
+    a = centers + sigma * rng.standard_normal(n_steps)
+    z = -((a[:, None] - values[None, :]) ** 2) / (2.0 * sigma**2)
+    log_q = float(
+        np.sum(logsumexp(z, axis=1))
+        - n_steps * (math.log(n) + math.log(sigma * math.sqrt(2.0 * math.pi)))
+    )
+    return a, log_q
+
+
+def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, samples=200,
+                            seed=None, cap=DEFAULT_WORK_CAP, inner_samples=32):
+    """The mean of `check_generalized_unitarity(mode="mc")`, one record at a time.
+
+    Each record is drawn, conditioned and weighted in turn from one stream,
+    so a seed gives the same records as the batched check.
+    """
+    n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
+    plan = _StepPlan(ham, sgrid, dt)
+    rng = np.random.default_rng(seed)
+    vals, eye = obs.values, np.eye(n, dtype=complex)
+    window = None if form_factor is None or form_factor.is_delta else \
+        form_factor.window_matrix(n_steps, dt)
+    nested = window is not None and not WindowSpec.fits(window, n, cap)
+    if window is not None and not nested:
+        batch = max(1, cap // WindowSpec.plan(window, n, cap).work_elements)
+
+    def conditioned(a):
+        if window is None:
+            return _ideal_sweep(plan, eye, a, kappa, vals, dt)
+        if not nested:
+            rows = _corridor_rows(window, vals, a, kappa, dt)
+            return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, *rows)
+                                   for c in range(0, n, batch)]).T
+        blocks = _aux_field_sweep(plan, eye, a, window, kappa, vals, dt, inner_samples, rng)
+        return sum(block.sum(axis=1) for block in blocks) / inner_samples
+
+    log_c = math.log(readout_measure_factor(kappa, dt))
+    total = np.zeros((n, n), dtype=complex)
+    for _ in range(samples):
+        a, log_q = mixture_record(rng, vals, kappa, dt, n_steps)
+        w = math.exp(n_steps * log_c - log_q)
+        u1 = conditioned(a)
+        u2 = conditioned(a) if nested else u1
+        total += w * (u1.conj().T @ u2)
+    return total / samples

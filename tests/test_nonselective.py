@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from corridors import nonselective
 from corridors.grids import (
     HamiltonianSpec,
     ObservableSpec,
@@ -27,7 +28,7 @@ from corridors.nonselective import (
     superpropagate,
 )
 from corridors.readout import FormFactor
-from corridors.selective import DEFAULT_WORK_CAP, WindowSpec
+from corridors.selective import _FIELD_BATCH_ELEMENTS, DEFAULT_WORK_CAP, WindowSpec
 
 
 def _free_pointer_setup():
@@ -404,18 +405,66 @@ def test_unitarity_mc_nested_estimator_under_tiny_cap():
 
 
 def test_unitarity_mc_batches_identity_columns_under_the_cap():
-    # the windowed core contracts the identity columns in batches as large
-    # as the cap allows (one per column up to all at once, here n = 4);
-    # every batching gives the same estimate
+    # the windowed core contracts records x identity columns in batches as
+    # large as the cap allows: here 1 column of 1 record, 2 and 3 columns,
+    # all 4 columns of 2 records, and of 4 (the samplers' batch); every
+    # batching gives the same estimate
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
     work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
     mats = [
         check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
                                     samples=20, seed=7, cap=cap).matrix
-        for cap in (work, 2 * work, 3 * work, DEFAULT_WORK_CAP)
+        for cap in (work, 2 * work, 3 * work, 8 * work, DEFAULT_WORK_CAP)
     ]
     for m in mats[1:]:
         assert np.max(np.abs(m - mats[0])) <= 1e-15 * np.max(np.abs(mats[0]))
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 8, 1000])
+def test_unitarity_mc_contractions_stay_within_the_cap(monkeypatch, factor):
+    # each contraction holds records x identity columns x work elements: at
+    # most the cap, and at most the samplers' batch once it holds two records
+    g, tg, ham, obs, _, kappa, ff = _coarse_setup()
+    work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
+    contract, sizes = nonselective._contract_windowed, []
+
+    def recorded(vec0, *args):
+        sizes.append((vec0.shape[0], math.prod(vec0.shape[:-1]) * work))
+        return contract(vec0, *args)
+
+    monkeypatch.setattr(nonselective, "_contract_windowed", recorded)
+    check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
+                                samples=10, seed=7, cap=factor * work)
+    assert sum(records for records, _ in sizes) == 10 * math.ceil(g.n_points / min(factor, 4))
+    for records, elements in sizes:
+        assert elements <= factor * work
+        assert records == 1 or elements <= _FIELD_BATCH_ELEMENTS
+
+
+@pytest.mark.parametrize("case", ["ideal", "ideal_multi_batch", "windowed", "windowed_small_cap",
+                                  "nested"])
+def test_unitarity_mc_batches_match_the_per_record_loop(case):
+    # records conditioned side by side give the estimate of conditioning them
+    # one at a time from the same stream: up to the order of sums, and
+    # bit for bit on the nested path, which keeps one record per batch
+    g, tg, ham, obs, _, kappa, ff = _coarse_setup()
+    work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
+    if case == "ideal_multi_batch":  # batches of 4 records of 64 x 64
+        g = SpatialGrid(8.0, 64)
+        ham = HamiltonianSpec.from_potential(g, lambda q: 0.3 * q**2)
+        obs, tg = ObservableSpec.position(g), TimeGrid(0.6, 3)
+    kw = {
+        "ideal": {}, "ideal_multi_batch": {},
+        "windowed": {"form_factor": ff},
+        "windowed_small_cap": {"form_factor": ff, "cap": 3 * work},
+        "nested": {"form_factor": ff, "cap": 10, "inner_samples": 5},
+    }[case]
+    rep = check_generalized_unitarity(kappa, ham, obs, g, tg, mode="mc", samples=100, seed=5, **kw)
+    ref = oracles.unitarity_mc_per_record(kappa, ham, obs, g, tg, samples=100, seed=5, **kw)
+    if case == "nested":
+        assert np.array_equal(rep.matrix, ref)
+    else:
+        assert np.max(np.abs(rep.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("samples", [0, 1])

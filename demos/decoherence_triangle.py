@@ -1,13 +1,14 @@
 """Three routes to the record-averaged density matrix.
 
-The master equation, the record-by-record average, and the doubled-chain
+The master equation, the record-by-record average, and the
 superpropagator describe the same non-selective evolution.  Part one
 freezes the dynamics (infinite mass, flat potential) where the averaged
 state has a closed form, and shows all three engines sit on it to
 machine precision.  Part two turns the kinetic term back on and halves
-dt repeatedly: the master equation differs from the other two by a
-boundary term that shrinks linearly, while the record average and the
-superpropagator stay bitwise identical.
+dt repeatedly: the master equation (a Strang discretization) differs
+from the other two by a boundary term that shrinks linearly.  The record
+average is the superpropagator's sweep started from the pure state, so
+their distance is zero by construction, not a check.
 """
 
 import math
@@ -70,7 +71,8 @@ def main():
         print(f"{n_steps:6d} {tgrid.dt:10.5f} {gap_ma:12.3e} {gap_as:11.1e}")
     order = np.log2(np.asarray(gaps[:-1]) / np.asarray(gaps[1:]))
     print(f"master-vs-average empirical order per halving: {order.round(3)}")
-    print("the averaged and doubled engines share one sweep, hence the zeros.")
+    print("the zeros are by construction: readout_average is the record-average "
+          "front of superpropagate's sweep.")
 
 
 if __name__ == "__main__":

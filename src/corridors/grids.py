@@ -38,7 +38,6 @@ __all__ = [
     "build_grids",
     "gaussian_packet",
     "norm_sq",
-    "normalized",
     "pure_density",
     "density_trace",
     "purity",
@@ -155,16 +154,6 @@ class HamiltonianSpec:
         return cls(mass=mass, potential=0.5 * mass * omega**2 * q**2, hbar=hbar)
 
     @classmethod
-    def from_potential(cls, grid: SpatialGrid, v, mass=1.0, hbar=1.0):
-        """Build from a callable v(q) or an array already on the grid."""
-        if callable(v):
-            v = v(grid.coords)
-        v = np.asarray(v, dtype=float)
-        if v.shape != (grid.n_points,):
-            raise ValueError(f"potential shape {v.shape} does not match grid ({grid.n_points},)")
-        return cls(mass=mass, potential=v, hbar=hbar)
-
-    @classmethod
     def from_table(cls, grid: SpatialGrid, path, mass=1.0, hbar=1.0):
         """Interpolate a two-column (q, V) text table onto the grid."""
         tab = np.loadtxt(path)
@@ -193,10 +182,6 @@ class ObservableSpec:
     @classmethod
     def position(cls, grid: SpatialGrid):
         return cls(values=grid.coords)
-
-    @classmethod
-    def from_callable(cls, grid: SpatialGrid, f):
-        return cls(values=np.asarray(f(grid.coords), dtype=float))
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ and microscopic decoherence models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -161,16 +161,14 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     return rho
 
 
-def _ideal_average_sweep(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
-    # decay first, then the kernel: the averaged left-rule selective step
-    rho = np.asarray(rho0, dtype=complex)
+def _ideal_adjoint(x, kappa, ham, obs, sgrid, tgrid):
+    """E†^N(X) for the ideal averaged step E(rho) = M (decay . rho) M†: the recursion
+    X <- decay . (M† X M), M† X M the conjugation by the plan for -dt."""
+    back = _StepPlan(ham, sgrid, -tgrid.dt)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
-    plan = _StepPlan(ham, sgrid, tgrid.dt)
-    for i in range(tgrid.n_steps):
-        rho = plan.conjugate(rho * decay)
-        if observer is not None:
-            observer(i, rho)
-    return rho
+    for _ in range(tgrid.n_steps):
+        x = decay * back.conjugate(x)
+    return x
 
 
 def readout_average(
@@ -188,14 +186,15 @@ def readout_average(
 ):
     """Average the conditioned evolution of a pure state over all records.
 
-    mode "quadrature" integrates each step's record in closed form (see
-    module docstring) and requires ideal (delta) resolution — windowed
-    averaging needs either the doubled contraction (`superpropagate`
-    with a coarse kernel) or mode "mc", which averages unitary evolutions
-    under the Gaussian phase field equivalent to the (windowed) record
-    average and reports entrywise standard errors.
+    The record-average front of `superpropagate` on psi0 psi0†, with the
+    ideal kernel for a ``None`` or delta profile and the windowed one
+    otherwise.  Mode "quadrature" is its exact ideal sweep, each step's
+    record integrated in closed form (see module docstring); it has no
+    windowed form, for which use `superpropagate` with a coarse kernel or
+    mode "mc": unitary evolutions averaged under the equivalent Gaussian
+    phase field, with entrywise standard errors.  Only the quadrature
+    sweep calls ``observer(i, rho)``.
     """
-    rho0 = pure_density(np.asarray(psi0, dtype=complex))
     is_ideal = form_factor is None or form_factor.is_delta
     if mode == "quadrature":
         if not is_ideal:
@@ -203,13 +202,14 @@ def readout_average(
                 "quadrature averaging has no windowed form; use superpropagate "
                 "with a coarse kernel, or mode='mc'"
             )
-        rho = _ideal_average_sweep(rho0, kappa, ham, obs, sgrid, tgrid, observer)
-        return AverageResult(rho=rho, mode=mode)
-    if mode != "mc":
+    elif mode != "mc":
         raise ValueError(f"mode must be 'quadrature' or 'mc', got {mode!r}")
-    spec = InfluenceKernelSpec("ideal" if is_ideal else "coarse", kappa, form_factor)
-    return _field_average(rho0, *_field_factors(spec, obs, tgrid), ham, sgrid, tgrid,
-                          samples, seed)
+    spec = InfluenceKernelSpec("ideal", kappa) if is_ideal else \
+        InfluenceKernelSpec("coarse", kappa, form_factor)
+    out = superpropagate(pure_density(np.asarray(psi0, dtype=complex)), spec, ham, obs, sgrid,
+                         tgrid, mode="exact" if mode == "quadrature" else "mc",
+                         samples=samples, seed=seed, observer=observer)
+    return replace(out, mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -250,28 +250,40 @@ def superpropagate(
     """Evolve a density matrix under a two-path decoherence weight.
 
     Mode "exact": kind "ideal" (and "coarse" with a delta profile) runs
-    the per-step closed-form sweep; kind "coarse" contracts the doubled
-    bra x ket chain through the resolution window, and the medium kinds
-    contract the same chain under the microscopic influence weight, whose
-    slice couplings are the stationary time kernel.  ``cap`` bounds the
-    contraction's working tensor, and the call refuses above it.  Exact
-    mode takes any time kernel.  Mode "mc", for every kind, averages unitary
-    evolutions under the Gaussian phase field whose characteristic
-    function is the weight, and reports entrywise standard errors.
-    Paths take values in the monitored observable, which the medium
-    kernels interpret as positions in the interaction-range metric.
+    the per-step closed-form sweep, decay then kernel (the averaged
+    left-rule selective step), the one path that calls ``observer(i, rho)``
+    and that accepts one.  Kind "coarse" contracts the doubled bra x ket
+    chain through the resolution window, and the medium kinds the same
+    chain under the microscopic influence weight, whose slice couplings
+    are the stationary time kernel.  ``cap`` bounds the contraction's
+    working tensor, and the call refuses above it.  Exact mode takes any
+    time kernel.  Mode "mc", for every kind, averages unitary evolutions
+    under the Gaussian phase field whose characteristic function is the
+    weight, and reports entrywise standard errors.  Paths take values in
+    the monitored observable, which the medium kernels interpret as
+    positions in the interaction-range metric.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     kind, kappa = kernel_spec.kind, kernel_spec.kappa
     ff = kernel_spec.form_factor
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    ideal = kind == "ideal" or (kind == "coarse" and ff.is_delta)
+    if observer is not None and not (ideal and mode == "exact"):
+        path = "mode='mc'" if mode == "mc" else f"the exact {kind!r} contraction"
+        raise ValueError(f"observer is called only by the exact ideal sweep, not by {path}")
     if mode == "mc":
         return _field_average(rho0, *_field_factors(kernel_spec, obs, tgrid), ham, sgrid,
                               tgrid, samples, seed)
 
-    if kind == "ideal" or (kind == "coarse" and ff.is_delta):
-        rho = _ideal_average_sweep(rho0, kappa, ham, obs, sgrid, tgrid, observer)
+    if ideal:
+        rho = rho0
+        decay = _decay_matrix(obs.values, kappa, tgrid.dt)
+        plan = _StepPlan(ham, sgrid, tgrid.dt)
+        for i in range(tgrid.n_steps):
+            rho = plan.conjugate(rho * decay)
+            if observer is not None:
+                observer(i, rho)
         return AverageResult(rho=rho, mode=mode)
 
     if kind == "coarse":
@@ -454,11 +466,7 @@ def check_generalized_unitarity(
     plan = _StepPlan(ham, sgrid, dt)
     if mode == "exact":
         if is_ideal:
-            back = _StepPlan(ham, sgrid, -dt)
-            decay = _decay_matrix(obs.values, kappa, dt)
-            matrix = np.eye(n, dtype=complex)
-            for _ in range(n_steps):
-                matrix = decay * back.conjugate(matrix)
+            matrix = _ideal_adjoint(np.eye(n, dtype=complex), kappa, ham, obs, sgrid, tgrid)
         else:
             window = form_factor.window_matrix(n_steps, dt)[::-1, ::-1].copy()
             matrix = _doubled_contraction(np.eye(n, dtype=complex), plan.matrix_h,

@@ -36,9 +36,7 @@ import numpy as np
 __all__ = [
     "MeasurementSpec",
     "FormFactor",
-    "ReadoutSample",
     "readout_measure_factor",
-    "sample_readout",
 ]
 
 # profiles with tails (gaussian) are truncated to zero beyond this many
@@ -63,10 +61,6 @@ class MeasurementSpec:
         if not (error_width > 0 and duration > 0):
             raise ValueError("error_width and duration must be positive")
         return cls(kappa=1.0 / (duration * error_width**2))
-
-    def error_width(self, duration):
-        """The +-Delta_a this strength corresponds to over the given duration."""
-        return 1.0 / math.sqrt(self.kappa * duration)
 
 
 def readout_measure_factor(kappa, dt):
@@ -98,6 +92,10 @@ class FormFactor:
 
     ``tau`` is the profile's characteristic width: the Gaussian sigma, the
     absolute-value-weighted rms lag for tables, and 0 for delta.
+
+    On a lattice of step dt the profile is the stationary kernel
+    K_jk = Pi(t_j - t_k) dt (the identity for delta); the smoothing
+    windows are its rows renormalized to sum to 1.
     """
 
     kind: str
@@ -174,31 +172,6 @@ class FormFactor:
 
     # -- lattice windows -------------------------------------------------
 
-    def _raw_band(self, row_times, col_times, dt):
-        s = row_times[:, None] - col_times[None, :]
-        return self.density(s) * dt
-
-    def window_matrix(self, n_steps, dt):
-        """(n_steps, n_steps + 1) row-stochastic smoothing window.
-
-        Row i holds the weights with which slice values A_0 .. A_N enter
-        the smoothed value seen by readout step i; rows sum to 1 exactly.
-        """
-        n = int(n_steps)
-        if self.is_delta:
-            w = np.zeros((n, n + 1))
-            w[np.arange(n), np.arange(n)] = 1.0
-            return w
-        raw = self._raw_band(dt * np.arange(n), dt * np.arange(n + 1), dt)
-        return _renormalize_rows(raw, "window_matrix")
-
-    def square_window(self, n, dt):
-        """(n, n) row-stochastic window on a common slice grid."""
-        if self.is_delta:
-            return np.eye(int(n))
-        t = dt * np.arange(int(n))
-        return _renormalize_rows(self._raw_band(t, t, dt), "square_window")
-
     def stationary_matrix(self, n, dt):
         """Raw symmetric kernel matrix K_jk = Pi(t_j - t_k) * dt.
 
@@ -211,7 +184,22 @@ class FormFactor:
         if self.is_delta:
             return np.eye(int(n))
         t = dt * np.arange(int(n))
-        return self._raw_band(t, t, dt)
+        return self.density(t[:, None] - t[None, :]) * dt
+
+    def window_matrix(self, n_steps, dt):
+        """(n_steps, n_steps + 1) row-stochastic smoothing window.
+
+        Row i holds the weights with which slice values A_0 .. A_N enter
+        the smoothed value seen by readout step i; rows sum to 1 exactly.
+        These are the first N rows of the stationary kernel, renormalized.
+        """
+        n = int(n_steps)
+        return _renormalize_rows(self.stationary_matrix(n + 1, dt)[:n], "window_matrix")
+
+    def square_window(self, n, dt):
+        """(n, n) row-stochastic window on a common slice grid: the
+        stationary kernel with its rows renormalized."""
+        return _renormalize_rows(self.stationary_matrix(n, dt), "square_window")
 
     def factorize(self):
         """A profile p with p * p (convolution) equal to this profile.
@@ -238,52 +226,3 @@ def _renormalize_rows(raw, where):
             "is too narrow for this step size"
         )
     return raw / sums[:, None]
-
-
-# ----------------------------------------------------------------------
-# sampling
-
-
-@dataclass(frozen=True)
-class ReadoutSample:
-    """A sampled record with its sampling density (for importance weights)."""
-
-    values: np.ndarray
-    log_density: float
-
-    @property
-    def density(self) -> float:
-        return math.exp(self.log_density)
-
-
-def sample_readout(mean_path, kappa, dt, seed=None, rng=None, n_steps=None):
-    """Draw a readout around a fixed system path.
-
-    For a system held on the path A the per-step record is exactly
-    Gaussian: a_i ~ N(A_i, 1/(4 kappa dt)), with the readout measure
-    factor absorbed so the density is a plain product of normals.
-    ``mean_path`` holds the per-step means; pass ``n_steps`` to hand in
-    an (N+1)-slice path instead (its final slice is then dropped,
-    matching the left-rule pairing of slices with steps).
-    """
-    if kappa <= 0:
-        raise ValueError("sampling a readout requires kappa > 0")
-    means = np.asarray(mean_path, dtype=float)
-    if means.ndim != 1 or means.size < 1:
-        raise ValueError("mean_path must be a 1-D array")
-    if n_steps is not None:
-        if means.size == n_steps + 1:
-            means = means[:-1]
-        elif means.size != n_steps:
-            raise ValueError(
-                f"mean_path has {means.size} entries; expected {n_steps} or {n_steps + 1}"
-            )
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    sigma = 1.0 / math.sqrt(4.0 * kappa * dt)
-    values = means + sigma * rng.standard_normal(means.size)
-    resid = (values - means) / sigma
-    log_density = float(
-        -0.5 * np.sum(resid**2) - means.size * math.log(sigma * math.sqrt(2.0 * math.pi))
-    )
-    return ReadoutSample(values=values, log_density=log_density)

@@ -32,8 +32,9 @@ through double precision.
 import configparser
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +47,10 @@ from .grids import (
     TimeGrid,
     build_grids,
     check_density_matrix,
+    density_trace,
     gaussian_packet,
-    norm_sq,
     pure_density,
+    purity,
 )
 from .medium import PathPair, influence_exact, load_path_pair, reduce_to_phenomenological
 from .nonselective import (
@@ -58,7 +60,7 @@ from .nonselective import (
     readout_average,
     superpropagate,
 )
-from .readout import FormFactor, MeasurementSpec, sample_readout
+from .readout import FormFactor, MeasurementSpec
 from .selective import (
     WindowSpec,
     evolve_selective_coarse,
@@ -277,32 +279,14 @@ class RunManifest:
     checks: list
     outputs: list
 
-    def to_dict(self):
-        return {
-            "task": self.task,
-            "options": self.options,
-            "config": self.config,
-            "version": self.version,
-            "seed": self.seed,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "checks": self.checks,
-            "outputs": self.outputs,
-        }
-
     def digest(self):
         """sha256 over the manifest content, ignoring the wall clock."""
-        body = self.to_dict()
+        body = asdict(self)
         body.pop("wall_clock_seconds")
         return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
     def write(self, path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def read(cls, path):
-        body = json.loads(Path(path).read_text())
-        body.pop("workers", None)  # written by older versions, always 1
-        return cls(**body)
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _check(name, value, tolerance, passed):
@@ -339,11 +323,12 @@ def _resolve_readout(spec, cfg):
         except ValueError:
             raise ConfigError(f"readout: cannot read constant {spec[6:]!r}") from None
     if spec == "sample":
+        # a_i ~ N(<A>, 1/(4 kappa dt)) around the initial packet's mean
         prob = np.abs(cfg.initial_packet()) ** 2
         prob /= prob.sum()
         mean = np.full(n, float(prob @ cfg.obs.values))
-        sample = sample_readout(mean, cfg.meas.kappa, cfg.tgrid.dt, seed=cfg.seed)
-        return sample.values
+        sigma = 1.0 / math.sqrt(4.0 * cfg.meas.kappa * cfg.tgrid.dt)
+        return mean + sigma * np.random.default_rng(cfg.seed).standard_normal(n)
     if spec.startswith("file:"):
         table = np.loadtxt(spec[5:])
         values = table[:, -1] if table.ndim == 2 else table
@@ -475,11 +460,11 @@ def _task_average(cfg, outdir, engine="lindblad", mode="exact", samples=1000, pa
     series = []
 
     def watch(step, rho):
-        herm = 0.5 * (rho + rho.conj().T)
-        trace = float(np.trace(herm).real) * cfg.sgrid.spacing
-        purity = float(np.trace(herm @ herm).real) * cfg.sgrid.spacing**2
-        series.append((cfg.tgrid.times[step + 1], trace, purity, abs(rho[i, j])))
+        series.append((cfg.tgrid.times[step + 1], density_trace(rho, cfg.sgrid),
+                       purity(rho, cfg.sgrid), abs(rho[i, j])))
 
+    # only the exact ideal sweeps call an observer
+    observer = watch if mode == "exact" and cfg.form.is_delta else None
     result_stderr, n_samples = None, None
     if engine == "lindblad":
         rho = lindblad_evolve(rho0, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid, observer=watch)
@@ -492,7 +477,7 @@ def _task_average(cfg, outdir, engine="lindblad", mode="exact", samples=1000, pa
         out = readout_average(
             cfg.initial_packet(), kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
             mode="quadrature" if mode == "exact" else "mc",
-            form_factor=cfg.form, samples=samples, seed=cfg.seed, observer=watch,
+            form_factor=cfg.form, samples=samples, seed=cfg.seed, observer=observer,
         )
         rho, result_stderr, n_samples = out.rho, out.stderr, out.n_samples
     elif engine == "superpropagator":
@@ -500,7 +485,7 @@ def _task_average(cfg, outdir, engine="lindblad", mode="exact", samples=1000, pa
         spec = InfluenceKernelSpec(kind, kappa, form_factor=cfg.form)
         out = superpropagate(
             rho0, spec, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
-            mode=mode, samples=samples, seed=cfg.seed, observer=watch,
+            mode=mode, samples=samples, seed=cfg.seed, observer=observer,
         )
         rho, result_stderr, n_samples = out.rho, out.stderr, out.n_samples
     else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import _StepPlan, norm_sq, normalized
+from .grids import _StepPlan, norm_sq
 # unused here, kept as a module name: the benchmark's tracer self-test
 # checks that selective.unitary_step is rebound and restored
 from .grids import unitary_step  # noqa: F401
@@ -77,9 +77,6 @@ class SelectiveResult:
     state_stderr: np.ndarray | None = None
     probability_stderr: float | None = None
     n_samples: int | None = None
-
-    def normalized_state(self, grid):
-        return normalized(self.final_state, grid)
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +185,9 @@ def _contract_windowed(vec0, kernel, pattern, log_row):
     Returns the final vector over slice-N sites (after the batch axes).
     Live slice axes are kept in chronological order; a slice axis is
     contracted through the kernel as soon as no un-emitted row references
-    it.  This is Makri & Makarov's augmented propagator (J. Chem. Phys.
-    102, 4600 (1995)).
+    it; live[N] == N, so after the last slice only its axis is left.  This
+    is Makri & Makarov's augmented propagator (J. Chem. Phys. 102, 4600
+    (1995)).
     """
     _, last, live = _band_structure(pattern)
     live = live.tolist()
@@ -218,8 +216,6 @@ def _contract_windowed(vec0, kernel, pattern, log_row):
         while oldest < live[j]:
             state = state.sum(axis=lead)
             oldest += 1
-    while state.ndim > lead + 1:
-        state = state.sum(axis=lead)
     return state
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
-from corridors.grids import _StepPlan, unitary_step
+from corridors.grids import HamiltonianSpec, _StepPlan, unitary_step
 from corridors.medium import PathPair, influence_exact, influence_firstorder, nu_of_omega
 from corridors.readout import readout_measure_factor
 from corridors.selective import (
@@ -236,20 +236,20 @@ def average_density_numeric(rho0, kernel, site_values, kappa, dt, n_steps, span=
     """Readout-averaged evolution with the per-step integral done numerically.
 
     rho <- sum_a c da  K (d_a rho d_a) K^dagger,  d_a = exp(-kappa dt (A-a)^2).
-    Independent of the closed-form decay factor used by the engines.
+    The sum over the record nodes a is the same every step, so it is formed
+    once, as the matrix sum_a c da d_a d_a^T.  Independent of the
+    closed-form decay factor used by the engines.
     """
     vals = np.asarray(site_values, dtype=float)
     half = span / np.sqrt(2.0 * kappa * dt) + np.max(np.abs(vals))
     a_grid = np.linspace(-half, half, n_nodes)
     da = a_grid[1] - a_grid[0]
     c = np.sqrt(2.0 * kappa * dt / np.pi)
+    d = np.exp(-kappa * dt * (vals[None, :] - a_grid[:, None]) ** 2)  # (nodes, sites)
+    record_sum = c * da * (d.T @ d)
     rho = np.asarray(rho0, dtype=complex).copy()
     for _ in range(n_steps):
-        acc = np.zeros_like(rho)
-        for a in a_grid:
-            d = np.exp(-kappa * dt * (vals - a) ** 2)
-            acc += (d[:, None] * d[None, :]) * rho
-        rho = kernel @ (c * da * acc) @ kernel.conj().T
+        rho = kernel @ (record_sum * rho) @ kernel.conj().T
     return rho
 
 
@@ -285,6 +285,16 @@ def damped_generator_step(h_dense, site_values, a_value, kappa, hbar, dt):
 def angular_wavenumbers(grid):
     """FFT-ordered angular wavenumbers k (so that p = hbar k)."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+
+
+def hamiltonian_from_potential(grid, v, mass=1.0, hbar=1.0):
+    """H = p^2/(2 mass) + V(q) from a callable v(q) or an array on the grid."""
+    if callable(v):
+        v = v(grid.coords)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.n_points,):
+        raise ValueError(f"potential shape {v.shape} does not match grid ({grid.n_points},)")
+    return HamiltonianSpec(mass=mass, potential=v, hbar=hbar)
 
 
 def position_state(grid, k):

@@ -6,9 +6,11 @@ that nothing in ``corridors`` refers to is dead code left behind by a
 refactor.  A name in a module's ``__all__`` that no other package module,
 no demo and not the README reaches is a helper only the tests call; it
 belongs in ``tests/oracles.py``.  A public class its own module builds
-is a result type, reached through the functions that return it.  The
-scans are syntactic (names, attributes and imports; words of the README),
-so a name reached only through a string would need its own mention here.
+is a result type, reached through the functions that return it.  Likewise
+a public method, property or classmethod of a public class must be named
+by some package line, a demo or the README.  The scans are syntactic
+(names, attributes and imports; words of the README), so a name reached
+only through a string would need its own mention here.
 """
 
 import ast
@@ -79,11 +81,16 @@ def _built_classes(tree):
     return {node.name for node in tree.body if isinstance(node, ast.ClassDef)} & called
 
 
+def _documented():
+    """Names the demos reach, and the words of the README."""
+    names = {name for path in sorted((REPO / "demos").glob("*.py"))
+             for name in _references(ast.parse(path.read_text()))}
+    return names | set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+
+
 def test_no_public_name_is_test_only():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    outside = {name for path in sorted((REPO / "demos").glob("*.py"))
-               for name in _references(ast.parse(path.read_text()))}
-    outside |= set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+    outside = _documented()
     orphans = [
         f"{module} {name}"
         for module, tree in trees.items()
@@ -92,3 +99,25 @@ def test_no_public_name_is_test_only():
         and not any(name in _references(other) for key, other in trees.items() if key != module)
     ]
     assert not orphans, "public names only the tests reach: " + ", ".join(orphans)
+
+
+def _public_methods(tree):
+    """(class, name) of the public methods, properties and classmethods of
+    the module's public classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
+def test_no_public_method_is_test_only():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reached = _documented() | {name for tree in trees.values() for name in _references(tree)}
+    orphans = [
+        f"{module} {cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name in _public_methods(tree)
+        if name not in reached
+    ]
+    assert not orphans, "public methods only the tests reach: " + ", ".join(orphans)

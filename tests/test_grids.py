@@ -207,17 +207,12 @@ def test_observable_specs():
     g = SpatialGrid(extent=4.0, n_points=8)
     a = ObservableSpec.position(g)
     assert_allclose(a.values, g.coords)
-    b = ObservableSpec.from_callable(g, lambda q: np.sign(q))
-    assert set(np.unique(b.values)) <= {-1.0, 0.0, 1.0}
     with pytest.raises(ValueError):
         ObservableSpec(values=np.array([1.0, np.nan, 0.0]))
 
 
 def test_hamiltonian_validation():
-    g = SpatialGrid(extent=4.0, n_points=8)
     with pytest.raises(ValueError):
         HamiltonianSpec(mass=0.0, potential=np.zeros(8))
     with pytest.raises(ValueError):
         HamiltonianSpec(mass=1.0, potential=np.full(8, np.inf))
-    with pytest.raises(ValueError):
-        HamiltonianSpec.from_potential(g, np.zeros(7))

@@ -44,7 +44,7 @@ def _free_pointer_setup():
 def _coarse_setup():
     g = SpatialGrid(4.0, 4)
     tg = TimeGrid(0.8, 4)
-    ham = HamiltonianSpec.from_potential(g, lambda q: 0.3 * q**2)
+    ham = oracles.hamiltonian_from_potential(g, lambda q: 0.3 * q**2)
     obs = ObservableSpec.position(g)
     psi0 = gaussian_packet(g, center=-0.2, width=0.8)
     return g, tg, ham, obs, psi0, 1.2, FormFactor.gaussian(0.3)
@@ -53,7 +53,7 @@ def _coarse_setup():
 def _medium_setup():
     g = SpatialGrid(3.0, 3)
     tg = TimeGrid(0.4, 2)
-    ham = HamiltonianSpec.from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
+    ham = oracles.hamiltonian_from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
     obs = ObservableSpec.position(g)
     rho0 = pure_density(gaussian_packet(g, width=0.8))
     return g, tg, ham, obs, rho0, FormFactor.gaussian(0.35)
@@ -159,6 +159,36 @@ def test_readout_average_mc_agrees_with_quadrature():
     assert np.array_equal(mc.rho, again.rho)
 
 
+def test_observer_is_refused_where_no_sweep_calls_it():
+    g, tg, ham, obs, psi0, kappa, ff = _coarse_setup()
+    rho0 = pure_density(psi0)
+    seen = []
+
+    def watch(i, rho):
+        seen.append(i)
+
+    spec = InfluenceKernelSpec("medium_firstorder", kappa, form_factor=ff, ell=1.0)
+    refused = [
+        (lambda: superpropagate(rho0, InfluenceKernelSpec("ideal", kappa), ham, obs, g, tg,
+                                mode="mc", samples=10, observer=watch), "mode='mc'"),
+        (lambda: superpropagate(rho0, InfluenceKernelSpec("coarse", kappa, ff), ham, obs, g, tg,
+                                observer=watch), "'coarse' contraction"),
+        (lambda: superpropagate(rho0, spec, ham, obs, g, tg, observer=watch),
+         "'medium_firstorder' contraction"),
+        (lambda: readout_average(psi0, kappa, ham, obs, g, tg, mode="mc", samples=10,
+                                 observer=watch), "mode='mc'"),
+    ]
+    for call, path in refused:
+        with pytest.raises(ValueError, match=f"observer .* not by .*{path}"):
+            call()
+    assert not seen
+    # the exact ideal sweeps call it once per step, delta-profile "coarse" included
+    readout_average(psi0, kappa, ham, obs, g, tg, observer=watch)
+    superpropagate(rho0, InfluenceKernelSpec("coarse", kappa, FormFactor.delta()), ham, obs,
+                   g, tg, observer=watch)
+    assert seen == 2 * list(range(tg.n_steps))
+
+
 def test_superpropagate_coarse_matches_path_enumeration():
     g, tg, ham, obs, psi0, kappa, ff = _coarse_setup()
     rho0 = pure_density(psi0)
@@ -240,7 +270,7 @@ def test_superpropagate_medium_kinds_match_pair_sums():
     profiles = [FormFactor.gaussian(f * dt) for f in (0.3, 1.0, 3.0)] + [_lobed_profile()]
     for n in (2, 3):
         g = SpatialGrid(3.0, n)
-        ham = HamiltonianSpec.from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
+        ham = oracles.hamiltonian_from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
         obs = ObservableSpec.position(g)
         rho0 = pure_density(gaussian_packet(g, center=0.3, width=0.8, momentum=0.5))
         for n_steps in (1, 2, 3, 4):
@@ -254,7 +284,7 @@ def test_superpropagate_medium_reaches_long_records(kind):
     # the doubled contraction at tau = 0.4 dt keeps three slices live
     g = SpatialGrid(3.0, 4)
     tg = TimeGrid(6.4, 64)
-    ham = HamiltonianSpec.from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
+    ham = oracles.hamiltonian_from_potential(g, lambda q: 0.5 * q**2, mass=1.3)
     obs = ObservableSpec.position(g)
     rho0 = pure_density(gaussian_packet(g, width=0.8))
     spec = InfluenceKernelSpec(kind, 0.9, form_factor=FormFactor.gaussian(0.4 * tg.dt), ell=1.4)
@@ -327,7 +357,7 @@ def test_slow_detector_mc_matches_path_enumeration():
     # all but the smallest lattices; n = 3 keeps brute enumeration possible
     g = SpatialGrid(3.0, 3)
     tg = TimeGrid(0.8, 4)
-    ham = HamiltonianSpec.from_potential(g, lambda q: 0.4 * q**2, mass=0.8)
+    ham = oracles.hamiltonian_from_potential(g, lambda q: 0.4 * q**2, mass=0.8)
     obs = ObservableSpec.position(g)
     rho0 = pure_density(gaussian_packet(g, center=0.2, width=0.9))
     kappa, ff = 1.5, FormFactor.gaussian(tg.dt)
@@ -451,7 +481,7 @@ def test_unitarity_mc_batches_match_the_per_record_loop(case):
     work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
     if case == "ideal_multi_batch":  # batches of 4 records of 64 x 64
         g = SpatialGrid(8.0, 64)
-        ham = HamiltonianSpec.from_potential(g, lambda q: 0.3 * q**2)
+        ham = oracles.hamiltonian_from_potential(g, lambda q: 0.3 * q**2)
         obs, tg = ObservableSpec.position(g), TimeGrid(0.6, 3)
     kw = {
         "ideal": {}, "ideal_multi_batch": {},

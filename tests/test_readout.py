@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.stats import norm
 
 from oracles import coarse_grain, weight_coarse, weight_ideal
 from corridors.readout import (
     FormFactor,
     MeasurementSpec,
     readout_measure_factor,
-    sample_readout,
 )
 
 
 def test_measurement_spec_roundtrip():
     spec = MeasurementSpec.from_error(error_width=0.2, duration=5.0)
     assert_allclose(spec.kappa, 1.0 / (5.0 * 0.04))
-    assert_allclose(spec.error_width(5.0), 0.2)
     with pytest.raises(ValueError):
         MeasurementSpec(kappa=0.0)
     with pytest.raises(ValueError):
@@ -155,35 +152,3 @@ def test_tabulated_loader(tmp_path):
         FormFactor.from_arrays(s[::-1], 1.0 - np.abs(s))  # decreasing lags
     with pytest.raises(ValueError):
         FormFactor.from_arrays(s, np.zeros_like(s))  # zero area
-
-
-def test_sample_readout_statistics_and_density():
-    kappa, dt = 2.0, 0.1
-    means = np.array([0.5, -1.0, 2.0])
-    sample = sample_readout(means, kappa, dt, seed=11)
-    assert sample.values.shape == (3,)
-    # density matches an explicit product of normals
-    sigma = 1.0 / math.sqrt(4.0 * kappa * dt)
-    ref = norm.logpdf(sample.values, loc=means, scale=sigma).sum()
-    assert_allclose(sample.log_density, ref, rtol=1e-12)
-    assert_allclose(sample.density, math.exp(ref), rtol=1e-12)
-    # reproducible under the same seed
-    again = sample_readout(means, kappa, dt, seed=11)
-    assert np.array_equal(sample.values, again.values)
-    # aggregate statistics behave like the claimed normal
-    rng = np.random.default_rng(0)
-    draws = np.array([sample_readout(means, kappa, dt, rng=rng).values for _ in range(4000)])
-    assert_allclose(draws.mean(axis=0), means, atol=5 * sigma / math.sqrt(4000))
-    assert_allclose(draws.std(axis=0), sigma, rtol=0.1)
-
-
-def test_sample_readout_slice_path_handling():
-    kappa, dt = 1.0, 0.2
-    path = np.array([0.0, 1.0, 2.0, 3.0])
-    a = sample_readout(path, kappa, dt, seed=3, n_steps=3)
-    b = sample_readout(path[:-1], kappa, dt, seed=3)
-    assert np.array_equal(a.values, b.values)
-    with pytest.raises(ValueError):
-        sample_readout(path, kappa, dt, seed=3, n_steps=7)
-    with pytest.raises(ValueError):
-        sample_readout(path, 0.0, dt, seed=3)

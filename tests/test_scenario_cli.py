@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from corridors.scenario import (
     CheckFailure,
     ConfigError,
     RunManifest,
+    _resolve_readout,
     emit_plot_data,
     file_sha256,
     load_config,
@@ -167,13 +169,9 @@ def test_manifest_digest_ignores_wall_clock(tmp_path):
     b = RunManifest(wall_clock_seconds=99.0, **kwargs)
     assert a.digest() == b.digest()
     a.write(tmp_path / "m.json")
-    again = RunManifest.read(tmp_path / "m.json")
+    again = RunManifest(**json.loads((tmp_path / "m.json").read_text()))
     assert again.digest() == a.digest()
     assert again.wall_clock_seconds == 0.5
-    # manifests from older versions carry a constant "workers": 1
-    old = dict(a.to_dict(), workers=1)
-    (tmp_path / "old.json").write_text(json.dumps(old))
-    assert RunManifest.read(tmp_path / "old.json").digest() == a.digest()
 
 
 def test_run_scenario_writes_everything_it_references(tmp_path):
@@ -186,7 +184,7 @@ def test_run_scenario_writes_everything_it_references(tmp_path):
         assert file_sha256(out / entry["file"]) == entry["sha256"]
     saved = json.loads((out / "manifest.json").read_text())
     assert saved["seed"] == 11 and "workers" not in saved
-    assert RunManifest.read(out / "manifest.json").digest() == manifest.digest()
+    assert RunManifest(**saved).digest() == manifest.digest()
 
 
 def test_rerun_is_bit_identical(tmp_path):
@@ -268,6 +266,22 @@ def test_sampled_average_checks_are_real(tmp_path, engine):
     }
     for check in manifest.checks:
         assert check["tolerance"] == 1e-8 and check["passed"], check
+
+
+def test_average_series_comes_only_from_the_exact_ideal_sweeps(tmp_path):
+    # the windowed and sampled averages call no observer, so they write no series
+    slow = load_config(SLOW_DETECTOR)
+    run_scenario(slow, task="average", outdir=tmp_path / "w", engine="superpropagator")
+    assert {p.name for p in (tmp_path / "w").iterdir()} == {"density_final.txt", "manifest.json"}
+    cfg = load_config(write_scenario(tmp_path))
+    for engine in ("quadrature", "superpropagator"):
+        out = tmp_path / engine
+        run_scenario(cfg, task="average", outdir=out, engine=engine, mode="mc", samples=20)
+        assert {p.name for p in out.iterdir()} == {
+            "density_final.txt", "density_stderr.txt", "manifest.json"
+        }
+        run_scenario(cfg, task="average", outdir=out / "exact", engine=engine)
+        assert (out / "exact" / "series.txt").exists()
 
 
 def test_evolve_flags_a_non_finite_state(tmp_path):
@@ -411,6 +425,50 @@ def test_readout_sources(tmp_path):
     with pytest.raises(ConfigError, match="12 steps"):
         np.savetxt(tmp_path / "short.txt", record[:5])
         run_scenario(cfg, task="evolve", outdir=out, readout=f"file:{tmp_path / 'short.txt'}")
+
+
+def test_sampled_readout_is_normal_about_the_packet_mean(tmp_path):
+    # --readout sample draws a_i ~ N(<A>, 1/(4 kappa dt)) from the run's seed
+    cfg = load_config(write_scenario(tmp_path))
+    prob = np.abs(cfg.initial_packet()) ** 2
+    mean = prob @ cfg.obs.values / prob.sum()
+    sigma = 1.0 / math.sqrt(4.0 * cfg.meas.kappa * cfg.tgrid.dt)
+    draws = np.array([_resolve_readout("sample", replace(cfg, seed=s)) for s in range(4000)])
+    assert draws.shape == (4000, cfg.tgrid.n_steps)
+    assert_allclose(draws.mean(axis=0), mean, atol=5 * sigma / math.sqrt(4000))
+    assert_allclose(draws.std(axis=0), sigma, rtol=0.1)
+    # the run's seed (11) fixes the record, and the run writes the record it drew
+    assert np.array_equal(_resolve_readout("sample", cfg), draws[cfg.seed])
+    run_scenario(cfg, task="evolve", outdir=tmp_path / "r", readout="sample")
+    assert np.array_equal(np.loadtxt(tmp_path / "r" / "readout_used.txt")[:, 1], draws[cfg.seed])
+
+
+def test_cli_evolve_auto_picks_the_exact_windowed_engine(tmp_path, capsys):
+    from corridors.selective import evolve_selective_coarse
+
+    tables = {}
+    for engine in ("auto", "coarse"):
+        out = tmp_path / engine
+        assert main(["evolve", str(SLOW_DETECTOR), "--engine", engine, "--outdir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["options"]["engine"] == "coarse"
+        tables[engine] = (out / "state_final.txt").read_bytes()
+    assert tables["auto"] == tables["coarse"]
+    cfg = load_config(SLOW_DETECTOR)
+    res = evolve_selective_coarse(cfg.initial_packet(), np.zeros(cfg.tgrid.n_steps), cfg.form,
+                                  cfg.meas.kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid)
+    table = np.loadtxt(tmp_path / "auto" / "state_final.txt")
+    assert np.array_equal(table[:, 1], res.final_state.real)
+    assert np.array_equal(table[:, 2], res.final_state.imag)
+
+
+def test_cli_mc_unitarity_table_carries_its_stderr(tmp_path, capsys):
+    out = tmp_path / "u"
+    code = main(["unitarity-check", str(SLOW_DETECTOR), "--mode", "mc", "--samples", "40",
+                 "--outdir", str(out)])
+    assert code in (0, 2)  # pass or fail, the table is written
+    header = [line for line in (out / "unitarity_matrix.txt").read_text().splitlines()
+              if line.startswith("# max entrywise standard error = ")]
+    assert len(header) == 1 and float(header[0].rsplit("=", 1)[1]) > 0.0
 
 
 def test_unknown_task_and_engine(tmp_path):

@@ -42,7 +42,7 @@ def _setup_a():
 def _setup_b():
     g = SpatialGrid(4.0, 4)
     tg = TimeGrid(0.8, 4)
-    ham = HamiltonianSpec.from_potential(g, lambda q: 0.3 * q**2)
+    ham = oracles.hamiltonian_from_potential(g, lambda q: 0.3 * q**2)
     obs = ObservableSpec.position(g)
     psi0 = gaussian_packet(g, center=-0.2, width=0.8)
     readout = np.array([0.2, -0.4, 0.1, 0.3])

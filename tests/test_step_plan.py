@@ -92,7 +92,8 @@ def chained_state(psi0, record, kappa, ham, obs, sgrid, dt, segment=32):
     for start in range(0, record.size, segment):
         part = record[start : start + segment]
         tgrid = grids.TimeGrid(dt * part.size, part.size)
-        psi = evolve_selective_ideal(psi, part, kappa, ham, obs, sgrid, tgrid).normalized_state(sgrid)
+        res = evolve_selective_ideal(psi, part, kappa, ham, obs, sgrid, tgrid)
+        psi = res.final_state / math.sqrt(res.norm_sq)
     return psi
 
 

@@ -30,10 +30,11 @@ window width.
 corridor decomposition — the record-integrated U†U is the identity —
 either in closed form (ideal), by an exact time-reversed doubled
 contraction (windowed), or by importance-sampled records with error
-bars.  The sampled records are conditioned through the selective cores
-in batches, side by side in one sweep, with records x identity columns
-x live elements within the samplers' batch (`_FIELD_BATCH_ELEMENTS`)
-and the cap.
+bars.  The sampled records are conditioned exactly through the selective
+cores in batches, side by side in one sweep, with records x identity
+columns x live elements within the samplers' batch
+(`_FIELD_BATCH_ELEMENTS`) and the cap.  A window above the cap is
+refused in both modes: no sampled estimate of U[a] stands in for it.
 `superpropagate` accepts pluggable two-path weights, including the
 oscillator-medium kernels, so the same machinery covers phenomenological
 and microscopic decoherence models.
@@ -53,7 +54,6 @@ from .selective import (
     _FIELD_BATCH_ELEMENTS,
     DEFAULT_WORK_CAP,
     WindowSpec,
-    _aux_field_sweep,
     _contract_windowed,
     _corridor_rows,
     _field_sweep,
@@ -438,7 +438,6 @@ def check_generalized_unitarity(
     samples=200,
     seed=None,
     cap=DEFAULT_WORK_CAP,
-    inner_samples=32,
 ):
     """Verify that the record-integrated U[a]† U[a] is the identity.
 
@@ -451,15 +450,14 @@ def check_generalized_unitarity(
     accordingly), mode "mc" importance-samples records (at least 2) and
     reports a standard error.
 
-    Mode "mc" conditions its records in batches: m records side by side in
-    one ideal sweep, or in one windowed contraction whose records x
-    identity columns x live elements stay within `_FIELD_BATCH_ELEMENTS`
-    and ``cap`` (at least one record per batch, its columns split under
-    ``cap``).  A window whose contraction does not fit ``cap`` falls back
-    to the nested auxiliary-field estimate of each U[a] from
-    ``inner_samples`` draws, one record per batch.  Records are drawn in
-    turn from one stream, so a seed fixes the estimate up to the order of
-    sums whatever the batch size.
+    Mode "mc" conditions its records exactly, in batches: m records side
+    by side in one ideal sweep, or in one windowed contraction whose
+    records x identity columns x live elements stay within
+    `_FIELD_BATCH_ELEMENTS` and ``cap`` (at least one record per batch,
+    its columns split under ``cap``).  A window whose contraction does not
+    fit ``cap`` is refused, as in mode "exact".  Records are drawn in turn
+    from one stream, so a seed fixes the estimate up to the order of sums
+    whatever the batch size.
     """
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     is_ideal = form_factor is None or form_factor.is_delta
@@ -482,39 +480,28 @@ def check_generalized_unitarity(
     rng = np.random.default_rng(seed)
     vals, eye = obs.values, np.eye(n, dtype=complex)
     window = None if is_ideal else form_factor.window_matrix(n_steps, dt)
-    nested = window is not None and not WindowSpec.fits(window, n, cap)
-    if nested and inner_samples < 1:
-        raise ValueError("the auxiliary-field estimate of U[a] needs at least 1 inner sample")
     # records side by side: records x identity columns x live elements stay
-    # within the samplers' batch and the cap; the nested estimate conditions
-    # one record at a time, so its inner draws follow that record's
+    # within the samplers' batch and the cap
     if window is None:
         cols = work = n
-    elif not nested:
+    else:
         work = WindowSpec.plan(window, n, cap).work_elements
         cols = min(n, cap // work)
-    batch = 1 if nested else max(1, min(_FIELD_BATCH_ELEMENTS, cap) // (cols * work))
+    batch = max(1, min(_FIELD_BATCH_ELEMENTS, cap) // (cols * work))
 
     log_c = math.log(readout_measure_factor(kappa, dt))
     for done in range(0, samples, batch):
         a, log_q = _mixture_records(rng, vals, kappa, dt, n_steps, min(batch, samples - done))
-        if nested:
-            # the nested estimate of U[a] is unbiased, so U† U pairs two independent ones
-            u1, u2 = (sum(block.sum(axis=1) for block in _aux_field_sweep(
-                plan, eye, a[0], window, kappa, vals, dt, inner_samples, rng)) / inner_samples
-                for _ in range(2))
-            pairs = (u1.conj().T @ u2)[None]
+        starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
+        if window is None:
+            u = _ideal_sweep(plan, starts.transpose(1, 0, 2), a, kappa, vals, dt)
+            u = u.transpose(1, 0, 2)
         else:
-            starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
-            if window is None:
-                u = _ideal_sweep(plan, starts.transpose(1, 0, 2), a, kappa, vals, dt)
-                u = u.transpose(1, 0, 2)
-            else:
-                # the records and the identity columns ride as two leading batch axes
-                rows = _corridor_rows(window, vals, a, kappa, dt)
-                u = np.concatenate([_contract_windowed(starts[:, c:c + cols], plan.matrix, *rows)
-                                    for c in range(0, n, cols)], axis=1).transpose(0, 2, 1)
-            pairs = u.conj().transpose(0, 2, 1) @ u
+            # the records and the identity columns ride as two leading batch axes
+            rows = _corridor_rows(window, vals, a, kappa, dt)
+            u = np.concatenate([_contract_windowed(starts[:, c:c + cols], plan.matrix, *rows)
+                                for c in range(0, n, cols)], axis=1).transpose(0, 2, 1)
+        pairs = u.conj().transpose(0, 2, 1) @ u
         # libm's exp per record (numpy's vectorized exp can differ in the last bit),
         # so a record weighs what it weighs alone
         w = np.array([math.exp(n_steps * log_c - q) for q in log_q])

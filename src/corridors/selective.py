@@ -19,8 +19,9 @@ Gaussian field: every sample is again a diagonal-factor sweep, unbiased
 for the exact result, with errors dropping as 1/sqrt(samples).  One field
 sweep, `_field_sweep`, runs both this sampler and the random-phase
 samplers of `nonselective`, and that module's Monte-Carlo unitarity check
-conditions its records through the cores here, in batches side by side:
-the ideal sweep, the contraction, or the auxiliary field.
+conditions its records through the exact cores here, in batches side by
+side: the ideal sweep or the contraction.  A window above the cap is
+refused there as here; no auxiliary-field estimate of U[a] replaces it.
 
 All engines use the left-rule weight pairing (the step-i factor
 multiplies the state before the step-i kernel); for that discretization
@@ -149,7 +150,7 @@ class WindowSpec:
                 f"windowed contraction needs a working tensor of {n_sites}^{peak} "
                 f"= {work:.3g} elements, above the cap {cap:.3g}; reduce the window "
                 "width or use a Monte-Carlo engine: evolve_selective_coarse_mc, or "
-                "mode='mc' of superpropagate or check_generalized_unitarity"
+                "mode='mc' of superpropagate"
             )
         return cls(
             n_sites=int(n_sites),
@@ -344,9 +345,14 @@ def evolve_selective_coarse_mc(
         raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
     moments = _Moments(sgrid.n_points, samples, parts=(np.real, np.imag))
     window = form_factor.window_matrix(n_steps, dt)
+    # the field T = sqrt(2 kappa dt) P^T, S = A, and the real log weight
+    # 2 kappa dt b_j A, with -kappa dt ||a||^2 at slice 0
+    log_weight = np.outer(2.0 * kappa * dt * (window.T @ readout), obs.values)
+    log_weight[0] -= kappa * dt * float(np.sum(readout**2))
     plan = _StepPlan(ham, sgrid, dt)
-    for block in _aux_field_sweep(plan, psi0, readout, window, kappa, obs.values, dt, samples,
-                                  np.random.default_rng(seed)):
+    for block in _field_sweep(plan, psi0, math.sqrt(2.0 * kappa * dt) * window.T,
+                              obs.values[:, None], samples, np.random.default_rng(seed),
+                              log_weight):
         moments.add(block[:, :, 0], axis=1)
 
     mean = moments.mean()
@@ -396,16 +402,6 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
                 exponent += log_weight[j][:, None]
             block *= np.exp(exponent)[:, :, None]
         yield block
-
-
-def _aux_field_sweep(plan, start, readout, window, kappa, values, dt, samples, rng):
-    """`_field_sweep` under the auxiliary field that decouples a window:
-    T = sqrt(2 kappa dt) P^T, S = A, and the real log weight 2 kappa dt b_j A
-    (b = P^T a), with -kappa dt ||a||^2 at slice 0."""
-    log_weight = np.outer(2.0 * kappa * dt * (window.T @ readout), values)
-    log_weight[0] -= kappa * dt * float(np.sum(readout**2))
-    return _field_sweep(plan, start, math.sqrt(2.0 * kappa * dt) * window.T, values[:, None],
-                        samples, rng, log_weight)
 
 
 class _Moments:

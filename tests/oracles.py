@@ -29,7 +29,6 @@ from corridors.readout import readout_measure_factor
 from corridors.selective import (
     DEFAULT_WORK_CAP,
     WindowSpec,
-    _aux_field_sweep,
     _contract_windowed,
     _corridor_rows,
     _ideal_sweep,
@@ -454,7 +453,7 @@ def mixture_record(rng, values, kappa, dt, n_steps):
 
 
 def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, samples=200,
-                            seed=None, cap=DEFAULT_WORK_CAP, inner_samples=32):
+                            seed=None, cap=DEFAULT_WORK_CAP):
     """The mean of `check_generalized_unitarity(mode="mc")`, one record at a time.
 
     Each record is drawn, conditioned and weighted in turn from one stream,
@@ -466,26 +465,21 @@ def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, sam
     vals, eye = obs.values, np.eye(n, dtype=complex)
     window = None if form_factor is None or form_factor.is_delta else \
         form_factor.window_matrix(n_steps, dt)
-    nested = window is not None and not WindowSpec.fits(window, n, cap)
-    if window is not None and not nested:
+    if window is not None:
         batch = max(1, cap // WindowSpec.plan(window, n, cap).work_elements)
 
     def conditioned(a):
         if window is None:
             return _ideal_sweep(plan, eye, a, kappa, vals, dt)
-        if not nested:
-            rows = _corridor_rows(window, vals, a, kappa, dt)
-            return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, *rows)
-                                   for c in range(0, n, batch)]).T
-        blocks = _aux_field_sweep(plan, eye, a, window, kappa, vals, dt, inner_samples, rng)
-        return sum(block.sum(axis=1) for block in blocks) / inner_samples
+        rows = _corridor_rows(window, vals, a, kappa, dt)
+        return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, *rows)
+                               for c in range(0, n, batch)]).T
 
     log_c = math.log(readout_measure_factor(kappa, dt))
     total = np.zeros((n, n), dtype=complex)
     for _ in range(samples):
         a, log_q = mixture_record(rng, vals, kappa, dt, n_steps)
         w = math.exp(n_steps * log_c - log_q)
-        u1 = conditioned(a)
-        u2 = conditioned(a) if nested else u1
-        total += w * (u1.conj().T @ u2)
+        u = conditioned(a)
+        total += w * (u.conj().T @ u)
     return total / samples

@@ -11,6 +11,9 @@ a public method, property or classmethod of a public class must be named
 by some package line, a demo or the README.  The scans are syntactic
 (names, attributes and imports; words of the README), so a name reached
 only through a string would need its own mention here.
+
+A manifest check of ``scenario.py`` whose verdict is a constant cannot
+fail; the last guard refuses one.
 """
 
 import ast
@@ -121,3 +124,20 @@ def test_no_public_method_is_test_only():
         if name not in reached
     ]
     assert not orphans, "public methods only the tests reach: " + ", ".join(orphans)
+
+
+def _constant_verdicts(tree):
+    """Lines of the ``_check(name, value, tolerance, passed)`` calls whose
+    verdict is a constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_check":
+            verdict = node.args[3] if len(node.args) > 3 else next(
+                (kw.value for kw in node.keywords if kw.arg == "passed"), None)
+            if isinstance(verdict, ast.Constant):
+                yield node.lineno
+
+
+def test_no_manifest_check_is_constant():
+    lines = list(_constant_verdicts(ast.parse((PACKAGE / "scenario.py").read_text())))
+    assert not lines, f"scenario.py checks that cannot fail, at lines {lines}"

@@ -423,15 +423,13 @@ def test_unitarity_mc_modes():
     assert rep_c.deviation < 5.0 * rep_c.stderr + 0.05
 
 
-def test_unitarity_mc_nested_estimator_under_tiny_cap():
-    # force the auxiliary-field fallback (window would not fit the cap) and
-    # check the paired-independent-estimate product stays unbiased
+def test_unitarity_mc_refuses_a_window_above_the_cap():
+    # records are conditioned only exactly: a window whose contraction does
+    # not fit the cap is refused, as in mode "exact", not estimated
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
-    rep = check_generalized_unitarity(
-        kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
-        samples=600, seed=13, cap=10, inner_samples=24,
-    )
-    assert rep.deviation < 5.0 * rep.stderr + 0.1
+    with pytest.raises(ValueError, match="above the cap"):
+        check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
+                                    samples=600, seed=13, cap=10)
 
 
 def test_unitarity_mc_batches_identity_columns_under_the_cap():
@@ -471,12 +469,10 @@ def test_unitarity_mc_contractions_stay_within_the_cap(monkeypatch, factor):
         assert records == 1 or elements <= _FIELD_BATCH_ELEMENTS
 
 
-@pytest.mark.parametrize("case", ["ideal", "ideal_multi_batch", "windowed", "windowed_small_cap",
-                                  "nested"])
+@pytest.mark.parametrize("case", ["ideal", "ideal_multi_batch", "windowed", "windowed_small_cap"])
 def test_unitarity_mc_batches_match_the_per_record_loop(case):
     # records conditioned side by side give the estimate of conditioning them
-    # one at a time from the same stream: up to the order of sums, and
-    # bit for bit on the nested path, which keeps one record per batch
+    # one at a time from the same stream, up to the order of sums
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
     work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
     if case == "ideal_multi_batch":  # batches of 4 records of 64 x 64
@@ -487,14 +483,10 @@ def test_unitarity_mc_batches_match_the_per_record_loop(case):
         "ideal": {}, "ideal_multi_batch": {},
         "windowed": {"form_factor": ff},
         "windowed_small_cap": {"form_factor": ff, "cap": 3 * work},
-        "nested": {"form_factor": ff, "cap": 10, "inner_samples": 5},
     }[case]
     rep = check_generalized_unitarity(kappa, ham, obs, g, tg, mode="mc", samples=100, seed=5, **kw)
     ref = oracles.unitarity_mc_per_record(kappa, ham, obs, g, tg, samples=100, seed=5, **kw)
-    if case == "nested":
-        assert np.array_equal(rep.matrix, ref)
-    else:
-        assert np.max(np.abs(rep.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(rep.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("samples", [0, 1])
@@ -505,13 +497,6 @@ def test_unitarity_mc_refuses_too_few_samples(samples, windowed):
     with pytest.raises(ValueError, match="at least 2 samples"):
         check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff if windowed else None,
                                     mode="mc", samples=samples, seed=1)
-
-
-def test_unitarity_mc_nested_refuses_zero_inner_samples():
-    g, tg, ham, obs, _, kappa, ff = _coarse_setup()
-    with pytest.raises(ValueError, match="at least 1 inner sample"):
-        check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
-                                    samples=10, seed=1, cap=10, inner_samples=0)
 
 
 def test_influence_eval_step_kinds():

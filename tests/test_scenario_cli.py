@@ -60,6 +60,13 @@ def write_scenario(tmp_path, text=BASE, name="scene.ini"):
     return p
 
 
+def fitted_slope(table):
+    """The slope a sweep or convergence table states in its header."""
+    prefix = "# log-log fitted slope = "
+    line = next(line for line in Path(table).read_text().splitlines() if line.startswith(prefix))
+    return float(line[len(prefix):])
+
+
 def test_load_config_fields(tmp_path):
     cfg = load_config(write_scenario(tmp_path))
     assert cfg.sgrid.n_points == 16 and cfg.sgrid.extent == 10.0
@@ -284,6 +291,19 @@ def test_average_series_comes_only_from_the_exact_ideal_sweeps(tmp_path):
         assert (out / "exact" / "series.txt").exists()
 
 
+def test_average_refuses_a_mode_its_engine_does_not_have(tmp_path):
+    # lindblad has no sampled mode and no engine has an unknown one, so a
+    # run under either would carry a mode label that is not true
+    cfg = load_config(write_scenario(tmp_path))
+    with pytest.raises(ConfigError, match="lindblad engine has no sampled mode"):
+        run_scenario(cfg, task="average", outdir=tmp_path / "l", engine="lindblad", mode="mc")
+    for engine in ("lindblad", "quadrature", "superpropagator"):
+        with pytest.raises(ConfigError, match="mode: 'foo' is not exact or mc"):
+            run_scenario(cfg, task="average", outdir=tmp_path / engine, engine=engine,
+                         mode="foo", samples=20)
+        assert not (tmp_path / engine / "manifest.json").exists()
+
+
 def test_evolve_flags_a_non_finite_state(tmp_path):
     # the aux-field engine overflows on a record far out on a wide lattice;
     # the state_finite check must say so instead of passing unconditionally
@@ -350,10 +370,10 @@ def test_zeno_task_monotone(tmp_path):
 def test_convergence_dt_task(tmp_path):
     cfg = load_config(write_scenario(tmp_path))
     out = tmp_path / "c"
-    manifest = run_scenario(cfg, task="convergence", outdir=out, study="dt", levels=3)
+    run_scenario(cfg, task="convergence", outdir=out, study="dt", levels=3)
     table = np.loadtxt(out / "convergence_dt.txt")
     assert np.all(np.diff(table[:, 1]) < 0)
-    slope = next(c["value"] for c in manifest.checks if c["name"] == "fitted_slope")
+    slope = fitted_slope(out / "convergence_dt.txt")
     assert 0.8 < slope < 1.3  # boundary half-step conjugation: first order
 
     text = BASE.replace("kind = delta", "kind = gaussian\ntau = 0.02")
@@ -388,7 +408,8 @@ def test_convergence_tau_passes_once_distances_reach_roundoff(tmp_path):
     dists = np.loadtxt(tmp_path / "c" / "convergence_tau.txt")[:, 1]
     assert dists[-1] >= dists[-2] and dists[-1] <= decreasing["tolerance"]
     # fitted on the two levels above the floor only
-    assert_allclose(checks["fitted_slope"]["value"], np.log2(dists[0] / dists[1]), rtol=1e-12)
+    assert_allclose(fitted_slope(tmp_path / "c" / "convergence_tau.txt"),
+                    np.log2(dists[0] / dists[1]), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -469,6 +490,21 @@ def test_cli_mc_unitarity_table_carries_its_stderr(tmp_path, capsys):
     header = [line for line in (out / "unitarity_matrix.txt").read_text().splitlines()
               if line.startswith("# max entrywise standard error = ")]
     assert len(header) == 1 and float(header[0].rsplit("=", 1)[1]) > 0.0
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_cli_unitarity_refuses_a_window_above_the_cap(tmp_path, capsys, mode):
+    # the slow detector stretched to 16 steps at tau = 1.6 dt: a 17-slice
+    # buffer, 4^17 = 1.7e10 elements.  A sampled estimate of each U[a] had
+    # error bars as large as the matrix, so mode mc passed at any deviation
+    text = (SLOW_DETECTOR.read_text().replace("n_steps = 6", "n_steps = 16")
+            .replace("duration = 0.6", "duration = 1.6").replace("tau = 0.04", "tau = 0.16"))
+    scenario = write_scenario(tmp_path, text, name="stretched.ini")
+    out = tmp_path / mode
+    assert main(["unitarity-check", str(scenario), "--mode", mode, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid run" in err and "above the cap" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_unknown_task_and_engine(tmp_path):

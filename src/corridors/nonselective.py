@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .grids import _StepPlan, pure_density
-from .readout import FormFactor, readout_measure_factor
+from .readout import FormFactor, _check_kappa, readout_measure_factor
 from .selective import (
     _FIELD_BATCH_ELEMENTS,
     DEFAULT_WORK_CAP,
@@ -99,8 +99,7 @@ class InfluenceKernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
+        _check_kappa(self.kappa)
         if self.kind != "ideal" and self.form_factor is None:
             raise ValueError(f"kind {self.kind!r} requires a form_factor")
         if self.kind in ("medium_exact", "medium_firstorder"):
@@ -151,6 +150,7 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     valid state at every step (up to roundoff).  ``observer(i, rho)``
     sees the state after each full step.
     """
+    _check_kappa(kappa)
     rho = np.asarray(rho0, dtype=complex)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
     half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
@@ -298,19 +298,19 @@ def _doubled_contraction(rho0, kernel, pattern, log_row, cap):
     """kernel rho kernel^dagger per step, through the doubled windowed chain.
 
     The doubled site (x, y), bra x and ket y, is flattened as x n + y;
-    ``pattern`` and ``log_row`` give the weight rows on those sites.
+    ``pattern`` (planned under ``cap``) and ``log_row`` give its weight rows.
     """
     n = kernel.shape[0]
-    WindowSpec.plan(pattern, n * n, cap)
-    vec = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), pattern, log_row)
+    spec = WindowSpec.plan(pattern, n * n, cap)
+    vec = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), spec, log_row)
     return vec.reshape(n, n)
 
 
 def _coarse_rows(window, obs, kappa, dt):
-    """Rows of the record-averaged windowed corridor weight on the doubled
-    chain: exp(-(kappa/2) dt (P (x - y))_i^2) for step i."""
+    """(pattern, log_row) of the record-averaged windowed corridor weight on
+    the doubled chain: exp(-(kappa/2) dt (P (x - y))_i^2) for step i."""
     vals_diff = (obs.values[:, None] - obs.values[None, :]).ravel()
-    return _corridor_rows(window, vals_diff, np.zeros(window.shape[0]), 0.5 * kappa, dt)
+    return window, _corridor_rows(window, vals_diff, np.zeros(window.shape[0]), 0.5 * kappa, dt)
 
 
 def _medium_rows(kernel_spec, obs, tgrid):
@@ -459,6 +459,7 @@ def check_generalized_unitarity(
     from one stream, so a seed fixes the estimate up to the order of sums
     whatever the batch size.
     """
+    _check_kappa(kappa)
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     is_ideal = form_factor is None or form_factor.is_delta
     plan = _StepPlan(ham, sgrid, dt)
@@ -485,7 +486,8 @@ def check_generalized_unitarity(
     if window is None:
         cols = work = n
     else:
-        work = WindowSpec.plan(window, n, cap).work_elements
+        spec = WindowSpec.plan(window, n, cap)  # one plan for every batch and column chunk
+        work = spec.work_elements
         cols = min(n, cap // work)
     batch = max(1, min(_FIELD_BATCH_ELEMENTS, cap) // (cols * work))
 
@@ -499,7 +501,7 @@ def check_generalized_unitarity(
         else:
             # the records and the identity columns ride as two leading batch axes
             rows = _corridor_rows(window, vals, a, kappa, dt)
-            u = np.concatenate([_contract_windowed(starts[:, c:c + cols], plan.matrix, *rows)
+            u = np.concatenate([_contract_windowed(starts[:, c:c + cols], plan.matrix, spec, rows)
                                 for c in range(0, n, cols)], axis=1).transpose(0, 2, 1)
         pairs = u.conj().transpose(0, 2, 1) @ u
         # libm's exp per record (numpy's vectorized exp can differ in the last bit),

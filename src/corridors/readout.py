@@ -73,6 +73,12 @@ def readout_measure_factor(kappa, dt):
     return math.sqrt(2.0 * kappa * dt / math.pi)
 
 
+def _check_kappa(kappa):
+    """The engines' one rule for a strength: finite and nonnegative."""
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
+
+
 # ----------------------------------------------------------------------
 # form factors / resolution windows
 

@@ -630,11 +630,13 @@ def _task_medium_compare(
     outputs = [("compare_table", emit_plot_data(outdir / "medium_compare.txt", names, header))]
     worst = float(np.max(table[:, 4])) if len(cases) else 0.0
     checks = [_check("max_rel_gap", worst, 1e-10, worst < 1e-10)]
-    used = {"corpus": int(len(cases)), "n_slices": int(n_slices), "scale": float(scale)}
-    if ell is not None:
-        used["ell"] = float(ell)
+    used = {"corpus": int(len(cases))}
     if pair_files:
         used["pair_files"] = [str(p) for p in pair_files]
+    else:  # the corpus's shape applies only to the generated pairs
+        used.update(n_slices=int(n_slices), scale=float(scale))
+    if ell is not None:
+        used["ell"] = float(ell)
     return checks, outputs, used
 
 

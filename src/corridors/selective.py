@@ -9,19 +9,22 @@ window the weight couples slices up to the window width apart and the
 path sum no longer factorizes; it is still exactly contractible with a
 sliding buffer of live slice axes (a transfer-tensor sweep) whose size
 is set by the window band, and that is what `evolve_selective_coarse`
-does.  The contraction takes its weight rows from the caller, so the
-averaged engines of `nonselective` run the same sweep on the doubled
-(bra x ket) chain, for the windowed decay and the medium weights.  When
-the buffer would not fit in memory (`WindowSpec.fits` is the one
-exact-or-sample rule), a Monte-Carlo unraveling
-(`evolve_selective_coarse_mc`) decouples the window with an auxiliary
-Gaussian field: every sample is again a diagonal-factor sweep, unbiased
-for the exact result, with errors dropping as 1/sqrt(samples).  One field
-sweep, `_field_sweep`, runs both this sampler and the random-phase
-samplers of `nonselective`, and that module's Monte-Carlo unitarity check
-conditions its records through the exact cores here, in batches side by
-side: the ideal sweep or the contraction.  A window above the cap is
-refused there as here; no auxiliary-field estimate of U[a] replaces it.
+does.  `WindowSpec.plan` is the one place that sweep is scheduled: which
+slice axes stay live after each slice and which weight rows apply there,
+under a cap on the buffer.  `_contract_windowed` replays a plan and takes
+its weight rows from the caller, so the averaged engines of
+`nonselective` run the same sweep on the doubled (bra x ket) chain, for
+the windowed decay and the medium weights.  When the buffer would not
+fit in memory (`WindowSpec.fits` is the one exact-or-sample rule), a
+Monte-Carlo unraveling (`evolve_selective_coarse_mc`) decouples the
+window with an auxiliary Gaussian field: every sample is again a
+diagonal-factor sweep, unbiased for the exact result, with errors
+dropping as 1/sqrt(samples).  One field sweep, `_field_sweep`, runs both
+this sampler and the random-phase samplers of `nonselective`, and that
+module's Monte-Carlo unitarity check conditions its records through the
+exact cores here, in batches side by side: the ideal sweep or the
+contraction, on one plan per call.  A window above the cap is refused
+there as here; no auxiliary-field estimate of U[a] replaces it.
 
 All engines use the left-rule weight pairing (the step-i factor
 multiplies the state before the step-i kernel); for that discretization
@@ -32,7 +35,7 @@ step size, not just in the small-step limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .grids import _StepPlan, norm_sq
 # unused here, kept as a module name: the benchmark's tracer self-test
 # checks that selective.unitary_step is rebound and restored
 from .grids import unitary_step  # noqa: F401
-from .readout import readout_measure_factor
+from .readout import _check_kappa, readout_measure_factor
 
 __all__ = [
     "WindowSpec",
@@ -52,7 +55,7 @@ __all__ = [
 ]
 
 # hard ceiling on the windowed-contraction working tensor, in complex
-# elements (8e8 bytes at complex128); beyond this the exact sweep refuses
+# elements (1.6e9 bytes at complex128); beyond this the exact sweep refuses
 # and callers should fall back to the Monte-Carlo unraveling
 DEFAULT_WORK_CAP = 100_000_000
 # complex elements in one batch of samples side by side (256 KB): sampled
@@ -84,39 +87,16 @@ class SelectiveResult:
 # window bookkeeping
 
 
-def _band_structure(window):
-    """Per-row first and last nonzero columns, and the live-slice schedule.
-
-    Row i of the window can only be turned into a weight factor once its
-    last contributing slice exists, and a slice axis can be summed out
-    once no pending row reaches back to it.  live[j], the oldest slice
-    still live once slice j is added and its complete rows emitted, is the
-    earliest first column among the rows completed after j (a suffix-min),
-    capped at j; it never decreases.  Derived from the actual nonzero
-    pattern, so shifted or asymmetric bands (including time-reversed
-    windows) schedule correctly.
-    """
-    nonzero = np.asarray(window) != 0
-    empty = np.flatnonzero(~nonzero.any(axis=1))
-    if empty.size:
-        raise ValueError(f"window row {empty[0]} is identically zero")
-    n_slices = nonzero.shape[1]
-    first = np.argmax(nonzero, axis=1)
-    last = n_slices - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    # reach[s]: earliest first column among the rows completed at slice s
-    reach = np.full(n_slices + 1, n_slices)
-    np.minimum.at(reach, last, first)
-    pending = np.minimum.accumulate(reach[::-1])[::-1][1:]
-    return first, last, np.minimum(pending, np.arange(n_slices))
-
-
 @dataclass(frozen=True)
 class WindowSpec:
-    """Resource plan for a windowed contraction.
+    """Resource plan and schedule of a windowed contraction.
 
     buffer_len is the peak number of simultaneously live slice axes and
     work_elements = n_sites ** buffer_len the peak working-tensor size
     (transients during a step allocate a small constant multiple of it).
+    live[j] is the oldest slice still live once slice j is added and its
+    rows applied, and emit[j] the rows whose last slice is j: the schedule
+    `_contract_windowed` replays.
     """
 
     n_sites: int
@@ -125,21 +105,40 @@ class WindowSpec:
     buffer_len: int
     work_elements: int
     cap: int
+    live: tuple = field(repr=False)
+    emit: tuple = field(repr=False)
 
     @classmethod
     def plan(cls, window, n_sites, cap=DEFAULT_WORK_CAP):
         """Schedule the contraction (indices only) and check the cap.
 
         ``window`` is the (N, N+1) window, or any weight pattern of that
-        shape whose nonzero entries are the slices each row couples.
+        shape whose nonzero entries are the slices each row couples.  Row
+        i can only be turned into a weight factor once its last nonzero
+        slice exists, and a slice axis can be summed out once no pending
+        row reaches back to it.  So live[j] is the earliest first column
+        among the rows completed after j (a suffix-min), capped at j; it
+        never decreases.  The schedule is derived from the actual nonzero
+        pattern, so shifted or asymmetric bands (including time-reversed
+        windows) schedule correctly.
         """
-        window = np.asarray(window)
-        n_steps = window.shape[0]
-        if window.shape[1] != n_steps + 1:
-            raise ValueError(
-                f"window must be (N, N+1), got {window.shape}"
-            )
-        first, last, live = _band_structure(window)
+        nonzero = np.asarray(window) != 0
+        n_steps = nonzero.shape[0]
+        if nonzero.shape[1] != n_steps + 1:
+            raise ValueError(f"window must be (N, N+1), got {nonzero.shape}")
+        empty = np.flatnonzero(~nonzero.any(axis=1))
+        if empty.size:
+            raise ValueError(f"window row {empty[0]} is identically zero")
+        first = np.argmax(nonzero, axis=1)
+        last = n_steps - np.argmax(nonzero[:, ::-1], axis=1)
+        # reach[s]: earliest first column among the rows completed at slice s
+        reach = np.full(n_steps + 2, n_steps + 1)
+        np.minimum.at(reach, last, first)
+        pending = np.minimum.accumulate(reach[::-1])[::-1][1:]
+        live = np.minimum(pending, np.arange(n_steps + 1))
+        emit = [[] for _ in range(n_steps + 1)]
+        for i, s in enumerate(last.tolist()):
+            emit[s].append(i)
         steps = np.arange(n_steps)
         bandwidth = int(max(np.max(steps - first), np.max(last - steps)))
         # slice j joins the live axes [live[j - 1], j]
@@ -152,14 +151,8 @@ class WindowSpec:
                 "width or use a Monte-Carlo engine: evolve_selective_coarse_mc, or "
                 "mode='mc' of superpropagate"
             )
-        return cls(
-            n_sites=int(n_sites),
-            n_steps=int(n_steps),
-            bandwidth=bandwidth,
-            buffer_len=int(peak),
-            work_elements=int(work),
-            cap=int(cap),
-        )
+        return cls(int(n_sites), int(n_steps), bandwidth, peak, int(work), int(cap),
+                   tuple(live.tolist()), tuple(map(tuple, emit)))
 
     @classmethod
     def fits(cls, window, n_sites, cap=DEFAULT_WORK_CAP):
@@ -171,32 +164,26 @@ class WindowSpec:
         return True
 
 
-def _contract_windowed(vec0, kernel, pattern, log_row):
+def _contract_windowed(vec0, kernel, spec, log_row):
     """Sum over lattice paths of amplitude x a slice-coupled weight.
 
     vec0    : initial vector over n sites, after any leading batch axes
     kernel  : (n, n) one-step amplitude matrix, applied N times
-    pattern : (N, N+1) array whose nonzero entries are the slices row i
-              of the weight couples (a window, or any band of the same shape)
+    spec    : the `WindowSpec` of the weight's (N, N+1) nonzero pattern,
+              whose schedule the sweep replays
     log_row : log_row(i, place) is row i's log weight, a new real array
               built from place(j, values), which puts per-site values of
               slice j on that slice's live axis; it broadcasts over the
               live axes and may vary along the batch axes
 
     Returns the final vector over slice-N sites (after the batch axes).
-    Live slice axes are kept in chronological order; a slice axis is
-    contracted through the kernel as soon as no un-emitted row references
-    it; live[N] == N, so after the last slice only its axis is left.  This
-    is Makri & Makarov's augmented propagator (J. Chem. Phys. 102, 4600
-    (1995)).
+    Live slice axes are kept in chronological order; after slice j is
+    added and the rows spec.emit[j] applied, the axes older than
+    spec.live[j] are contracted through the kernel; live[N] == N, so after
+    the last slice only its axis is left.  This is Makri & Makarov's
+    augmented propagator (J. Chem. Phys. 102, 4600 (1995)).
     """
-    _, last, live = _band_structure(pattern)
-    live = live.tolist()
-    emit_at = {}  # slice j -> the rows complete once it exists
-    for i, s in enumerate(last.tolist()):
-        emit_at.setdefault(s, []).append(i)
     kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
-
     state = np.asarray(vec0, dtype=complex).copy()
     lead = state.ndim - 1  # batch axes ahead of the live slice axes
     oldest = 0  # slice index carried by axis `lead` of `state`
@@ -206,22 +193,22 @@ def _contract_windowed(vec0, kernel, pattern, log_row):
         shape[lead + j - oldest] = values.size
         return values.reshape(shape)
 
-    for j in range(len(live)):
+    for j, (lo, rows) in enumerate(zip(spec.live, spec.emit)):
         if j:
             # append the axis for slice j; the kernel contraction over
             # slice j-1 is deferred until that axis is summed out
             state = state[..., :, None] * kernel_t
-        for i in emit_at.get(j, ()):
+        for i in rows:
             weight = log_row(i, place)
             state *= np.exp(weight, out=weight)
-        while oldest < live[j]:
+        while oldest < lo:
             state = state.sum(axis=lead)
             oldest += 1
     return state
 
 
 def _corridor_rows(window, site_values, readout, kappa, dt):
-    """(pattern, log_row) of the windowed Gaussian corridor weight.
+    """log_row of the windowed Gaussian corridor weight; its pattern is the window.
 
     Row i is -kappa dt ((P A)_i - readout_i)^2: the window-smoothed
     observable of the live slices against record value i.  ``readout`` is
@@ -247,7 +234,7 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
         out *= -kappa * dt
         return out
 
-    return window, log_row
+    return log_row
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +267,7 @@ def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observe
     for each of the N record values.  ``observer(i, psi)`` — if given —
     sees the unnormalized working state after every step.
     """
+    _check_kappa(kappa)
     readout = np.asarray(readout, dtype=float)
     if readout.shape != (tgrid.n_steps,):
         raise ValueError(f"readout must have {tgrid.n_steps} entries, got {readout.shape}")
@@ -301,11 +289,12 @@ def evolve_selective_coarse(
     """
     if form_factor.is_delta:
         return evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid)
+    _check_kappa(kappa)
     window = form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
-    WindowSpec.plan(window, sgrid.n_points, cap)
+    spec = WindowSpec.plan(window, sgrid.n_points, cap)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
-    psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel,
-                             *_corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
+    psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, spec,
+                             _corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
     return _wrap_result(psi, kappa, sgrid, tgrid)
 
 
@@ -339,6 +328,7 @@ def evolve_selective_coarse_mc(
     of the state mean are returned, and a linearized standard error for
     the probability density.
     """
+    _check_kappa(kappa)
     readout = np.asarray(readout, dtype=float)
     n_steps, dt = tgrid.n_steps, tgrid.dt
     if readout.shape != (n_steps,):

@@ -75,23 +75,27 @@ def brute_conditioned_state(psi0, kernel, site_values, readout, kappa, dt, windo
 
 
 def dry_run_window_plan(window):
-    """(bandwidth, buffer_len) of a windowed contraction, slice by slice.
+    """(bandwidth, buffer_len, live, emit) of a windowed contraction, slice by slice.
 
     Follows the live slice axes [lo, j] through the sweep: slice j is
-    appended, then every slice that no pending row (one whose last nonzero
-    column lies after j) reaches back to is summed out.
+    appended, the rows whose last nonzero column is j are applied, then
+    every slice that no pending row (one whose last nonzero column lies
+    after j) reaches back to is summed out.  live[j] is that slice's lo
+    after the sum, emit[j] the rows it applies.
     """
     window = np.asarray(window)
     n_steps = window.shape[0]
     cols = [np.nonzero(row)[0] for row in window]
     first, last = [int(c[0]) for c in cols], [int(c[-1]) for c in cols]
     bandwidth = max(max(i - first[i], last[i] - i) for i in range(n_steps))
-    lo, peak = 0, 1
+    lo, peak, live, emit = 0, 1, [], []
     for j in range(n_steps + 1):
         peak = max(peak, j - lo + 1)
+        emit.append(tuple(i for i in range(n_steps) if last[i] == j))
         pending = [first[i] for i in range(n_steps) if last[i] > j]
         lo = max(lo, min(pending + [j]))
-    return bandwidth, peak
+        live.append(lo)
+    return bandwidth, peak, tuple(live), tuple(emit)
 
 
 def aux_field_conditioned_state(psi0, kernel, site_values, readout, kappa, dt, window, xi):
@@ -466,13 +470,14 @@ def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, sam
     window = None if form_factor is None or form_factor.is_delta else \
         form_factor.window_matrix(n_steps, dt)
     if window is not None:
-        batch = max(1, cap // WindowSpec.plan(window, n, cap).work_elements)
+        spec = WindowSpec.plan(window, n, cap)
+        batch = max(1, cap // spec.work_elements)
 
     def conditioned(a):
         if window is None:
             return _ideal_sweep(plan, eye, a, kappa, vals, dt)
         rows = _corridor_rows(window, vals, a, kappa, dt)
-        return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, *rows)
+        return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, spec, rows)
                                for c in range(0, n, batch)]).T
 
     log_c = math.log(readout_measure_factor(kappa, dt))

@@ -556,3 +556,92 @@ def test_cli_average_and_sweeps(tmp_path, capsys):
     capsys.readouterr()
     assert main(["medium-compare", str(scenario), "--corpus", "5",
                  "--outdir", str(tmp_path / "m")]) == 0
+
+
+WINDOWED = BASE.replace("kind = delta", "kind = gaussian\ntau = 0.02")
+
+# (scenario text, task, CLI arguments or None where the parser's choices
+# already refuse, run_scenario options, the key the message names)
+CONFIG_REFUSALS = {
+    "observable table length": (
+        BASE.replace("observable = position", "observable = table:obs8.txt"), "evolve", [], {},
+        "measurement.observable"),
+    "observable kind": (
+        BASE.replace("observable = position", "observable = momentum"), "evolve", [], {},
+        "measurement.observable"),
+    "constant readout": (
+        BASE, "evolve", ["--readout", "const:abc"], {"readout": "const:abc"}, "readout"),
+    "ideal engine on a window": (
+        WINDOWED, "evolve", ["--engine", "ideal"], {"engine": "ideal"}, "engine"),
+    "quadrature on a window": (
+        WINDOWED, "average", ["--engine", "quadrature"], {"engine": "quadrature"}, "engine"),
+    "average engine": (BASE, "average", None, {"engine": "warp"}, "engine"),
+    "unitarity mode": (BASE, "unitarity-check", None, {"mode": "foo"}, "mode"),
+    "empty corpus": (
+        WINDOWED, "medium-compare", ["--corpus", "0"], {"corpus": 0}, "corpus"),
+    "one strength": (BASE, "zeno-sweep", ["--kappas", "0,1"], {"kappas": [0.0, 1.0]}, "kappas"),
+    "one level": (BASE, "convergence", ["--levels", "1"], {"levels": 1}, "levels"),
+    "tau study at delta resolution": (
+        BASE, "convergence", ["--study", "tau"], {"study": "tau"}, "study"),
+    "study": (BASE, "convergence", None, {"study": "dx"}, "study"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_configuration_refusals_name_the_key(tmp_path, capsys, case):
+    text, task, argv, options, key = CONFIG_REFUSALS[case]
+    np.savetxt(tmp_path / "obs8.txt", np.linspace(-1.0, 1.0, 8))
+    scenario = write_scenario(tmp_path, text)
+    out = tmp_path / "out"
+    if argv is not None:
+        assert main([task, str(scenario), *argv, "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+    with pytest.raises(ConfigError, match=key):
+        run_scenario(load_config(scenario), task=task, outdir=out, **options)
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, hint", [
+    ("--pair", "4", "is not 'i,j'"),
+    ("--kappas", "0.1,x", "is not a comma-separated list"),
+])
+def test_cli_refuses_an_unreadable_list(tmp_path, capsys, flag, value, hint):
+    task = "average" if flag == "--pair" else "zeno-sweep"
+    with pytest.raises(SystemExit) as info:
+        main([task, str(write_scenario(tmp_path)), flag, value])
+    assert info.value.code == 2 and hint in capsys.readouterr().err
+
+
+def test_file_readout_drops_the_final_slice_value(tmp_path):
+    # a table of N + 1 values, one per slice, conditions on the first N
+    cfg = load_config(write_scenario(tmp_path))
+    values = np.linspace(-0.5, 0.5, cfg.tgrid.n_steps + 1)
+    np.savetxt(tmp_path / "slices.txt", np.column_stack([cfg.tgrid.times, values]))
+    run_scenario(cfg, task="evolve", outdir=tmp_path / "r",
+                 readout=f"file:{tmp_path / 'slices.txt'}")
+    assert np.array_equal(np.loadtxt(tmp_path / "r" / "readout_used.txt")[:, 1], values[:-1])
+
+
+def test_zeno_sweep_defaults_to_four_decades_around_kappa(tmp_path):
+    cfg = load_config(write_scenario(tmp_path))
+    manifest = run_scenario(cfg, task="zeno-sweep", outdir=tmp_path / "z")
+    assert_allclose(manifest.options["kappas"], 0.9 * np.logspace(-2.0, 2.0, 5), rtol=1e-15)
+
+
+def test_cli_medium_compare_reads_pair_files(tmp_path, capsys):
+    # one 1-D and one 2-D pair replace the generated corpus, whose shape
+    # options then do not apply and are not recorded
+    t = 0.05 * np.arange(9)
+    rng = np.random.default_rng(3)
+    np.savetxt(tmp_path / "line.txt", np.column_stack([t, rng.normal(size=(9, 2))]))
+    np.savetxt(tmp_path / "plane.txt", np.column_stack([t, rng.normal(size=(9, 4))]))
+    scenario = write_scenario(tmp_path, WINDOWED)
+    out = tmp_path / "m"
+    assert main(["medium-compare", str(scenario), "--pair", str(tmp_path / "line.txt"),
+                 "--pair", str(tmp_path / "plane.txt"), "--outdir", str(out)]) == 0
+    table = np.loadtxt(out / "medium_compare.txt")
+    assert table.shape == (2, 5) and np.all(table[:, 4] < 1e-10)
+    options = json.loads((out / "manifest.json").read_text())["options"]
+    assert options == {"corpus": 2,
+                       "pair_files": [str(tmp_path / "line.txt"), str(tmp_path / "plane.txt")]}

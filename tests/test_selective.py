@@ -141,7 +141,8 @@ def test_contraction_handles_shifted_bands():
     window = FormFactor.gaussian(0.4 * tg.dt).window_matrix(tg.n_steps, tg.dt)[::-1, ::-1].copy()
     kernel = short_time_kernel_matrix(ham, g, tg.dt)
     got = _contract_windowed(
-        psi0.astype(complex), kernel, *_corridor_rows(window, obs.values, readout, kappa, tg.dt)
+        psi0.astype(complex), kernel, WindowSpec.plan(window, g.n_points),
+        _corridor_rows(window, obs.values, readout, kappa, tg.dt),
     )
     ref = oracles.brute_conditioned_state(
         psi0, kernel, obs.values, readout, kappa, tg.dt, window
@@ -182,7 +183,8 @@ def test_window_spec_plan_matches_dry_run(n_steps, reach, shift, reverse, seed):
     if reverse:
         window = window[::-1, ::-1].copy()
     spec = WindowSpec.plan(window, n_sites=2, cap=2**64)
-    assert (spec.bandwidth, spec.buffer_len) == oracles.dry_run_window_plan(window)
+    expect = oracles.dry_run_window_plan(window)
+    assert (spec.bandwidth, spec.buffer_len, spec.live, spec.emit) == expect
     assert spec.work_elements == 2**spec.buffer_len
 
 

@@ -26,9 +26,10 @@ the medium reduces to the phenomenological Gaussian corridor weight with
 
 i.e. kappa = 2 pi nu(0) / l^2, and the normalized profile
 Pi(t) = C(t) / (pi nu(0)) plays the role of the instrument form factor.
-`form_factor_from_medium` performs that reduction, `influence_exact` /
-`influence_firstorder` evaluate the two sides at finite path amplitude,
-and `reduce_to_phenomenological` exhibits the exact equivalence of the
+`form_factor_from_medium` performs that reduction,
+`firstorder_log_weights` evaluates both sides for one path pair at
+finite amplitude (`influence_exact` is its exact side as a weight), and
+`reduce_to_phenomenological` exhibits the exact equivalence of the
 first-order kernel with a factorized smoothing window.
 """
 
@@ -51,7 +52,6 @@ __all__ = [
     "correlation_function",
     "form_factor_from_medium",
     "influence_exact",
-    "influence_firstorder",
     "firstorder_log_weights",
     "reduce_to_phenomenological",
     "load_path_pair",
@@ -167,6 +167,8 @@ class PathPair:
             raise ValueError("paths must be (J,) or (J, d) with d <= 3")
         if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
             raise ValueError("paths contain non-finite entries")
+        if r1.shape[0] == 0:
+            raise ValueError("a path pair needs n_slices >= 1, got empty paths")
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "r2", r2)
 
@@ -188,20 +190,10 @@ def _cross_sq_dists(x, y):
 
 
 def _distance_brackets(pair: PathPair):
-    """u, v, w squared-distance matrices: same-path (1,1) and cross (2->1)."""
+    """u, v, w squared-distance matrices: same-path (1,1), (2,2) and cross
+    (2->1).  The linear bracket is 2 w - u - v."""
     r1, r2 = pair.planar()
     return _cross_sq_dists(r1, r1), _cross_sq_dists(r2, r2), _cross_sq_dists(r2, r1)
-
-
-def _gaussian_bracket(pair: PathPair, ell):
-    u, v, w = _distance_brackets(pair)
-    s = 2.0 * ell**2
-    return np.exp(-u / s) + np.exp(-v / s) - 2.0 * np.exp(-w / s)
-
-
-def _linear_bracket(pair: PathPair):
-    u, v, w = _distance_brackets(pair)
-    return 2.0 * w - u - v
 
 
 # ----------------------------------------------------------------------
@@ -209,28 +201,29 @@ def _linear_bracket(pair: PathPair):
 
 
 def influence_exact(pair: PathPair, form_factor: FormFactor, kappa, ell, dt):
-    """Medium influence weight with the full Gaussian-well bracket.
-
-    The two-time kernel is the raw stationary matrix of the form factor
-    (symmetric, so the exponent is a positive-semidefinite quadratic form
-    and W <= 1 with equality only for coinciding paths).
-    """
-    kernel = form_factor.stationary_matrix(pair.n_slices, dt)
-    bracket = _gaussian_bracket(pair, ell)
-    return float(np.exp(-0.5 * kappa * ell**2 * dt * np.sum(kernel * bracket)))
-
-
-def influence_firstorder(pair: PathPair, form_factor: FormFactor, kappa, dt):
-    """Small-excursion (phenomenological) limit of the medium weight."""
-    kernel = form_factor.stationary_matrix(pair.n_slices, dt)
-    return float(np.exp(-0.25 * kappa * dt * np.sum(kernel * _linear_bracket(pair))))
+    """Medium influence weight with the full Gaussian-well bracket: the
+    exponential of `firstorder_log_weights`'s exact log weight."""
+    return float(np.exp(firstorder_log_weights(pair, form_factor, kappa, ell, dt)[0]))
 
 
 def firstorder_log_weights(pair: PathPair, form_factor: FormFactor, kappa, ell, dt):
-    """(log W_exact, log W_firstorder) — handy for relative-gap sweeps."""
+    """(log W_exact, log W_firstorder) of one path pair.
+
+    Both brackets are summed over the raw stationary matrix of the form
+    factor (symmetric, so each exponent is a positive-semidefinite
+    quadratic form and W <= 1, with equality only for coinciding paths):
+    the Gaussian well of range ``ell`` for the exact weight, and its
+    small-excursion limit, the linear bracket, for the first-order one.
+    """
+    if not (math.isfinite(ell) and ell > 0):
+        raise ValueError(f"the medium weight requires a positive interaction range ell, "
+                         f"got {ell!r}")
     kernel = form_factor.stationary_matrix(pair.n_slices, dt)
-    log_exact = -0.5 * kappa * ell**2 * dt * float(np.sum(kernel * _gaussian_bracket(pair, ell)))
-    log_first = -0.25 * kappa * dt * float(np.sum(kernel * _linear_bracket(pair)))
+    u, v, w = _distance_brackets(pair)
+    s = 2.0 * ell**2
+    well = np.exp(-u / s) + np.exp(-v / s) - 2.0 * np.exp(-w / s)
+    log_exact = -0.5 * kappa * ell**2 * dt * float(np.sum(kernel * well))
+    log_first = -0.25 * kappa * dt * float(np.sum(kernel * (2.0 * w - u - v)))
     return log_exact, log_first
 
 
@@ -296,7 +289,8 @@ def reduce_to_phenomenological(pair: PathPair, form_factor: FormFactor, kappa, d
     factor = form_factor.factorize()
     window = factor.square_window(pair.n_slices, dt)
     kernel = window.T @ window
-    bracket = _linear_bracket(pair)
+    u, v, w = _distance_brackets(pair)
+    bracket = 2.0 * w - u - v
     w_model = float(np.exp(-0.25 * kappa * dt * np.sum(kernel * bracket)))
     r1, r2 = pair.planar()
     gap_vec = window @ (r2 - r1)

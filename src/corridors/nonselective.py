@@ -43,7 +43,7 @@ and microscopic decoherence models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -171,45 +171,16 @@ def _ideal_adjoint(x, kappa, ham, obs, sgrid, tgrid):
     return x
 
 
-def readout_average(
-    psi0,
-    kappa,
-    ham,
-    obs,
-    sgrid,
-    tgrid,
-    mode="quadrature",
-    form_factor=None,
-    samples=1000,
-    seed=None,
-    observer=None,
-):
+def readout_average(psi0, kappa, ham, obs, sgrid, tgrid):
     """Average the conditioned evolution of a pure state over all records.
 
-    The record-average front of `superpropagate` on psi0 psi0†, with the
-    ideal kernel for a ``None`` or delta profile and the windowed one
-    otherwise.  Mode "quadrature" is its exact ideal sweep, each step's
-    record integrated in closed form (see module docstring); it has no
-    windowed form, for which use `superpropagate` with a coarse kernel or
-    mode "mc": unitary evolutions averaged under the equivalent Gaussian
-    phase field, with entrywise standard errors.  Only the quadrature
-    sweep calls ``observer(i, rho)``.
+    The pure-state front of `superpropagate`'s exact ideal sweep, started
+    from psi0 psi0†: each step's record is integrated in closed form (see
+    module docstring).  Sampled, windowed and observed averages are
+    `superpropagate`'s.
     """
-    is_ideal = form_factor is None or form_factor.is_delta
-    if mode == "quadrature":
-        if not is_ideal:
-            raise ValueError(
-                "quadrature averaging has no windowed form; use superpropagate "
-                "with a coarse kernel, or mode='mc'"
-            )
-    elif mode != "mc":
-        raise ValueError(f"mode must be 'quadrature' or 'mc', got {mode!r}")
-    spec = InfluenceKernelSpec("ideal", kappa) if is_ideal else \
-        InfluenceKernelSpec("coarse", kappa, form_factor)
-    out = superpropagate(pure_density(np.asarray(psi0, dtype=complex)), spec, ham, obs, sgrid,
-                         tgrid, mode="exact" if mode == "quadrature" else "mc",
-                         samples=samples, seed=seed, observer=observer)
-    return replace(out, mode=mode)
+    return superpropagate(pure_density(psi0), InfluenceKernelSpec("ideal", kappa), ham, obs,
+                          sgrid, tgrid)
 
 
 # ----------------------------------------------------------------------

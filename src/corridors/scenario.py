@@ -62,7 +62,6 @@ from .nonselective import (
 )
 from .readout import FormFactor, MeasurementSpec
 from .selective import (
-    WindowSpec,
     evolve_selective_coarse,
     evolve_selective_coarse_mc,
     evolve_selective_ideal,
@@ -338,14 +337,10 @@ def _resolve_readout(spec, cfg):
 def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
     record = _resolve_readout(readout, cfg)
     psi0 = cfg.initial_packet()
-    kappa, dt = cfg.meas.kappa, cfg.tgrid.dt
+    kappa = cfg.meas.kappa
 
-    if engine == "auto":
-        if cfg.form.is_delta:
-            engine = "ideal"
-        else:
-            window = cfg.form.window_matrix(cfg.tgrid.n_steps, dt)
-            engine = "coarse" if WindowSpec.fits(window, cfg.sgrid.n_points) else "mc"
+    if engine == "auto" and cfg.form.is_delta:
+        engine = "ideal"
     series = []
 
     def watch(i, psi):
@@ -357,17 +352,23 @@ def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
         result = evolve_selective_ideal(
             psi0, record, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid, observer=watch
         )
-    elif engine == "coarse":
-        result = evolve_selective_coarse(
-            psi0, record, cfg.form, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid
-        )
-    elif engine == "mc":
+    elif engine in ("auto", "coarse"):
+        try:
+            result = evolve_selective_coarse(
+                psi0, record, cfg.form, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid
+            )
+            engine = "coarse"
+        except ValueError:
+            if engine == "coarse":
+                raise
+            engine = "mc"  # the window's plan is above the cap: sample it
+    elif engine != "mc":
+        raise ConfigError(f"engine: {engine!r} is not auto, ideal, coarse, or mc")
+    if engine == "mc":
         result = evolve_selective_coarse_mc(
             psi0, record, cfg.form, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
             samples=samples, seed=cfg.seed,
         )
-    else:
-        raise ConfigError(f"engine: {engine!r} is not auto, ideal, coarse, or mc")
 
     psi = result.final_state
     finite = bool(np.all(np.isfinite(psi)))
@@ -553,6 +554,8 @@ def _task_unitarity(cfg, outdir, mode="exact", samples=200, tol=None):
         raise ConfigError(f"mode: {mode!r} is not exact or mc")
     if tol is None:
         tol = 1e-10 if mode == "exact" else 5e-2
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol: {tol!r} is not a finite positive tolerance")
     report = check_generalized_unitarity(
         cfg.meas.kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
         form_factor=cfg.form, mode=mode, samples=samples, seed=cfg.seed,

@@ -15,9 +15,10 @@ under a cap on the buffer.  `_contract_windowed` replays a plan and takes
 its weight rows from the caller, so the averaged engines of
 `nonselective` run the same sweep on the doubled (bra x ket) chain, for
 the windowed decay and the medium weights.  When the buffer would not
-fit in memory (`WindowSpec.fits` is the one exact-or-sample rule), a
-Monte-Carlo unraveling (`evolve_selective_coarse_mc`) decouples the
-window with an auxiliary Gaussian field: every sample is again a
+fit in memory, `plan` refuses: its cap is the one exact-or-sample rule,
+and a caller that may sample falls back on that refusal to a Monte-Carlo
+unraveling (`evolve_selective_coarse_mc`), which decouples the window
+with an auxiliary Gaussian field: every sample is again a
 diagonal-factor sweep, unbiased for the exact result, with errors
 dropping as 1/sqrt(samples).  One field sweep, `_field_sweep`, runs both
 this sampler and the random-phase samplers of `nonselective`, and that
@@ -153,15 +154,6 @@ class WindowSpec:
             )
         return cls(int(n_sites), int(n_steps), bandwidth, peak, int(work), int(cap),
                    tuple(live.tolist()), tuple(map(tuple, emit)))
-
-    @classmethod
-    def fits(cls, window, n_sites, cap=DEFAULT_WORK_CAP):
-        """The exact-or-sample rule: whether `plan` accepts the contraction."""
-        try:
-            cls.plan(window, n_sites, cap)
-        except ValueError:
-            return False
-        return True
 
 
 def _contract_windowed(vec0, kernel, spec, log_row):

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from corridors.grids import HamiltonianSpec, _StepPlan, unitary_step
-from corridors.medium import PathPair, influence_exact, influence_firstorder, nu_of_omega
+from corridors.medium import PathPair, influence_exact, nu_of_omega
 from corridors.readout import readout_measure_factor
 from corridors.selective import (
     DEFAULT_WORK_CAP,
@@ -393,6 +393,16 @@ def influence_eval(path1, path2, kernel_spec, dt):
 def _sq_dists(x, y):
     """(J, J) matrix of |x_j - y_k|^2 for (J, d) paths."""
     return np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+
+
+def influence_firstorder(pair, form_factor, kappa, dt):
+    """Small-excursion (phenomenological) limit of the medium weight of one
+    path pair: the linear bracket 2|r2 - r1|^2 - |r1 - r1|^2 - |r2 - r2|^2
+    over slice pairs, summed with the raw stationary time kernel."""
+    r1, r2 = pair.planar()
+    bracket = 2.0 * _sq_dists(r2, r1) - _sq_dists(r1, r1) - _sq_dists(r2, r2)
+    kernel = form_factor.stationary_matrix(pair.n_slices, dt)
+    return float(np.exp(-0.25 * kappa * dt * np.sum(kernel * bracket)))
 
 
 def influence_single_frequency(pair, omega, medium, dt):

@@ -18,7 +18,7 @@ from corridors.grids import (
     purity,
     short_time_kernel_matrix,
 )
-from corridors.medium import PathPair, influence_exact, influence_firstorder
+from corridors.medium import PathPair, firstorder_log_weights, influence_exact
 from corridors.nonselective import (
     InfluenceKernelSpec,
     _decay_matrix,
@@ -140,22 +140,18 @@ def test_readout_average_approaches_lindblad_with_refinement():
     assert order > 0.8  # boundary half-step conjugation: clean first order
 
 
-def test_readout_average_quadrature_rejects_windows():
-    g, tg, ham, obs, psi0, kappa, ff = _coarse_setup()
-    with pytest.raises(ValueError, match="superpropagate"):
-        readout_average(psi0, kappa, ham, obs, g, tg, form_factor=ff)
-    # delta profile is fine
-    readout_average(psi0, kappa, ham, obs, g, tg, form_factor=FormFactor.delta())
-
-
 def test_readout_average_mc_agrees_with_quadrature():
+    # the sampled ideal average is superpropagate's; readout_average is the
+    # exact (quadrature) sweep it must agree with
     g, tg, ham, obs, psi0, kappa, _ = _coarse_setup()
     exact = readout_average(psi0, kappa, ham, obs, g, tg).rho
-    mc = readout_average(psi0, kappa, ham, obs, g, tg, mode="mc", samples=1500, seed=7)
+    spec = InfluenceKernelSpec("ideal", kappa)
+    rho0 = pure_density(psi0)
+    mc = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=1500, seed=7)
     err = np.abs(mc.rho - exact)
     assert np.all(err < 5.0 * np.maximum(mc.stderr, 1e-300))
     assert mc.n_samples == 1500
-    again = readout_average(psi0, kappa, ham, obs, g, tg, mode="mc", samples=1500, seed=7)
+    again = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=1500, seed=7)
     assert np.array_equal(mc.rho, again.rho)
 
 
@@ -175,15 +171,13 @@ def test_observer_is_refused_where_no_sweep_calls_it():
                                 observer=watch), "'coarse' contraction"),
         (lambda: superpropagate(rho0, spec, ham, obs, g, tg, observer=watch),
          "'medium_firstorder' contraction"),
-        (lambda: readout_average(psi0, kappa, ham, obs, g, tg, mode="mc", samples=10,
-                                 observer=watch), "mode='mc'"),
     ]
     for call, path in refused:
         with pytest.raises(ValueError, match=f"observer .* not by .*{path}"):
             call()
     assert not seen
     # the exact ideal sweeps call it once per step, delta-profile "coarse" included
-    readout_average(psi0, kappa, ham, obs, g, tg, observer=watch)
+    superpropagate(rho0, InfluenceKernelSpec("ideal", kappa), ham, obs, g, tg, observer=watch)
     superpropagate(rho0, InfluenceKernelSpec("coarse", kappa, FormFactor.delta()), ham, obs,
                    g, tg, observer=watch)
     assert seen == 2 * list(range(tg.n_steps))
@@ -244,7 +238,7 @@ def test_medium_pair_sum_oracle_matches_the_pair_weights():
         (InfluenceKernelSpec("medium_exact", 0.9, form_factor=ff, ell=1.4),
          lambda pp: influence_exact(pp, ff, 0.9, 1.4, tg.dt)),
         (InfluenceKernelSpec("medium_firstorder", 0.9, form_factor=ff, ell=1.4),
-         lambda pp: influence_firstorder(pp, ff, 0.9, tg.dt)),
+         lambda pp: oracles.influence_firstorder(pp, ff, 0.9, tg.dt)),
     ):
         got = np.exp(oracles.medium_pair_log_weights(paths, paths, spec, tg.dt))
         ref = np.array([[weight_fn(PathPair(x, y)) for y in paths] for x in paths])
@@ -329,18 +323,11 @@ def test_mc_averages_are_valid_states_for_every_kind(kind_index):
     # average keeps the trace to roundoff and stays hermitian and positive
     g, tg, ham, obs, rho0, ff = _medium_setup()
     spec = _all_kind_specs(ff)[kind_index]
-    results = [superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=50, seed=2)]
-    if spec.kind in ("ideal", "coarse"):
-        psi0 = gaussian_packet(g, width=0.8)
-        results.append(readout_average(
-            psi0, spec.kappa, ham, obs, g, tg, mode="mc", form_factor=spec.form_factor,
-            samples=50, seed=2,
-        ))
-    for res in results:
-        assert res.mode == "mc" and res.n_samples == 50
-        assert abs(density_trace(res.rho, g) - 1.0) < 1e-12
-        rep = check_density_matrix(res.rho, g, tol=1e-8)
-        assert rep["ok"], rep
+    res = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=50, seed=2)
+    assert res.mode == "mc" and res.n_samples == 50
+    assert abs(density_trace(res.rho, g) - 1.0) < 1e-12
+    rep = check_density_matrix(res.rho, g, tol=1e-8)
+    assert rep["ok"], rep
 
 
 def test_mc_field_average_reruns_bit_identically():
@@ -535,7 +522,7 @@ def test_influence_eval_medium_kinds_delegate():
     spec_f = InfluenceKernelSpec("medium_firstorder", 0.9, form_factor=ff, ell=1.1)
     assert_allclose(
         oracles.influence_eval(p1, p2, spec_f, dt),
-        influence_firstorder(PathPair(p1, p2), ff, 0.9, dt),
+        math.exp(firstorder_log_weights(PathPair(p1, p2), ff, 0.9, 1.1, dt)[1]),
         rtol=1e-15,
     )
 

@@ -15,7 +15,8 @@ from corridors.grids import (
     gaussian_packet,
     pure_density,
 )
-from corridors.nonselective import check_generalized_unitarity, lindblad_evolve, readout_average
+from corridors.medium import PathPair, firstorder_log_weights
+from corridors.nonselective import check_generalized_unitarity, lindblad_evolve
 from corridors.readout import FormFactor
 from corridors.selective import (
     WindowSpec,
@@ -64,11 +65,10 @@ def _zero_row_window():
 
 
 SHORT = np.zeros(TGRID.n_steps - 1)
+# a random pair of 1-D paths over 8 slices
+PAIR = PathPair(*np.random.default_rng(5).normal(size=(2, 8)))
 
 REFUSALS = {
-    "readout_average mode": (
-        lambda: readout_average(PSI0, 1.0, HAM, OBS, SGRID, TGRID, mode="exact"),
-        "mode must be 'quadrature' or 'mc'"),
     "unitarity mode": (
         lambda: check_generalized_unitarity(1.0, HAM, OBS, SGRID, TGRID, mode="quadrature"),
         "mode must be 'exact' or 'mc'"),
@@ -88,6 +88,13 @@ REFUSALS = {
     "plan of a window with a zero row": (
         lambda: WindowSpec.plan(_zero_row_window(), SGRID.n_points),
         "window row 3 is identically zero"),
+    "path pair without slices": (
+        lambda: PathPair(np.zeros(0), np.zeros(0)), "needs n_slices >= 1"),
+    # at ell = 0 the Gaussian well divided by zero and every weight was nan;
+    # at ell = -2 it was evaluated as if at ell = 2
+    **{f"medium pair weight at ell {ell}": (
+        lambda ell=ell: firstorder_log_weights(PAIR, WINDOWED, 0.9, ell, 0.1),
+        "positive interaction range ell") for ell in (0.0, -2.0, math.nan)},
 }
 
 
@@ -96,3 +103,4 @@ def test_engines_refuse_and_name_the_reason(case):
     call, message = REFUSALS[case]
     with pytest.raises(ValueError, match=message):
         call()
+

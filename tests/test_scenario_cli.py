@@ -19,6 +19,7 @@ from corridors.scenario import (
     load_config,
     run_scenario,
 )
+from corridors.selective import WindowSpec
 
 BASE = """
 [grid]
@@ -464,13 +465,29 @@ def test_sampled_readout_is_normal_about_the_packet_mean(tmp_path):
     assert np.array_equal(np.loadtxt(tmp_path / "r" / "readout_used.txt")[:, 1], draws[cfg.seed])
 
 
-def test_cli_evolve_auto_picks_the_exact_windowed_engine(tmp_path, capsys):
+def _count_plans(monkeypatch):
+    """Count the calls on WindowSpec.plan from here on."""
+    calls = []
+    plan = WindowSpec.plan.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return plan(cls, *args, **kwargs)
+
+    monkeypatch.setattr(WindowSpec, "plan", classmethod(counted))
+    return calls
+
+
+def test_cli_evolve_auto_picks_the_exact_windowed_engine(tmp_path, capsys, monkeypatch):
     from corridors.selective import evolve_selective_coarse
 
+    calls = _count_plans(monkeypatch)
     tables = {}
     for engine in ("auto", "coarse"):
         out = tmp_path / engine
+        calls.clear()
         assert main(["evolve", str(SLOW_DETECTOR), "--engine", engine, "--outdir", str(out)]) == 0
+        assert len(calls) == 1  # auto planned twice: once to choose, once to contract
         assert json.loads((out / "manifest.json").read_text())["options"]["engine"] == "coarse"
         tables[engine] = (out / "state_final.txt").read_bytes()
     assert tables["auto"] == tables["coarse"]
@@ -492,16 +509,37 @@ def test_cli_mc_unitarity_table_carries_its_stderr(tmp_path, capsys):
     assert len(header) == 1 and float(header[0].rsplit("=", 1)[1]) > 0.0
 
 
-@pytest.mark.parametrize("mode", ["mc", "exact"])
-def test_cli_unitarity_refuses_a_window_above_the_cap(tmp_path, capsys, mode):
-    # the slow detector stretched to 16 steps at tau = 1.6 dt: a 17-slice
-    # buffer, 4^17 = 1.7e10 elements.  A sampled estimate of each U[a] had
-    # error bars as large as the matrix, so mode mc passed at any deviation
+def _stretched_slow_detector(tmp_path):
+    """The slow detector stretched to 16 steps at tau = 1.6 dt: a 17-slice
+    buffer, 4^17 = 1.7e10 elements, above the default cap."""
     text = (SLOW_DETECTOR.read_text().replace("n_steps = 6", "n_steps = 16")
             .replace("duration = 0.6", "duration = 1.6").replace("tau = 0.04", "tau = 0.16"))
-    scenario = write_scenario(tmp_path, text, name="stretched.ini")
+    return write_scenario(tmp_path, text, name="stretched.ini")
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_cli_unitarity_refuses_a_window_above_the_cap(tmp_path, capsys, mode):
+    # a sampled estimate of each U[a] had error bars as large as the
+    # matrix, so mode mc passed at any deviation
+    scenario = _stretched_slow_detector(tmp_path)
     out = tmp_path / mode
     assert main(["unitarity-check", str(scenario), "--mode", mode, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid run" in err and "above the cap" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_evolve_auto_samples_a_window_above_the_cap(tmp_path, capsys, monkeypatch):
+    scenario = _stretched_slow_detector(tmp_path)
+    calls = _count_plans(monkeypatch)
+    out = tmp_path / "auto"
+    assert main(["evolve", str(scenario), "--samples", "100", "--outdir", str(out)]) == 0
+    assert len(calls) == 1  # the refused plan is the whole decision
+    assert json.loads((out / "manifest.json").read_text())["options"]["engine"] == "mc"
+    assert "# conditioned final state, engine mc" in (out / "state_final.txt").read_text()
+    capsys.readouterr()
+    out = tmp_path / "coarse"
+    assert main(["evolve", str(scenario), "--engine", "coarse", "--outdir", str(out)]) == 1
     err = capsys.readouterr().err
     assert "invalid run" in err and "above the cap" in err
     assert not (out / "manifest.json").exists()
@@ -577,6 +615,10 @@ CONFIG_REFUSALS = {
         WINDOWED, "average", ["--engine", "quadrature"], {"engine": "quadrature"}, "engine"),
     "average engine": (BASE, "average", None, {"engine": "warp"}, "engine"),
     "unitarity mode": (BASE, "unitarity-check", None, {"mode": "foo"}, "mode"),
+    "negative tolerance": (
+        BASE, "unitarity-check", ["--tol", "-1"], {"tol": -1.0}, "tol"),
+    "NaN tolerance": (
+        BASE, "unitarity-check", ["--tol", "nan"], {"tol": math.nan}, "tol"),
     "empty corpus": (
         WINDOWED, "medium-compare", ["--corpus", "0"], {"corpus": 0}, "corpus"),
     "one strength": (BASE, "zeno-sweep", ["--kappas", "0,1"], {"kappas": [0.0, 1.0]}, "kappas"),
@@ -645,3 +687,20 @@ def test_cli_medium_compare_reads_pair_files(tmp_path, capsys):
     options = json.loads((out / "manifest.json").read_text())["options"]
     assert options == {"corpus": 2,
                        "pair_files": [str(tmp_path / "line.txt"), str(tmp_path / "plane.txt")]}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--ell", "0"], "ell"),
+    (["--ell", "-2"], "ell"),
+    (["--ell", "nan"], "ell"),
+    (["--n-slices", "0"], "n_slices"),
+], ids=["ell=0", "ell=-2", "ell=nan", "n_slices=0"])
+def test_cli_medium_compare_refuses_a_degenerate_pair_setup(tmp_path, capsys, argv, key):
+    # ell = 0 wrote a nan w_exact column under [ok], ell = -2 ran as if at
+    # ell = 2, and zero slices wrote weights of exactly 1 for empty paths
+    out = tmp_path / "m"
+    assert main(["medium-compare", str(SLOW_DETECTOR), "--corpus", "5", *argv,
+                 "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid run" in err and key in err
+    assert not (out / "manifest.json").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,8 +192,9 @@ def test_window_spec_plan_matches_dry_run(n_steps, reach, shift, reverse, seed):
 def test_window_spec_fits_is_the_plan_cap():
     window = FormFactor.gaussian(0.08).window_matrix(20, 0.2)
     work = WindowSpec.plan(window, n_sites=4).work_elements
-    assert WindowSpec.fits(window, 4, cap=work)
-    assert not WindowSpec.fits(window, 4, cap=work - 1)
+    assert WindowSpec.plan(window, 4, cap=work).work_elements == work
+    with pytest.raises(ValueError, match=re.escape(f"above the cap {work - 1:.3g}")):
+        WindowSpec.plan(window, 4, cap=work - 1)
 
 
 def test_coarse_cap_is_enforced_by_engine():

@@ -24,7 +24,9 @@ is also E_xi[U_xi rho U_xi†], U_xi the plain dynamics under random slice
 phases (Kubo's identity; Chenu, Beau, Cao & del Campo, PRL 118, 140403
 (2017)).  The "mc" modes sample that field with the selective engines'
 field sweep: each sample is a valid state, at a cost independent of the
-window width.
+window width.  A sample sweeps a factor of rho0, not the identity: for
+rho0 = A B†, U rho0 U† = (U A)(U B)†, so it runs 2 rank(rho0) columns,
+2 for a pure state, against n for the full U.
 
 `check_generalized_unitarity` verifies the defining property of the
 corridor decomposition — the record-integrated U†U is the identity —
@@ -380,16 +382,23 @@ def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, 
     """E_xi[U_xi rho0 U_xi^dagger] over the phase field phi = T xi S^T.
 
     U_xi is the split-operator evolution with exp(i phi_j) multiplied in
-    at slices 0 .. N, phi_j the row of phi for slice j over the sites: the
-    identity block of each sample runs through `_field_sweep`.
+    at slices 0 .. N, phi_j the row of phi for slice j over the sites.
+    One SVD factors rho0 = A B^dagger, A = U_s S and B = V_s over the r
+    singular values above n eps times the largest (r >= 1, so a zero
+    rho0 sweeps one zero column), and U_xi rho0 U_xi^dagger is
+    (U_xi A)(U_xi B)^dagger: each sample runs only the 2 r columns [A | B]
+    through `_field_sweep`, 2 for a pure rho0.
     """
     n = sgrid.n_points
+    left, sing, right_h = np.linalg.svd(rho0)
+    r = max(1, np.count_nonzero(sing > n * np.finfo(float).eps * sing[0]))
+    start = np.concatenate([left[:, :r] * sing[:r], right_h[:r].conj().T], axis=1)
     moments = _Moments((n, n), samples)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
-    for block in _field_sweep(plan, np.eye(n), time_factor, space_factor, samples,
+    for block in _field_sweep(plan, start, time_factor, space_factor, samples,
                               np.random.default_rng(seed)):
-        u = block.transpose(1, 0, 2)  # u[s] is U_xi of sample s
-        moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0)
+        a, b = block[:, :, :r].transpose(1, 0, 2), block[:, :, r:].transpose(1, 0, 2)
+        moments.add(a @ b.conj().transpose(0, 2, 1), axis=0)
     return AverageResult(rho=moments.mean(), mode="mc", stderr=moments.stderr(),
                          n_samples=int(samples))
 

@@ -55,6 +55,7 @@ from .grids import (
 from .medium import PathPair, influence_exact, load_path_pair, reduce_to_phenomenological
 from .nonselective import (
     InfluenceKernelSpec,
+    _ideal_adjoint,
     check_generalized_unitarity,
     lindblad_evolve,
     readout_average,
@@ -586,10 +587,34 @@ def _task_unitarity(cfg, outdir, mode="exact", samples=200, tol=None):
     checks = [
         _check("generalized_unitarity_deviation", report.deviation, tol, report.passed(tol))
     ]
+    if mode == "exact" and cfg.form.is_delta:
+        gap = _adjoint_duality_gap(cfg)
+        checks.append(_check("adjoint_duality_gap", gap, tol, gap <= tol))
     used = {"mode": mode, "tol": float(tol)}
     if report.n_samples is not None:
         used["samples"] = int(report.n_samples)
     return checks, outputs, used
+
+
+def _adjoint_duality_gap(cfg):
+    """|tr(X E^N(rho0)) - tr(E†^N(X) rho0)| for the ideal averaged step E.
+
+    The exact ideal unitarity check runs the adjoint recursion from X = I,
+    which any unitary step maps to I, so it cannot see a wrong step.  Here
+    the witness X is a seeded random Hermitian matrix of unit spectral norm
+    and rho0 the scenario's initial state at unit trace, so the gap is
+    relative to the largest |tr(X rho)| a state can give.
+    """
+    n, kappa = cfg.sgrid.n_points, cfg.meas.kappa
+    z = np.random.default_rng(cfg.seed).standard_normal((n, n, 2)) @ [1.0, 1.0j]
+    x = z + z.conj().T
+    x /= np.max(np.abs(np.linalg.eigvalsh(x)))
+    rho0 = pure_density(cfg.initial_packet())
+    rho0 /= np.trace(rho0).real
+    forward = superpropagate(rho0, InfluenceKernelSpec("ideal", kappa), cfg.ham, cfg.obs,
+                             cfg.sgrid, cfg.tgrid).rho
+    back = _ideal_adjoint(x, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid)
+    return float(abs(np.sum(x * forward.T) - np.sum(back * rho0.T)))
 
 
 def _task_medium_compare(
@@ -608,6 +633,9 @@ def _task_medium_compare(
     else:
         if int(corpus) < 1:
             raise ConfigError("corpus: need at least one path pair")
+        # a zero scale makes every pair coincide, so every weight is 1
+        if not (math.isfinite(scale) and scale > 0):
+            raise ConfigError(f"scale: {scale!r} is not a finite positive excursion scale")
         rng = np.random.default_rng(cfg.seed)
         for _ in range(int(corpus)):
             r = scale * rng.normal(size=(2, int(n_slices)))

@@ -13,8 +13,10 @@ weight delegates, its public medium weights.
 
 The last section is the one exception to independence: the one-record-
 at-a-time loop of the Monte-Carlo unitarity check, on the package's own
-conditioning cores.  It is the reference for batching records side by
-side, which must change nothing but the order of sums.
+conditioning cores, and the identity-block sweep of the field-sampled
+average, on the package's own field sweep.  They are the references for
+batching records side by side and for sweeping a factor of rho0, which
+must change nothing but roundoff and the order of sums.
 """
 
 import math
@@ -25,13 +27,16 @@ from scipy.special import logsumexp
 
 from corridors.grids import HamiltonianSpec, _StepPlan, unitary_step
 from corridors.medium import PathPair, influence_exact, nu_of_omega
+from corridors.nonselective import _field_factors
 from corridors.readout import readout_measure_factor
 from corridors.selective import (
     DEFAULT_WORK_CAP,
     WindowSpec,
     _contract_windowed,
     _corridor_rows,
+    _field_sweep,
     _ideal_sweep,
+    _Moments,
 )
 
 
@@ -449,6 +454,7 @@ def verify_window_moment_identity(pair, window, dt):
 
 # ----------------------------------------------------------------------
 # the per-record Monte-Carlo unitarity loop (reference for record batches)
+# and the identity-block field average (reference for the factor sweep)
 
 
 def mixture_record(rng, values, kappa, dt, n_steps):
@@ -498,3 +504,20 @@ def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, sam
         u = conditioned(a)
         total += w * (u.conj().T @ u)
     return total / samples
+
+
+def field_average_identity_sweep(rho0, kernel_spec, ham, obs, sgrid, tgrid, samples, seed):
+    """(rho, stderr) of `superpropagate(mode="mc")` by sweeping the identity.
+
+    Each sample's full U_xi runs from the n identity columns through the
+    package's field sweep, then forms U_xi rho0 U_xi^dagger; the xi stream
+    is the same, so a seed gives the same samples as the factor sweep.
+    """
+    n = sgrid.n_points
+    moments = _Moments((n, n), samples)
+    plan = _StepPlan(ham, sgrid, tgrid.dt)
+    for block in _field_sweep(plan, np.eye(n), *_field_factors(kernel_spec, obs, tgrid),
+                              samples, np.random.default_rng(seed)):
+        u = block.transpose(1, 0, 2)  # u[s] is U_xi of sample s
+        moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0)
+    return moments.mean(), moments.stderr()

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from corridors import nonselective
+from corridors import nonselective, selective
 from corridors.grids import (
     HamiltonianSpec,
     ObservableSpec,
@@ -336,6 +336,64 @@ def test_mc_field_average_reruns_bit_identically():
         a = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=40, seed=9)
         b = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=40, seed=9)
         assert np.array_equal(a.rho, b.rho) and np.array_equal(a.stderr, b.stderr)
+
+
+RHO0_SHAPES = ("pure", "mixed", "rank2", "non_hermitian", "zero")
+
+
+def _rho0_of_shape(shape, g, pure):
+    # a full-rank state, a rank-2 state and a non-Hermitian matrix, seeded
+    z = np.random.default_rng(3).standard_normal((3, g.n_points, g.n_points, 2)) @ [1, 1j]
+    mixed, rank2 = z[0] @ z[0].conj().T, z[1][:, :2] @ z[1][:, :2].conj().T
+    return {
+        "pure": pure,
+        "mixed": mixed / density_trace(mixed, g),
+        "rank2": rank2 / density_trace(rank2, g),
+        "non_hermitian": z[2],
+        "zero": np.zeros_like(pure),
+    }[shape]
+
+
+@pytest.mark.parametrize("shape", RHO0_SHAPES)
+@pytest.mark.parametrize("kind_index", range(4))
+def test_mc_field_average_matches_the_identity_sweep(kind_index, shape):
+    # sweeping a factor of rho0 draws the same samples as sweeping the
+    # identity and conjugating rho0 after; only roundoff may differ
+    g, tg, ham, obs, pure, ff = _medium_setup()
+    spec, rho0 = _all_kind_specs(ff)[kind_index], _rho0_of_shape(shape, g, pure)
+    res = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=40, seed=8)
+    rho, stderr = oracles.field_average_identity_sweep(rho0, spec, ham, obs, g, tg, 40, 8)
+    assert np.max(np.abs(res.rho - rho)) <= 1e-12 * np.max(np.abs(rho))
+    assert np.max(np.abs(res.stderr - stderr)) <= 1e-12 * np.max(np.abs(stderr))
+
+
+@pytest.mark.parametrize("shape", RHO0_SHAPES)
+def test_mc_field_average_does_not_depend_on_the_batch(monkeypatch, shape):
+    # 1 to 3 samples per batch instead of all 40 in one: the same samples
+    g, tg, ham, obs, pure, ff = _medium_setup()
+    spec, rho0 = _all_kind_specs(ff)[1], _rho0_of_shape(shape, g, pure)
+    whole = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=40, seed=8)
+    monkeypatch.setattr(selective, "_FIELD_BATCH_ELEMENTS", 20)
+    small = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=40, seed=8)
+    assert np.max(np.abs(small.rho - whole.rho)) <= 1e-14 * np.max(np.abs(whole.rho))
+    assert np.max(np.abs(small.stderr - whole.stderr)) <= 1e-14 * np.max(np.abs(whole.stderr))
+
+
+@pytest.mark.parametrize("shape, columns", [("pure", 2), ("rank2", 4), ("mixed", 8),
+                                            ("zero", 2)])
+def test_mc_field_average_sweeps_two_columns_per_rank(monkeypatch, shape, columns):
+    g, tg, ham, obs, psi0, kappa, _ = _coarse_setup()
+    rho0 = _rho0_of_shape(shape, g, pure_density(psi0))
+    sweep, starts = nonselective._field_sweep, []
+
+    def recorded(plan, start, *args):
+        starts.append(start.shape)
+        return sweep(plan, start, *args)
+
+    monkeypatch.setattr(nonselective, "_field_sweep", recorded)
+    superpropagate(rho0, InfluenceKernelSpec("ideal", kappa), ham, obs, g, tg, mode="mc",
+                   samples=4, seed=1)
+    assert starts == [(g.n_points, columns)]
 
 
 def test_slow_detector_mc_matches_path_enumeration():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from corridors import nonselective
 from corridors.cli import main
+from corridors.grids import _StepPlan
 from corridors.nonselective import AverageResult
 from corridors.scenario import (
     CheckFailure,
@@ -337,6 +339,25 @@ def test_unitarity_task_pass_and_fail(tmp_path):
     assert (tmp_path / "u2" / "manifest.json").exists()  # artifacts still written
 
 
+def test_unitarity_duality_check_sees_a_wrong_adjoint_step(tmp_path, monkeypatch):
+    # any unitary step maps X = I to I, so the identity check passes a wrong
+    # adjoint plan; the seeded witness X compared with the forward sweep does not
+    cfg = load_config(write_scenario(tmp_path))
+    manifest = run_scenario(cfg, task="unitarity-check", outdir=tmp_path / "u")
+    assert [c["name"] for c in manifest.checks] == ["generalized_unitarity_deviation",
+                                                    "adjoint_duality_gap"]
+    assert manifest.checks[1]["passed"] and manifest.checks[1]["value"] < 1e-13
+
+    def mutant(ham, sgrid, dt):  # the adjoint's plan for 3 dt instead of -dt
+        return _StepPlan(ham, sgrid, -3.0 * dt if dt < 0 else dt)
+
+    monkeypatch.setattr(nonselective, "_StepPlan", mutant)
+    with pytest.raises(CheckFailure, match="adjoint_duality_gap") as info:
+        run_scenario(cfg, task="unitarity-check", outdir=tmp_path / "u3")
+    identity, duality = info.value.manifest.checks
+    assert identity["passed"] and not duality["passed"]
+
+
 def test_medium_compare_task(tmp_path):
     text = BASE.replace("kind = delta", "kind = gaussian\ntau = 0.1")
     cfg = load_config(write_scenario(tmp_path, text))
@@ -621,6 +642,10 @@ CONFIG_REFUSALS = {
         BASE, "unitarity-check", ["--tol", "nan"], {"tol": math.nan}, "tol"),
     "empty corpus": (
         WINDOWED, "medium-compare", ["--corpus", "0"], {"corpus": 0}, "corpus"),
+    # a zero scale made every weight 1 under [ok]; a negative one was recorded as given
+    **{f"corpus scale {scale}": (
+        WINDOWED, "medium-compare", ["--scale", str(scale)], {"scale": scale}, f"scale: {scale!r}")
+       for scale in (0.0, -1.0, math.nan, math.inf)},
     "one strength": (BASE, "zeno-sweep", ["--kappas", "0,1"], {"kappas": [0.0, 1.0]}, "kappas"),
     "one level": (BASE, "convergence", ["--levels", "1"], {"levels": 1}, "levels"),
     "tau study at delta resolution": (

@@ -271,6 +271,8 @@ class _StepPlan:
     It is: k^2 of the FFT-ordered wavenumbers is exactly even at every n,
     the self-paired Nyquist bin of an even lattice included.  A plan for
     -dt has exactly the conjugate phases, so it is M^dagger.
+    `conjugate_twice` conjugates by M M, by its cached dense matrix up to
+    the same crossover and by two FFT conjugations above it.
     """
 
     def __init__(self, ham, grid, dt):
@@ -315,6 +317,24 @@ class _StepPlan:
         out = scipy.fft.ifft2(out, overwrite_x=True)
         out *= v2
         return out
+
+    @cached_property
+    def squared(self):
+        """(M M, (M M)^dagger) of the dense plan.  The product is rounded once
+        from long double: a sweep repeats its rounding at every step, which
+        from a double product drifts by about N eps from conjugating by M twice
+        (1.0e-12 against 1.8e-13 relative at n=16, N=8192)."""
+        m = self.matrix.astype(np.clongdouble)
+        square = (m @ m).astype(complex)
+        return square, np.ascontiguousarray(square.conj().T)
+
+    def conjugate_twice(self, rho):
+        """M M rho (M M)^dagger: one conjugation by the cached M M when dense,
+        two by M otherwise (a dense M M measured slower above the crossover)."""
+        if self.dense:
+            square, square_h = self.squared
+            return square @ rho @ square_h
+        return self.conjugate(self.conjugate(rho))
 
 
 def unitary_step(psi, ham, grid, dt):

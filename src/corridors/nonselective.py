@@ -10,9 +10,13 @@ per-step readout integral
 is exact, so the ideal averaged step is  rho <- U (decay . rho) U†  with
 no quadrature error, and composing steps gives the monitoring master
 equation  d rho/dt = -i[H, rho]/hbar - (kappa/2) [A, [A, rho]]  in Strang
-form.  Finite time resolution correlates the decay across a window of
-steps; the doubled (bra x ket) lattice chain is then contracted exactly
-with the same sliding-buffer sweep the selective engine uses.  The
+form.  `lindblad_evolve` sweeps that equation on the mid-step state: the
+two half steps that meet between steps are one conjugation by their
+product, once per step on the dense plan; an observer, which sees every
+full step, and the FFT plan keep two half conjugations per step.  Finite
+time resolution correlates the decay across a window of steps; the
+doubled (bra x ket) lattice chain is then contracted exactly with the
+same sliding-buffer sweep the selective engine uses.  The
 oscillator medium's pair influence couples slices through the
 stationary time kernel in the same way (a Feynman-Vernon influence with
 that kernel as its memory), so its exact mode is the same doubled
@@ -24,9 +28,10 @@ is also E_xi[U_xi rho U_xi†], U_xi the plain dynamics under random slice
 phases (Kubo's identity; Chenu, Beau, Cao & del Campo, PRL 118, 140403
 (2017)).  The "mc" modes sample that field with the selective engines'
 field sweep: each sample is a valid state, at a cost independent of the
-window width.  A sample sweeps a factor of rho0, not the identity: for
-rho0 = A B†, U rho0 U† = (U A)(U B)†, so it runs 2 rank(rho0) columns,
-2 for a pure state, against n for the full U.
+window width.  A sample sweeps a factor of rho0, not the identity: a
+state rho0 = C C† gives U rho0 U† = (U C)(U C)†, so it runs rank(rho0)
+columns, 1 for a pure state, against n for the full U; any other
+rho0 = A B† runs the 2 rank(rho0) columns [A | B].
 
 `check_generalized_unitarity` verifies the defining property of the
 corridor decomposition — the record-integrated U†U is the identity —
@@ -151,16 +156,32 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     completely positive and trace preserving, so the trajectory is a
     valid state at every step (up to roundoff).  ``observer(i, rho)``
     sees the state after each full step.
+
+    The two half steps that meet between consecutive steps compose into
+    one conjugation by M_h M_h, so without an observer the sweep runs on
+    the mid-step state tau_i = D . (M_h rho_i M_h^dagger):
+
+        tau_{i+1} = D . (W tau_i W^dagger),  W = M_h M_h,
+        rho_N = M_h tau_{N-1} M_h^dagger,
+
+    the same scheme at one conjugation per step up to the plan's dense
+    crossover (`_StepPlan.conjugate_twice`), and two above it.  An
+    observer needs every rho_i, so it gets two half conjugations per step.
     """
     _check_kappa(kappa)
     rho = np.asarray(rho0, dtype=complex)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
     half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
-    for i in range(tgrid.n_steps):
-        rho = half.conjugate(half.conjugate(rho) * decay)
-        if observer is not None:
+    if observer is not None:
+        for i in range(tgrid.n_steps):
+            rho = half.conjugate(half.conjugate(rho) * decay)
             observer(i, rho)
-    return rho
+        return rho
+    tau = half.conjugate(rho) * decay
+    for _ in range(tgrid.n_steps - 1):
+        tau = half.conjugate_twice(tau)
+        tau *= decay
+    return half.conjugate(tau)
 
 
 def _ideal_adjoint(x, kappa, ham, obs, sgrid, tgrid):
@@ -378,26 +399,49 @@ def _medium_space(kernel_spec, obs, dt):
     return kernel_spec.kappa * ell**2 * dt, well
 
 
+def _density_factor(rho0):
+    """(C, hermitian): rho0 = C C^dagger when hermitian, else C = [A | B]
+    with rho0 = A B^dagger, over the fewest columns.
+
+    A Hermitian rho0 with no eigenvalue below -n eps times the largest
+    factors by one eigh over the eigenvalues above that floor; any other
+    rho0 by one SVD, A = U_s S and B = V_s over the singular values above
+    n eps times the largest.  Each keeps at least one column, so a zero
+    rho0 sweeps one zero column.
+    """
+    n = rho0.shape[0]
+    floor = n * np.finfo(float).eps
+    if np.max(np.abs(rho0 - rho0.conj().T)) <= floor * np.max(np.abs(rho0)):
+        lam, vec = np.linalg.eigh(rho0)
+        if lam[0] >= -floor * lam[-1]:
+            keep = lam > floor * lam[-1]
+            keep[-1] = True
+            return vec[:, keep] * np.sqrt(lam[keep]), True
+    left, sing, right_h = np.linalg.svd(rho0)
+    r = max(1, np.count_nonzero(sing > floor * sing[0]))
+    return np.concatenate([left[:, :r] * sing[:r], right_h[:r].conj().T], axis=1), False
+
+
 def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, seed):
     """E_xi[U_xi rho0 U_xi^dagger] over the phase field phi = T xi S^T.
 
     U_xi is the split-operator evolution with exp(i phi_j) multiplied in
     at slices 0 .. N, phi_j the row of phi for slice j over the sites.
-    One SVD factors rho0 = A B^dagger, A = U_s S and B = V_s over the r
-    singular values above n eps times the largest (r >= 1, so a zero
-    rho0 sweeps one zero column), and U_xi rho0 U_xi^dagger is
-    (U_xi A)(U_xi B)^dagger: each sample runs only the 2 r columns [A | B]
-    through `_field_sweep`, 2 for a pure rho0.
+    Each sample sweeps a factor of rho0 (`_density_factor`), not the n
+    columns of U_xi, through `_field_sweep`: a state rho0 = C C^dagger
+    runs its rank(rho0) columns, 1 for a pure state, and each sample
+    (U_xi C)(U_xi C)^dagger is Hermitian and positive semidefinite; any
+    other rho0 = A B^dagger runs the 2 r columns [A | B].
     """
     n = sgrid.n_points
-    left, sing, right_h = np.linalg.svd(rho0)
-    r = max(1, np.count_nonzero(sing > n * np.finfo(float).eps * sing[0]))
-    start = np.concatenate([left[:, :r] * sing[:r], right_h[:r].conj().T], axis=1)
+    start, hermitian = _density_factor(rho0)
+    r = start.shape[1] if hermitian else start.shape[1] // 2
     moments = _Moments((n, n), samples)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
     for block in _field_sweep(plan, start, time_factor, space_factor, samples,
                               np.random.default_rng(seed)):
-        a, b = block[:, :, :r].transpose(1, 0, 2), block[:, :, r:].transpose(1, 0, 2)
+        a = block[:, :, :r].transpose(1, 0, 2)
+        b = a if hermitian else block[:, :, r:].transpose(1, 0, 2)
         moments.add(a @ b.conj().transpose(0, 2, 1), axis=0)
     return AverageResult(rho=moments.mean(), mode="mc", stderr=moments.stderr(),
                          n_samples=int(samples))

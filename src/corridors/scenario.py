@@ -253,8 +253,11 @@ def emit_plot_data(path, columns, header=()):
         raise ValueError("all columns must have the same length")
     lines = [f"# {text}" for text in header]
     lines.append("# columns: " + "  ".join(names))
-    for i in range(arrays[0].size if arrays else 0):
-        lines.append(" ".join(format(a[i], ".17g") for a in arrays))
+    n_rows = arrays[0].size if arrays else 0
+    if n_rows:
+        # one %-format over the row-major table: printf's %.17g, as format(v, ".17g")
+        row = " ".join(["%.17g"] * len(arrays))
+        lines.append("\n".join([row] * n_rows) % tuple(np.column_stack(arrays).ravel().tolist()))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -216,12 +216,13 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
     records = readout.shape[:-1]
 
     def log_row(i, place):
-        # the smoothed value is a broadcast sum over the live axes it touches
-        smoothed = 0.0
-        for j in cols[i]:
-            smoothed = smoothed + window[i, j] * place(j, site_values)
-        # allocates: the records' axis reaches beyond the smoothed value's shape
-        out = smoothed - readout[..., i].reshape(records + (1,) * (smoothed.ndim - len(records)))
+        # (P A)_i - a_i as a broadcast sum over the live axes it touches, the
+        # record value folded into the first term: no extra full-size pass
+        first, *rest = cols[i]
+        out = window[i, first] * place(first, site_values)
+        out = out - readout[..., i].reshape(records + (1,) * (out.ndim - len(records)))
+        for j in rest:
+            out = out + window[i, j] * place(j, site_values)
         np.square(out, out=out)
         out *= -kappa * dt
         return out

@@ -13,10 +13,12 @@ weight delegates, its public medium weights.
 
 The last section is the one exception to independence: the one-record-
 at-a-time loop of the Monte-Carlo unitarity check, on the package's own
-conditioning cores, and the identity-block sweep of the field-sampled
-average, on the package's own field sweep.  They are the references for
-batching records side by side and for sweeping a factor of rho0, which
-must change nothing but roundoff and the order of sums.
+conditioning cores, the identity-block sweep of the field-sampled
+average, on the package's own field sweep, and the two-half-step master
+equation loop, on the package's own step plan.  They are the references
+for batching records side by side, for sweeping a factor of rho0 and for
+composing the half steps, which must change nothing but roundoff and the
+order of sums.
 """
 
 import math
@@ -27,7 +29,7 @@ from scipy.special import logsumexp
 
 from corridors.grids import HamiltonianSpec, _StepPlan, unitary_step
 from corridors.medium import PathPair, influence_exact, nu_of_omega
-from corridors.nonselective import _field_factors
+from corridors.nonselective import _decay_matrix, _field_factors
 from corridors.readout import readout_measure_factor
 from corridors.selective import (
     DEFAULT_WORK_CAP,
@@ -453,8 +455,9 @@ def verify_window_moment_identity(pair, window, dt):
 
 
 # ----------------------------------------------------------------------
-# the per-record Monte-Carlo unitarity loop (reference for record batches)
-# and the identity-block field average (reference for the factor sweep)
+# the per-record Monte-Carlo unitarity loop (reference for record batches),
+# the identity-block field average (reference for the factor sweep) and the
+# two-half-step master equation (reference for the composed half steps)
 
 
 def mixture_record(rng, values, kappa, dt, n_steps):
@@ -521,3 +524,19 @@ def field_average_identity_sweep(rho0, kernel_spec, ham, obs, sgrid, tgrid, samp
         u = block.transpose(1, 0, 2)  # u[s] is U_xi of sample s
         moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0)
     return moments.mean(), moments.stderr()
+
+
+def lindblad_two_half_steps(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
+    """`lindblad_evolve` as two half-step conjugations around the decay, every step.
+
+    rho <- M_h (D . (M_h rho M_h^dagger)) M_h^dagger, with ``observer(i, rho)``
+    after each step: the Strang scheme the composed sweep must reproduce.
+    """
+    rho = np.asarray(rho0, dtype=complex)
+    decay = _decay_matrix(obs.values, kappa, tgrid.dt)
+    half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
+    for i in range(tgrid.n_steps):
+        rho = half.conjugate(half.conjugate(rho) * decay)
+        if observer is not None:
+            observer(i, rho)
+    return rho

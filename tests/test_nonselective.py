@@ -11,6 +11,7 @@ from corridors.grids import (
     ObservableSpec,
     SpatialGrid,
     TimeGrid,
+    _StepPlan,
     check_density_matrix,
     density_trace,
     gaussian_packet,
@@ -104,6 +105,57 @@ def test_lindblad_keeps_states_physical():
     # monitoring mixes the state monotonically in this regime
     assert purities[-1] < 0.9
     assert np.all(np.diff(purities) < 1e-10)
+
+
+def _lindblad_setup(n, n_steps):
+    g = SpatialGrid(12.0, n)
+    tg = TimeGrid(0.02 * n_steps, n_steps)
+    ham = HamiltonianSpec.harmonic(g, omega=1.0)
+    obs = ObservableSpec.position(g)
+    rho0 = pure_density(gaussian_packet(g, center=1.0, width=0.8, momentum=0.5))
+    return rho0, 0.5, ham, obs, g, tg
+
+
+@pytest.mark.parametrize("n, n_steps", [(16, 8192), (64, 800), (256, 128), (16, 1), (16, 2),
+                                        (256, 1), (256, 2)])
+def test_lindblad_matches_the_two_half_step_loop(n, n_steps):
+    # composing the half steps that meet between steps changes only roundoff,
+    # below the dense crossover (one conjugation per step) and above it
+    args = _lindblad_setup(n, n_steps)
+    got = lindblad_evolve(*args)
+    ref = oracles.lindblad_two_half_steps(*args)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_lindblad_observer_sees_every_step(n):
+    args = _lindblad_setup(n, 40)
+    seen, ref = [], []
+    got = lindblad_evolve(*args, observer=lambda i, r: seen.append((i, r)))
+    oracles.lindblad_two_half_steps(*args, observer=lambda i, r: ref.append(r))
+    assert [i for i, _ in seen] == list(range(40))
+    for (_, rho), want in zip(seen, ref):
+        assert np.max(np.abs(rho - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got is seen[-1][1]
+
+
+@pytest.mark.parametrize("n, observed, half, twice", [
+    (16, False, 2, 7),  # dense: one conjugation by M_h M_h per step, a half one at each end
+    (16, True, 16, 0),  # an observer needs every state: two half conjugations per step
+    (256, False, 16, 7),  # FFT: M_h M_h is two half conjugations, as before
+])
+def test_lindblad_conjugations_per_step(monkeypatch, n, observed, half, twice):
+    calls = {"conjugate": 0, "conjugate_twice": 0}
+    for name in calls:
+        method = getattr(_StepPlan, name)
+
+        def counted(self, rho, name=name, method=method):
+            calls[name] += 1
+            return method(self, rho)
+
+        monkeypatch.setattr(_StepPlan, name, counted)
+    lindblad_evolve(*_lindblad_setup(n, 8), observer=(lambda i, r: None) if observed else None)
+    assert calls == {"conjugate": half, "conjugate_twice": twice}
 
 
 def test_readout_average_matches_numeric_record_integration():
@@ -379,9 +431,9 @@ def test_mc_field_average_does_not_depend_on_the_batch(monkeypatch, shape):
     assert np.max(np.abs(small.stderr - whole.stderr)) <= 1e-14 * np.max(np.abs(whole.stderr))
 
 
-@pytest.mark.parametrize("shape, columns", [("pure", 2), ("rank2", 4), ("mixed", 8),
-                                            ("zero", 2)])
-def test_mc_field_average_sweeps_two_columns_per_rank(monkeypatch, shape, columns):
+@pytest.mark.parametrize("shape, columns", [("pure", 1), ("rank2", 2), ("mixed", 4),
+                                            ("zero", 1), ("non_hermitian", 8)])
+def test_mc_field_average_sweeps_one_column_per_rank(monkeypatch, shape, columns):
     g, tg, ham, obs, psi0, kappa, _ = _coarse_setup()
     rho0 = _rho0_of_shape(shape, g, pure_density(psi0))
     sweep, starts = nonselective._field_sweep, []

@@ -170,6 +170,23 @@ def test_emit_plot_data_edge_cases(tmp_path):
         emit_plot_data(tmp_path / "x.txt", [("a", [1.0]), ("b", [1.0, 2.0])])
 
 
+@pytest.mark.parametrize("columns", [
+    [("a", [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1.2e17, 1.0 / 3.0]),
+     ("b", [1e-300, -1e300, 123456789.0, 1e16, 1e17, -2.5, 0.1, 7.0, -math.nan])],
+    [("scalar", 2.0 / 3.0)],
+    [("a", []), ("b", [])],
+    [(f"r{k}", np.random.default_rng(k).standard_normal(512) * np.logspace(-20, 20, 512))
+     for k in range(4)],
+])
+def test_emit_plot_data_is_the_per_value_formatter(tmp_path, columns):
+    # the table's one %-format writes the bytes of format(v, ".17g") per value
+    path = emit_plot_data(tmp_path / "t.txt", columns, header=["h"])
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for _, v in columns]
+    rows = [" ".join(format(a[i], ".17g") for a in arrays) for i in range(arrays[0].size)]
+    names = "  ".join(name for name, _ in columns)
+    assert path.read_bytes() == "\n".join(["# h", f"# columns: {names}", *rows, ""]).encode()
+
+
 def test_manifest_digest_ignores_wall_clock(tmp_path):
     kwargs = dict(
         task="evolve", options={}, config={"run": {"seed": "1"}}, version="0.1.0",

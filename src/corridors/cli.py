@@ -41,47 +41,46 @@ def build_parser():
     sub = parser.add_subparsers(dest="task", required=True)
 
     def add(name, help_text):
-        cmd = sub.add_parser(name, help=help_text)
+        # no option states a default: an option left out is not passed on,
+        # so the task's signature holds the one default
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         cmd.add_argument("scenario", help="scenario INI file")
-        cmd.add_argument("--outdir", default=None, help="override the output directory")
+        cmd.add_argument("--outdir", help="override the output directory")
         return cmd
 
     cmd = add("evolve", "conditioned (selective) evolution for one readout record")
-    cmd.add_argument("--readout", default="const:0.0",
+    cmd.add_argument("--readout",
                      help="const:<x>, sample, or file:<path> (default const:0.0)")
-    cmd.add_argument("--engine", default="auto", choices=["auto", "ideal", "coarse", "mc"])
-    cmd.add_argument("--samples", type=int, default=1000, help="Monte-Carlo sample count")
+    cmd.add_argument("--engine", choices=["auto", "ideal", "coarse", "mc"])
+    cmd.add_argument("--samples", type=int, help="Monte-Carlo sample count")
 
     cmd = add("average", "record-averaged (non-selective) density-matrix evolution")
-    cmd.add_argument("--engine", default="lindblad",
-                     choices=["lindblad", "quadrature", "superpropagator"])
-    cmd.add_argument("--mode", default="exact", choices=["exact", "mc"])
-    cmd.add_argument("--samples", type=int, default=1000)
-    cmd.add_argument("--pair", type=_pair_indices, default=None,
+    cmd.add_argument("--engine", choices=["lindblad", "quadrature", "superpropagator"])
+    cmd.add_argument("--mode", choices=["exact", "mc"])
+    cmd.add_argument("--samples", type=int)
+    cmd.add_argument("--pair", type=_pair_indices,
                      help="off-diagonal element to track, as 'i,j'")
 
     cmd = add("unitarity-check", "verify the record-integrated U^dag U is the identity")
-    cmd.add_argument("--mode", default="exact", choices=["exact", "mc"])
-    cmd.add_argument("--samples", type=int, default=200)
-    cmd.add_argument("--tol", type=float, default=None,
+    cmd.add_argument("--mode", choices=["exact", "mc"])
+    cmd.add_argument("--samples", type=int)
+    cmd.add_argument("--tol", type=float,
                      help="deviation tolerance (default 1e-10 exact, 5e-2 mc)")
 
     cmd = add("medium-compare", "first-order medium weight vs corridor weight on a corpus")
-    cmd.add_argument("--corpus", type=int, default=100, help="number of random path pairs")
-    cmd.add_argument("--n-slices", type=int, default=24, dest="n_slices")
-    cmd.add_argument("--scale", type=float, default=0.5, help="path excursion scale")
-    cmd.add_argument("--ell", type=float, default=None,
+    cmd.add_argument("--corpus", type=int, help="number of random path pairs")
+    cmd.add_argument("--n-slices", type=int)
+    cmd.add_argument("--scale", type=float, help="path excursion scale")
+    cmd.add_argument("--ell", type=float,
                      help="interaction range; adds an exact-weight column")
-    cmd.add_argument("--pair", action="append", default=[], dest="pair_files",
-                     metavar="FILE", help="path-pair file (repeatable; replaces the corpus)")
 
     cmd = add("zeno-sweep", "final packet variance vs measurement strength")
-    cmd.add_argument("--kappas", type=_kappa_list, default=None,
+    cmd.add_argument("--kappas", type=_kappa_list,
                      help="comma-separated strengths (default: 4 decades around kappa)")
 
     cmd = add("convergence", "dt- or tau-halving distance study")
-    cmd.add_argument("--study", default="dt", choices=["dt", "tau"])
-    cmd.add_argument("--levels", type=int, default=4)
+    cmd.add_argument("--study", choices=["dt", "tau"])
+    cmd.add_argument("--levels", type=int)
     return parser
 
 
@@ -100,7 +99,7 @@ def main(argv=None):
     args = vars(build_parser().parse_args(argv))
     task = args.pop("task")
     scenario = args.pop("scenario")
-    outdir = args.pop("outdir")
+    outdir = args.pop("outdir", None)
     try:
         config = load_config(scenario)
         manifest = run_scenario(config, task=task, outdir=outdir, **args)

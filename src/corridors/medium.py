@@ -54,7 +54,6 @@ __all__ = [
     "influence_exact",
     "firstorder_log_weights",
     "reduce_to_phenomenological",
-    "load_path_pair",
 ]
 
 
@@ -305,27 +304,3 @@ def reduce_to_phenomenological(pair: PathPair, form_factor: FormFactor, kappa, d
         window=window,
         kernel=kernel,
     )
-
-
-def load_path_pair(path):
-    """Read a path pair from a text table.
-
-    Columns: t, then d columns of r1, then d columns of r2 (d inferred).
-    The time column must be uniform; returns (PathPair, dt).
-    """
-    tab = np.loadtxt(path, ndmin=2)
-    if tab.shape[1] < 3 or (tab.shape[1] - 1) % 2 != 0:
-        raise ValueError(f"{path}: expected columns t, r1 (d cols), r2 (d cols)")
-    d = (tab.shape[1] - 1) // 2
-    t = tab[:, 0]
-    if t.size < 2:
-        raise ValueError(f"{path}: need at least two time samples")
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-8, atol=0):
-        raise ValueError(f"{path}: time column must be uniformly increasing")
-    r1 = tab[:, 1 : 1 + d]
-    r2 = tab[:, 1 + d :]
-    if d == 1:
-        r1, r2 = r1[:, 0], r2[:, 0]
-    return PathPair(r1=r1, r2=r2), dt

@@ -18,11 +18,12 @@ A scenario is a flat INI file describing one physical setup; the task
                     outdir                  optional output directory
 
 File paths inside a scenario resolve relative to the scenario file.
-Every run writes its artifacts plus a ``manifest.json`` recording the
-config snapshot, code version, seed, wall clock, the numerical checks
-performed, and a sha256 for each output file.  Re-running the same
-scenario reproduces every output byte for byte; the manifest digest
-ignores only the wall-clock entry.
+A task only computes: it returns its checks, its tables and the options
+it used, and writes nothing.  `run_scenario` writes every table, plus a
+``manifest.json`` recording the config snapshot, code version, seed,
+wall clock, the numerical checks performed, and a sha256 for each
+output file.  Re-running the same scenario reproduces every output byte
+for byte; the manifest digest ignores only the wall-clock entry.
 
 Tables are plain text: ``#`` header lines naming columns and units,
 then rows printed with 17 significant digits so values round-trip
@@ -52,7 +53,7 @@ from .grids import (
     pure_density,
     purity,
 )
-from .medium import PathPair, influence_exact, load_path_pair, reduce_to_phenomenological
+from .medium import PathPair, influence_exact, reduce_to_phenomenological
 from .nonselective import (
     InfluenceKernelSpec,
     _ideal_adjoint,
@@ -294,6 +295,12 @@ def _check(name, value, tolerance, passed):
     }
 
 
+def _matrix_columns(axis, matrix, names):
+    """The (row, col, re, im) columns of a square matrix, in row-major order."""
+    row, col = np.meshgrid(axis, axis, indexing="ij")
+    return list(zip(names, (row.ravel(), col.ravel(), matrix.real.ravel(), matrix.imag.ravel())))
+
+
 # ---------------------------------------------------------------------------
 # tasks
 
@@ -326,7 +333,10 @@ def _resolve_readout(spec, cfg):
         sigma = 1.0 / math.sqrt(4.0 * cfg.meas.kappa * cfg.tgrid.dt)
         return mean + sigma * np.random.default_rng(cfg.seed).standard_normal(n)
     if spec.startswith("file:"):
-        table = np.loadtxt(spec[5:])
+        try:
+            table = np.loadtxt(spec[5:])
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"readout: {exc}") from None
         values = table[:, -1] if table.ndim == 2 else table
         if values.size == n + 1:
             values = values[:-1]
@@ -338,7 +348,7 @@ def _resolve_readout(spec, cfg):
     raise ConfigError(f"readout: {spec!r} is not const:<x>, sample, or file:<path>")
 
 
-def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
+def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
     record = _resolve_readout(readout, cfg)
     psi0 = cfg.initial_packet()
     kappa = cfg.meas.kappa
@@ -376,49 +386,24 @@ def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
 
     psi = result.final_state
     finite = bool(np.all(np.isfinite(psi)))
-    outputs = [
-        (
-            "final_state",
-            emit_plot_data(
-                outdir / "state_final.txt",
-                [
-                    ("q[pos]", cfg.sgrid.coords),
-                    ("re_psi", psi.real),
-                    ("im_psi", psi.imag),
-                    ("abs2_psi[1/pos]", np.abs(psi) ** 2),
-                ],
-                header=[
-                    f"conditioned final state, engine {engine}",
-                    f"norm_sq = {result.norm_sq:.17g}",
-                    f"readout_probability_density = {result.probability_density:.17g}",
-                ],
-            ),
-        ),
-        (
-            "readout",
-            emit_plot_data(
-                outdir / "readout_used.txt",
-                [("t[time]", cfg.tgrid.times[:-1]), ("a[obs]", record)],
-                header=["record values, one per step, left-aligned with the slices"],
-            ),
-        ),
+    tables = [
+        ("final_state", "state_final.txt",
+         [("q[pos]", cfg.sgrid.coords), ("re_psi", psi.real), ("im_psi", psi.imag),
+          ("abs2_psi[1/pos]", np.abs(psi) ** 2)],
+         [f"conditioned final state, engine {engine}",
+          f"norm_sq = {result.norm_sq:.17g}",
+          f"readout_probability_density = {result.probability_density:.17g}"]),
+        ("readout", "readout_used.txt",
+         [("t[time]", cfg.tgrid.times[:-1]), ("a[obs]", record)],
+         ["record values, one per step, left-aligned with the slices"]),
     ]
     if series:
         t, norms, means, variances = map(np.asarray, zip(*series))
-        outputs.append(
-            (
-                "series",
-                emit_plot_data(
-                    outdir / "series.txt",
-                    [
-                        ("t[time]", t),
-                        ("norm_sq", norms),
-                        ("mean_q[pos]", means),
-                        ("var_q[pos^2]", variances),
-                    ],
-                    header=["squared norm and position moments along the conditioned path"],
-                ),
-            )
+        tables.append(
+            ("series", "series.txt",
+             [("t[time]", t), ("norm_sq", norms), ("mean_q[pos]", means),
+              ("var_q[pos^2]", variances)],
+             ["squared norm and position moments along the conditioned path"])
         )
     checks = [
         _check("state_finite", finite, None, finite),
@@ -432,7 +417,7 @@ def _task_evolve(cfg, outdir, readout="const:0.0", engine="auto", samples=1000):
     used = {"readout": readout, "engine": engine}
     if result.n_samples is not None:
         used["samples"] = int(result.n_samples)
-    return checks, outputs, used
+    return checks, tables, used
 
 
 def _average_series_columns(cfg, series, i, j):
@@ -448,7 +433,7 @@ def _average_series_columns(cfg, series, i, j):
     ]
 
 
-def _task_average(cfg, outdir, engine="lindblad", mode="exact", samples=1000, pair=None):
+def _task_average(cfg, engine="lindblad", mode="exact", samples=1000, pair=None):
     rho0 = pure_density(cfg.initial_packet())
     kappa = cfg.meas.kappa
     n = cfg.sgrid.n_points
@@ -492,51 +477,24 @@ def _task_average(cfg, outdir, engine="lindblad", mode="exact", samples=1000, pa
             f"engine: {engine!r} is not lindblad, quadrature, or superpropagator"
         )
 
-    row, col = np.meshgrid(cfg.sgrid.coords, cfg.sgrid.coords, indexing="ij")
-    outputs = [
-        (
-            "final_density",
-            emit_plot_data(
-                outdir / "density_final.txt",
-                [
-                    ("q[pos]", row.ravel()),
-                    ("q_prime[pos]", col.ravel()),
-                    ("re_rho", rho.real.ravel()),
-                    ("im_rho", rho.imag.ravel()),
-                ],
-                header=[f"record-averaged density matrix, engine {engine}, mode {mode}"],
-            ),
-        )
+    coords = cfg.sgrid.coords
+    tables = [
+        ("final_density", "density_final.txt",
+         _matrix_columns(coords, rho, ("q[pos]", "q_prime[pos]", "re_rho", "im_rho")),
+         [f"record-averaged density matrix, engine {engine}, mode {mode}"]),
     ]
     if series:
-        outputs.append(
-            (
-                "series",
-                emit_plot_data(
-                    outdir / "series.txt",
-                    _average_series_columns(cfg, series, i, j),
-                    header=[
-                        "trace, purity, and one off-diagonal magnitude over time",
-                        "pointer_overlay = |rho_0[i,j]| exp(-kappa/2 (q_i - q_j)^2 t)",
-                    ],
-                ),
-            )
+        tables.append(
+            ("series", "series.txt", _average_series_columns(cfg, series, i, j),
+             ["trace, purity, and one off-diagonal magnitude over time",
+              "pointer_overlay = |rho_0[i,j]| exp(-kappa/2 (q_i - q_j)^2 t)"])
         )
     if result_stderr is not None:
-        outputs.append(
-            (
-                "stderr",
-                emit_plot_data(
-                    outdir / "density_stderr.txt",
-                    [
-                        ("q[pos]", row.ravel()),
-                        ("q_prime[pos]", col.ravel()),
-                        ("stderr_re", result_stderr.real.ravel()),
-                        ("stderr_im", result_stderr.imag.ravel()),
-                    ],
-                    header=[f"entrywise standard errors, {n_samples} samples"],
-                ),
-            )
+        tables.append(
+            ("stderr", "density_stderr.txt",
+             _matrix_columns(coords, result_stderr,
+                             ("q[pos]", "q_prime[pos]", "stderr_re", "stderr_im")),
+             [f"entrywise standard errors, {n_samples} samples"])
         )
 
     # every engine, sampled ones included, returns an average of valid states
@@ -550,10 +508,10 @@ def _task_average(cfg, outdir, engine="lindblad", mode="exact", samples=1000, pa
     used = {"engine": engine, "mode": mode, "pair": [int(i), int(j)]}
     if n_samples is not None:
         used["samples"] = int(n_samples)
-    return checks, outputs, used
+    return checks, tables, used
 
 
-def _task_unitarity(cfg, outdir, mode="exact", samples=200, tol=None):
+def _task_unitarity(cfg, mode="exact", samples=200, tol=None):
     if mode not in ("exact", "mc"):
         raise ConfigError(f"mode: {mode!r} is not exact or mc")
     if tol is None:
@@ -564,28 +522,16 @@ def _task_unitarity(cfg, outdir, mode="exact", samples=200, tol=None):
         cfg.meas.kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
         form_factor=cfg.form, mode=mode, samples=samples, seed=cfg.seed,
     )
-    row, col = np.meshgrid(np.arange(cfg.sgrid.n_points), np.arange(cfg.sgrid.n_points),
-                           indexing="ij")
     header = [
         f"record-integrated U[a]^dag U[a], mode {mode}",
         f"max deviation from identity = {report.deviation:.17g}",
     ]
     if report.stderr is not None:
         header.append(f"max entrywise standard error = {report.stderr:.17g}")
-    outputs = [
-        (
-            "unitarity_matrix",
-            emit_plot_data(
-                outdir / "unitarity_matrix.txt",
-                [
-                    ("row", row.ravel()),
-                    ("col", col.ravel()),
-                    ("re", report.matrix.real.ravel()),
-                    ("im", report.matrix.imag.ravel()),
-                ],
-                header=header,
-            ),
-        )
+    tables = [
+        ("unitarity_matrix", "unitarity_matrix.txt",
+         _matrix_columns(np.arange(cfg.sgrid.n_points), report.matrix, ("row", "col", "re", "im")),
+         header),
     ]
     checks = [
         _check("generalized_unitarity_deviation", report.deviation, tol, report.passed(tol))
@@ -596,7 +542,7 @@ def _task_unitarity(cfg, outdir, mode="exact", samples=200, tol=None):
     used = {"mode": mode, "tol": float(tol)}
     if report.n_samples is not None:
         used["samples"] = int(report.n_samples)
-    return checks, outputs, used
+    return checks, tables, used
 
 
 def _adjoint_duality_gap(cfg):
@@ -620,61 +566,47 @@ def _adjoint_duality_gap(cfg):
     return float(abs(np.sum(x * forward.T) - np.sum(back * rho0.T)))
 
 
-def _task_medium_compare(
-    cfg, outdir, corpus=100, n_slices=24, scale=0.5, ell=None, pair_files=()
-):
+def _task_medium_compare(cfg, corpus=100, n_slices=24, scale=0.5, ell=None):
     kappa, dt = cfg.meas.kappa, cfg.tgrid.dt
     try:
         cfg.form.factorize()
     except ValueError as exc:
         raise ConfigError(f"resolution: {exc}") from None
-    cases = []
-    if pair_files:
-        for name in pair_files:
-            pair, pair_dt = load_path_pair(name)
-            cases.append((pair, pair_dt))
-    else:
-        if int(corpus) < 1:
-            raise ConfigError("corpus: need at least one path pair")
-        # a zero scale makes every pair coincide, so every weight is 1
-        if not (math.isfinite(scale) and scale > 0):
-            raise ConfigError(f"scale: {scale!r} is not a finite positive excursion scale")
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(int(corpus)):
-            r = scale * rng.normal(size=(2, int(n_slices)))
-            cases.append((PathPair(r[0], r[1]), dt))
-
+    corpus = int(corpus)
+    if corpus < 1:
+        raise ConfigError("corpus: need at least one path pair")
+    # a zero scale makes every pair coincide, so every weight is 1
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(f"scale: {scale!r} is not a finite positive excursion scale")
+    rng = np.random.default_rng(cfg.seed)
     rows = []
-    for idx, (pair, pair_dt) in enumerate(cases):
-        red = reduce_to_phenomenological(pair, cfg.form, kappa, pair_dt)
+    for idx in range(corpus):
+        r = scale * rng.normal(size=(2, int(n_slices)))
+        pair = PathPair(r[0], r[1])
+        red = reduce_to_phenomenological(pair, cfg.form, kappa, dt)
         row = [idx, red.w_model, red.w_corridor, red.gap, red.rel_gap]
         if ell is not None:
-            row.append(influence_exact(pair, cfg.form, kappa, ell, pair_dt))
+            row.append(influence_exact(pair, cfg.form, kappa, ell, dt))
         rows.append(row)
     table = np.asarray(rows, dtype=float)
     names = [("index", table[:, 0]), ("w_model", table[:, 1]), ("w_rpi", table[:, 2]),
              ("gap", table[:, 3]), ("rel_gap", table[:, 4])]
     header = [
         "first-order medium weight vs window-smoothed corridor weight",
-        f"{len(cases)} path pairs, kappa = {kappa:.17g}",
+        f"{corpus} path pairs, kappa = {kappa:.17g}",
     ]
     if ell is not None:
         names.append(("w_exact", table[:, 5]))
         header.append(f"w_exact uses interaction range ell = {float(ell):.17g}")
-    outputs = [("compare_table", emit_plot_data(outdir / "medium_compare.txt", names, header))]
-    worst = float(np.max(table[:, 4])) if len(cases) else 0.0
+    worst = float(np.max(table[:, 4]))
     checks = [_check("max_rel_gap", worst, 1e-10, worst < 1e-10)]
-    used = {"corpus": int(len(cases))}
-    if pair_files:
-        used["pair_files"] = [str(p) for p in pair_files]
-    else:  # the corpus's shape applies only to the generated pairs
-        used.update(n_slices=int(n_slices), scale=float(scale))
+    used = {"corpus": corpus, "n_slices": int(n_slices), "scale": float(scale)}
     if ell is not None:
         used["ell"] = float(ell)
-    return checks, outputs, used
+    return checks, [("compare_table", "medium_compare.txt", names, header)], used
 
 
-def _task_zeno(cfg, outdir, kappas=None):
+def _task_zeno(cfg, kappas=None):
     if kappas is None:
         kappas = cfg.meas.kappa * np.logspace(-2.0, 2.0, 5)
     kappas = np.asarray(sorted(float(k) for k in kappas))
@@ -690,25 +622,16 @@ def _task_zeno(cfg, outdir, kappas=None):
         variances.append(_density_stats(res.final_state, cfg.sgrid)[2])
     variances = np.asarray(variances)
     slope = float(np.polyfit(np.log(kappas), np.log(variances), 1)[0])
-    outputs = [
-        (
-            "sweep",
-            emit_plot_data(
-                outdir / "zeno_sweep.txt",
-                [("kappa", kappas), ("var_q[pos^2]", variances)],
-                header=[
-                    "final position variance of a packet monitored at a = 0, "
-                    "ideal resolution",
-                    f"log-log fitted slope = {slope:.17g}",
-                ],
-            ),
-        )
+    tables = [
+        ("sweep", "zeno_sweep.txt", [("kappa", kappas), ("var_q[pos^2]", variances)],
+         ["final position variance of a packet monitored at a = 0, ideal resolution",
+          f"log-log fitted slope = {slope:.17g}"]),
     ]
     worst_rise = float(np.max(np.diff(variances)))
     checks = [
         _check("variance_monotone_decreasing", worst_rise, 0.0, worst_rise < 0.0),
     ]
-    return checks, outputs, {"kappas": [float(k) for k in kappas]}
+    return checks, tables, {"kappas": [float(k) for k in kappas]}
 
 
 # convergence distances up to this many ulps of the initial state's largest
@@ -716,7 +639,7 @@ def _task_zeno(cfg, outdir, kappas=None):
 _ROUNDOFF_ULPS = 64
 
 
-def _task_convergence(cfg, outdir, study="dt", levels=4):
+def _task_convergence(cfg, study="dt", levels=4):
     kappa = cfg.meas.kappa
     psi0 = cfg.initial_packet()
     rho0 = pure_density(psi0)
@@ -761,16 +684,11 @@ def _task_convergence(cfg, outdir, study="dt", levels=4):
     fit = dists > floor
     slope = float(np.polyfit(np.log(params[fit]), np.log(dists[fit]), 1)[0]) \
         if fit.sum() >= 2 else np.nan
-    outputs = [
-        (
-            "convergence",
-            emit_plot_data(
-                outdir / f"convergence_{study}.txt",
-                [(name, params), ("distance", dists), ("order", orders)],
-                header=[desc, f"log-log fitted slope = {slope:.17g}",
-                        f"roundoff floor = {floor:.17g} (excluded from the fit)"],
-            ),
-        )
+    tables = [
+        ("convergence", f"convergence_{study}.txt",
+         [(name, params), ("distance", dists), ("order", orders)],
+         [desc, f"log-log fitted slope = {slope:.17g}",
+          f"roundoff floor = {floor:.17g} (excluded from the fit)"]),
     ]
     # strictly decreasing down to the roundoff floor: the largest distance
     # not below its predecessor may only be a stall at roundoff
@@ -778,7 +696,7 @@ def _task_convergence(cfg, outdir, study="dt", levels=4):
     checks = [
         _check("distances_strictly_decreasing", stalled, floor, stalled <= floor),
     ]
-    return checks, outputs, {"study": study, "levels": levels}
+    return checks, tables, {"study": study, "levels": levels}
 
 
 _TASKS = {
@@ -792,19 +710,27 @@ _TASKS = {
 
 
 def run_scenario(config, task="evolve", outdir=None, **options):
-    """Run one task for a scenario; write artifacts and the manifest.
+    """Run one task for a scenario; write its tables and the manifest.
 
-    Returns the RunManifest.  Raises ConfigError for invalid inputs and
-    CheckFailure (with the manifest attached) when a numerical check
-    recorded in the manifest fails; artifacts are written either way.
+    The task computes and returns its checks, its tables as
+    ``(name, file, columns, header)`` and the options it used; this is
+    the only place a table is written, with `emit_plot_data`, and
+    hashed.  Returns the RunManifest.  Raises ConfigError for invalid
+    inputs, before anything is written, and CheckFailure (with the
+    manifest attached) when a numerical check recorded in the manifest
+    fails; the tables and the manifest are written either way.
     """
     runner = _TASKS.get(task)
     if runner is None:
         raise ConfigError(f"task: {task!r} is not one of {sorted(_TASKS)}")
+    started = time.perf_counter()
+    checks, tables, used = runner(config, **options)
     outdir = Path(outdir) if outdir else config.outdir
     outdir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    checks, outputs, used = runner(config, outdir, **options)
+    outputs = []
+    for name, file, columns, header in tables:
+        path = emit_plot_data(outdir / file, columns, header)
+        outputs.append({"name": name, "file": path.name, "sha256": file_sha256(path)})
     manifest = RunManifest(
         task=task,
         options=used,
@@ -813,10 +739,7 @@ def run_scenario(config, task="evolve", outdir=None, **options):
         seed=config.seed,
         wall_clock_seconds=time.perf_counter() - started,
         checks=checks,
-        outputs=[
-            {"name": name, "file": Path(p).name, "sha256": file_sha256(p)}
-            for name, p in outputs
-        ],
+        outputs=outputs,
     )
     manifest.write(outdir / "manifest.json")
     failed = [c for c in checks if not c["passed"]]

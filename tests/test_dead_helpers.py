@@ -13,7 +13,11 @@ by some package line, a demo or the README.  The scans are syntactic
 only through a string would need its own mention here.
 
 A manifest check of ``scenario.py`` whose verdict is a constant cannot
-fail; the last guard refuses one.
+fail; a guard refuses one.  Two more keep each thing in one place: a
+``_task_*`` function of ``scenario.py`` computes and returns its tables,
+so it takes no ``outdir`` and writes or hashes no file (``run_scenario``
+does), and no ``add_argument`` of ``cli.py`` states a default (the task's
+signature holds it).
 """
 
 import ast
@@ -141,3 +145,29 @@ def _constant_verdicts(tree):
 def test_no_manifest_check_is_constant():
     lines = list(_constant_verdicts(ast.parse((PACKAGE / "scenario.py").read_text())))
     assert not lines, f"scenario.py checks that cannot fail, at lines {lines}"
+
+
+def _task_io(tree):
+    """What each ``_task_*`` function does that belongs to ``run_scenario``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_task_"):
+            if any(arg.arg == "outdir" for arg in node.args.args + node.args.kwonlyargs):
+                yield f"{node.name} takes outdir"
+            for name in {"emit_plot_data", "file_sha256"} & set(_references(node)):
+                yield f"{node.name} calls {name}"
+
+
+def test_no_task_writes_its_own_tables():
+    found = list(_task_io(ast.parse((PACKAGE / "scenario.py").read_text())))
+    assert not found, "tasks doing run_scenario's I/O: " + ", ".join(found)
+
+
+def test_no_cli_option_states_a_default():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and any(kw.arg == "default" for kw in node.keywords)
+    ]
+    assert not lines, f"cli.py options that restate a task default, at lines {lines}"

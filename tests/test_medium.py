@@ -13,7 +13,6 @@ from corridors.medium import (
     firstorder_log_weights,
     form_factor_from_medium,
     influence_exact,
-    load_path_pair,
     nu_of_omega,
     reduce_to_phenomenological,
 )
@@ -195,32 +194,3 @@ def test_path_pair_validation():
     assert pp.n_slices == 2
     r1, r2 = pp.planar()
     assert r1.shape == (2, 1)
-
-
-def test_load_path_pair_roundtrip(tmp_path):
-    t = 0.25 * np.arange(6)
-    r1 = np.sin(t)
-    r2 = np.cos(t)
-    p = tmp_path / "pair1d.txt"
-    np.savetxt(p, np.column_stack([t, r1, r2]))
-    pp, dt = load_path_pair(p)
-    assert_allclose(dt, 0.25)
-    assert_allclose(pp.r1, r1)
-    assert pp.r1.ndim == 1
-
-    r1_3 = np.stack([t, t**2, np.ones_like(t)], axis=1)
-    r2_3 = r1_3 + 0.1
-    p3 = tmp_path / "pair3d.txt"
-    np.savetxt(p3, np.column_stack([t, r1_3, r2_3]))
-    pp3, _ = load_path_pair(p3)
-    assert pp3.r1.shape == (6, 3)
-    assert_allclose(pp3.r2, r2_3)
-
-    bad = tmp_path / "bad.txt"
-    np.savetxt(bad, np.column_stack([t**2, r1, r2]))  # non-uniform times
-    with pytest.raises(ValueError):
-        load_path_pair(bad)
-    bad2 = tmp_path / "bad2.txt"
-    np.savetxt(bad2, np.column_stack([t, r1]))  # missing second path
-    with pytest.raises(ValueError):
-        load_path_pair(bad2)

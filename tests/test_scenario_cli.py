@@ -15,6 +15,7 @@ from corridors.scenario import (
     CheckFailure,
     ConfigError,
     RunManifest,
+    _TASKS,
     _resolve_readout,
     emit_plot_data,
     file_sha256,
@@ -634,6 +635,51 @@ def test_cli_average_and_sweeps(tmp_path, capsys):
                  "--outdir", str(tmp_path / "m")]) == 0
 
 
+# every task on both demo scenarios, at options that keep it quick; the
+# last run fails its check (exit 2) and must still write its table
+DEMO_RUNS = [
+    ("free_monitored.ini", "evolve --readout sample", 0),
+    ("free_monitored.ini", "average", 0),
+    ("free_monitored.ini", "unitarity-check", 0),
+    ("free_monitored.ini", "medium-compare --corpus 10 --ell 2.0", 0),
+    ("free_monitored.ini", "zeno-sweep", 0),
+    ("free_monitored.ini", "convergence --study dt --levels 2", 0),
+    ("slow_detector.ini", "evolve --readout sample", 0),
+    ("slow_detector.ini", "average --engine superpropagator --mode mc --samples 20", 0),
+    ("slow_detector.ini", "medium-compare --corpus 10", 0),
+    ("slow_detector.ini", "zeno-sweep", 0),
+    ("slow_detector.ini", "convergence --study tau --levels 2", 0),
+    ("slow_detector.ini", "unitarity-check --tol 1e-18", 2),
+]
+
+
+@pytest.mark.parametrize("scenario, args, code", DEMO_RUNS,
+                         ids=[f"{s.split('_')[0]}:{a}" for s, a, _ in DEMO_RUNS])
+def test_run_writes_exactly_the_manifest_and_its_tables(tmp_path, capsys, scenario, args, code):
+    out = tmp_path / "out"
+    task, *options = args.split()
+    assert main([task, str(SLOW_DETECTOR.with_name(scenario)), *options,
+                 "--outdir", str(out)]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]
+    assert {p.name for p in out.iterdir()} == \
+        {entry["file"] for entry in manifest["outputs"]} | {"manifest.json"}
+    for entry in manifest["outputs"]:
+        assert file_sha256(out / entry["file"]) == entry["sha256"]
+    assert all(check["passed"] for check in manifest["checks"]) == (code == 0)
+
+
+@pytest.mark.parametrize("task", sorted(_TASKS))
+def test_cli_defaults_are_the_task_signatures(tmp_path, capsys, task):
+    # the CLI passes on only the options given, so a bare invocation
+    # records the options run_scenario uses when given none
+    scenario = write_scenario(tmp_path)
+    assert main([task, str(scenario), "--outdir", str(tmp_path / "cli")]) == 0
+    recorded = json.loads((tmp_path / "cli" / "manifest.json").read_text())["options"]
+    assert recorded == run_scenario(load_config(scenario), task=task,
+                                    outdir=tmp_path / "lib").options
+
+
 WINDOWED = BASE.replace("kind = delta", "kind = gaussian\ntau = 0.02")
 
 # (scenario text, task, CLI arguments or None where the parser's choices
@@ -647,6 +693,13 @@ CONFIG_REFUSALS = {
         "measurement.observable"),
     "constant readout": (
         BASE, "evolve", ["--readout", "const:abc"], {"readout": "const:abc"}, "readout"),
+    # file readouts resolve against the working directory, the test's tmp_path
+    "missing readout file": (
+        BASE, "evolve", ["--readout", "file:missing.txt"], {"readout": "file:missing.txt"},
+        "readout: missing.txt not found"),
+    "ragged readout file": (
+        BASE, "evolve", ["--readout", "file:ragged.txt"], {"readout": "file:ragged.txt"},
+        "readout: the number of columns changed"),
     "ideal engine on a window": (
         WINDOWED, "evolve", ["--engine", "ideal"], {"engine": "ideal"}, "engine"),
     "quadrature on a window": (
@@ -672,9 +725,11 @@ CONFIG_REFUSALS = {
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
-def test_configuration_refusals_name_the_key(tmp_path, capsys, case):
+def test_configuration_refusals_name_the_key(tmp_path, capsys, monkeypatch, case):
     text, task, argv, options, key = CONFIG_REFUSALS[case]
     np.savetxt(tmp_path / "obs8.txt", np.linspace(-1.0, 1.0, 8))
+    (tmp_path / "ragged.txt").write_text("0.0 0.1\n0.2\n")
+    monkeypatch.chdir(tmp_path)
     scenario = write_scenario(tmp_path, text)
     out = tmp_path / "out"
     if argv is not None:
@@ -711,24 +766,6 @@ def test_zeno_sweep_defaults_to_four_decades_around_kappa(tmp_path):
     cfg = load_config(write_scenario(tmp_path))
     manifest = run_scenario(cfg, task="zeno-sweep", outdir=tmp_path / "z")
     assert_allclose(manifest.options["kappas"], 0.9 * np.logspace(-2.0, 2.0, 5), rtol=1e-15)
-
-
-def test_cli_medium_compare_reads_pair_files(tmp_path, capsys):
-    # one 1-D and one 2-D pair replace the generated corpus, whose shape
-    # options then do not apply and are not recorded
-    t = 0.05 * np.arange(9)
-    rng = np.random.default_rng(3)
-    np.savetxt(tmp_path / "line.txt", np.column_stack([t, rng.normal(size=(9, 2))]))
-    np.savetxt(tmp_path / "plane.txt", np.column_stack([t, rng.normal(size=(9, 4))]))
-    scenario = write_scenario(tmp_path, WINDOWED)
-    out = tmp_path / "m"
-    assert main(["medium-compare", str(scenario), "--pair", str(tmp_path / "line.txt"),
-                 "--pair", str(tmp_path / "plane.txt"), "--outdir", str(out)]) == 0
-    table = np.loadtxt(out / "medium_compare.txt")
-    assert table.shape == (2, 5) and np.all(table[:, 4] < 1e-10)
-    options = json.loads((out / "manifest.json").read_text())["options"]
-    assert options == {"corpus": 2,
-                       "pair_files": [str(tmp_path / "line.txt"), str(tmp_path / "plane.txt")]}
 
 
 @pytest.mark.parametrize("argv, key", [

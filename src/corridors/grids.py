@@ -18,7 +18,11 @@ Engines plan the step once per call and, up to a measured lattice size,
 step by products with its dense matrix, which is cheaper there than the FFT.
 Above it a density matrix is conjugated, M rho M^dagger, by one 2-D FFT pair
 with the phases applied as outer products; this relies on the kinetic phase
-being even in k, which k^2 on the FFT-ordered lattice is at every n.
+being even in k, which k^2 on the FFT-ordered lattice is at every n.  An
+averaged engine runs all its steps as one sweep of the plan, which folds the
+diagonal factors between two transform pairs (the closing potential phase,
+the step's gain and the next opening phase) into one precomputed product and
+transforms in place, so a step allocates no array.
 """
 
 from __future__ import annotations
@@ -271,8 +275,19 @@ class _StepPlan:
     It is: k^2 of the FFT-ordered wavenumbers is exactly even at every n,
     the self-paired Nyquist bin of an even lattice included.  A plan for
     -dt has exactly the conjugate phases, so it is M^dagger.
-    `conjugate_twice` conjugates by M M, by its cached dense matrix up to
-    the same crossover and by two FFT conjugations above it.
+
+    `sweep` is the one stepping kernel of the averaged engines: for gains
+    g_0 .. g_N it returns g_N . M (... g_1 . M (g_0 . x) M^dagger ...) M^dagger.
+    On the FFT it runs in the shifted frame s = V2 . x: between two
+    transform pairs the closing V2 of one conjugation, the gain and the
+    opening V2 of the next fold into one product V2 . g . V2, formed once
+    per call and gain (no gain: V2 . V2 by its column and row factors), and
+    V2 then g_N close the last pair.  A step is then fft2, times K2, ifft2,
+    times the folded gain: two transforms in the array's own memory
+    (``overwrite_x``) and two in-place products, so no step allocates.
+    Dense, a step is M x, then (M x) M^dagger, then the gain, into two
+    buffers per call; no gain between two conjugations makes them one by
+    the cached M M (`squared`).  `conjugate` is the sweep of one step.
     """
 
     def __init__(self, ham, grid, dt):
@@ -304,19 +319,8 @@ class _StepPlan:
         return self.matrix @ block if self.dense else self.fft_step(block)
 
     @cached_property
-    def outer_phases(self):  # (V2, K2) of the 2-D conjugation
-        return self.half_v * self.half_v.conj().T, self.kinetic * self.kinetic.conj().T
-
-    def conjugate(self, rho):
-        """M rho M^dagger."""
-        if self.dense:
-            return self.matrix @ rho @ self.matrix_h
-        v2, k2 = self.outer_phases
-        out = scipy.fft.fft2(v2 * rho, overwrite_x=True)
-        out *= k2
-        out = scipy.fft.ifft2(out, overwrite_x=True)
-        out *= v2
-        return out
+    def kinetic_2d(self):  # K2 = k k^dagger of the 2-D conjugation
+        return self.kinetic * self.kinetic.conj().T
 
     @cached_property
     def squared(self):
@@ -328,13 +332,64 @@ class _StepPlan:
         square = (m @ m).astype(complex)
         return square, np.ascontiguousarray(square.conj().T)
 
-    def conjugate_twice(self, rho):
-        """M M rho (M M)^dagger: one conjugation by the cached M M when dense,
-        two by M otherwise (a dense M M measured slower above the crossover)."""
+    def conjugate(self, rho):
+        """M rho M^dagger, as a new array."""
+        return self.sweep(rho, [None, None])
+
+    def sweep(self, x, gains):
+        """g_N . M (... g_2 . M (g_1 . M (g_0 . x) M^dagger) M^dagger ...) M^dagger
+        for the gains g_0 .. g_N (None: no gain, and N >= 1), as a new array;
+        the (n, n) x is never written."""
         if self.dense:
-            square, square_h = self.squared
-            return square @ rho @ square_h
-        return self.conjugate(self.conjugate(rho))
+            return self._dense_sweep(x, gains)
+        v, v_h = self.half_v, self.half_v.conj().T  # V2 = v v_h
+        s = x * v
+        s *= v_h
+        if gains[0] is not None:
+            s *= gains[0]
+        v_sq, v_h_sq = v * v, v_h * v_h
+        folded = {}  # id(g) -> V2 . g . V2, the product between two transform pairs
+        for g in gains[1:-1]:
+            s = self._transform_pair(s)
+            if g is None:  # V2 . V2 by its two factors, no (n, n) array
+                s *= v_sq
+                s *= v_h_sq
+                continue
+            if id(g) not in folded:
+                folded[id(g)] = v_sq * v_h_sq
+                folded[id(g)] *= g
+            s *= folded[id(g)]
+        s = self._transform_pair(s)
+        s *= v
+        s *= v_h
+        if gains[-1] is not None:
+            s *= gains[-1]
+        return s
+
+    def _transform_pair(self, s):
+        """ifft2(K2 . fft2(s)), in the memory of s."""
+        s = scipy.fft.fft2(s, overwrite_x=True)
+        s *= self.kinetic_2d
+        return scipy.fft.ifft2(s, overwrite_x=True)
+
+    def _dense_sweep(self, x, gains):
+        """`sweep` on the dense plan."""
+        tmp = np.empty((self.n, self.n), dtype=complex)
+        out = np.empty_like(tmp)
+        if gains[0] is not None:
+            x = np.multiply(x, gains[0], out=out)
+        i = 1
+        while i < len(gains):
+            if gains[i] is None and i + 1 < len(gains):  # no gain between: one conjugation by M M
+                (m, m_h), i = self.squared, i + 1
+            else:
+                m, m_h = self.matrix, self.matrix_h
+            np.matmul(m, x, out=tmp)
+            np.matmul(tmp, m_h, out=out)
+            if gains[i] is not None:
+                out *= gains[i]
+            x, i = out, i + 1
+        return out
 
 
 def unitary_step(psi, ham, grid, dt):

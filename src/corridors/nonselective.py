@@ -12,8 +12,12 @@ no quadrature error, and composing steps gives the monitoring master
 equation  d rho/dt = -i[H, rho]/hbar - (kappa/2) [A, [A, rho]]  in Strang
 form.  `lindblad_evolve` sweeps that equation on the mid-step state: the
 two half steps that meet between steps are one conjugation by their
-product, once per step on the dense plan; an observer, which sees every
-full step, and the FFT plan keep two half conjugations per step.  Finite
+product, once per step on the dense plan and two transform pairs on the
+FFT plan.  The ideal sweep, its adjoint and the master equation each run
+all their steps as one `_StepPlan.sweep`, which on the FFT folds each
+decay between the potential phases around it and transforms in place, so
+no step allocates; an observer, which sees every full step, gets plain
+per-step conjugations and fresh arrays that nothing writes again.  Finite
 time resolution correlates the decay across a window of steps; the
 doubled (bra x ket) lattice chain is then contracted exactly with the
 same sliding-buffer sweep the selective engine uses.  The
@@ -145,7 +149,9 @@ class UnitarityReport:
 
 def _decay_matrix(values, kappa, dt):
     d = values[:, None] - values[None, :]
-    return np.exp(-0.5 * kappa * dt * d**2)
+    d *= d
+    d *= -0.5 * kappa * dt
+    return np.exp(d, out=d)
 
 
 def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
@@ -157,31 +163,30 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     valid state at every step (up to roundoff).  ``observer(i, rho)``
     sees the state after each full step.
 
-    The two half steps that meet between consecutive steps compose into
-    one conjugation by M_h M_h, so without an observer the sweep runs on
-    the mid-step state tau_i = D . (M_h rho_i M_h^dagger):
+    Without an observer the sweep runs on the mid-step state
+    tau_i = D . (M_h rho_i M_h^dagger):
 
-        tau_{i+1} = D . (W tau_i W^dagger),  W = M_h M_h,
+        tau_{i+1} = D . (M_h M_h tau_i (M_h M_h)^dagger),
         rho_N = M_h tau_{N-1} M_h^dagger,
 
-    the same scheme at one conjugation per step up to the plan's dense
-    crossover (`_StepPlan.conjugate_twice`), and two above it.  An
-    observer needs every rho_i, so it gets two half conjugations per step.
+    one `_StepPlan.sweep` of 2N half conjugations with the decay after
+    the first of each pair.  Up to the plan's dense crossover the two half
+    steps that meet between steps are one conjugation by the cached
+    M_h M_h; above it each step is two FFT transform pairs with the
+    folded gains V2_h^2 between them and V2_h^2 . D after them.  An
+    observer needs every rho_i, so it gets two plain half conjugations
+    per step.
     """
     _check_kappa(kappa)
     rho = np.asarray(rho0, dtype=complex)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
     half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
-    if observer is not None:
-        for i in range(tgrid.n_steps):
-            rho = half.conjugate(half.conjugate(rho) * decay)
-            observer(i, rho)
-        return rho
-    tau = half.conjugate(rho) * decay
-    for _ in range(tgrid.n_steps - 1):
-        tau = half.conjugate_twice(tau)
-        tau *= decay
-    return half.conjugate(tau)
+    if observer is None:
+        return half.sweep(rho, [None] + [decay, None] * tgrid.n_steps)
+    for i in range(tgrid.n_steps):
+        rho = half.conjugate(half.conjugate(rho) * decay)
+        observer(i, rho)
+    return rho
 
 
 def _ideal_adjoint(x, kappa, ham, obs, sgrid, tgrid):
@@ -189,9 +194,7 @@ def _ideal_adjoint(x, kappa, ham, obs, sgrid, tgrid):
     X <- decay . (M† X M), M† X M the conjugation by the plan for -dt."""
     back = _StepPlan(ham, sgrid, -tgrid.dt)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
-    for _ in range(tgrid.n_steps):
-        x = decay * back.conjugate(x)
-    return x
+    return back.sweep(np.asarray(x, dtype=complex), [None] + [decay] * tgrid.n_steps)
 
 
 def readout_average(psi0, kappa, ham, obs, sgrid, tgrid):
@@ -271,12 +274,14 @@ def superpropagate(
                               tgrid, samples, seed)
 
     if ideal:
-        rho = rho0
         decay = _decay_matrix(obs.values, kappa, tgrid.dt)
         plan = _StepPlan(ham, sgrid, tgrid.dt)
-        for i in range(tgrid.n_steps):
-            rho = plan.conjugate(rho * decay)
-            if observer is not None:
+        if observer is None:
+            rho = plan.sweep(rho0, [decay] * tgrid.n_steps + [None])
+        else:
+            rho = rho0
+            for i in range(tgrid.n_steps):
+                rho = plan.conjugate(rho * decay)
                 observer(i, rho)
         return AverageResult(rho=rho, mode=mode)
 

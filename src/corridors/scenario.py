@@ -572,16 +572,18 @@ def _task_medium_compare(cfg, corpus=100, n_slices=24, scale=0.5, ell=None):
         cfg.form.factorize()
     except ValueError as exc:
         raise ConfigError(f"resolution: {exc}") from None
-    corpus = int(corpus)
+    corpus, n_slices = int(corpus), int(n_slices)
     if corpus < 1:
         raise ConfigError("corpus: need at least one path pair")
+    if n_slices < 1:
+        raise ConfigError(f"n_slices: {n_slices} slices; a path pair needs at least one")
     # a zero scale makes every pair coincide, so every weight is 1
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError(f"scale: {scale!r} is not a finite positive excursion scale")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for idx in range(corpus):
-        r = scale * rng.normal(size=(2, int(n_slices)))
+        r = scale * rng.normal(size=(2, n_slices))
         pair = PathPair(r[0], r[1])
         red = reduce_to_phenomenological(pair, cfg.form, kappa, dt)
         row = [idx, red.w_model, red.w_corridor, red.gap, red.rel_gap]
@@ -600,7 +602,7 @@ def _task_medium_compare(cfg, corpus=100, n_slices=24, scale=0.5, ell=None):
         header.append(f"w_exact uses interaction range ell = {float(ell):.17g}")
     worst = float(np.max(table[:, 4]))
     checks = [_check("max_rel_gap", worst, 1e-10, worst < 1e-10)]
-    used = {"corpus": corpus, "n_slices": int(n_slices), "scale": float(scale)}
+    used = {"corpus": corpus, "n_slices": n_slices, "scale": float(scale)}
     if ell is not None:
         used["ell"] = float(ell)
     return checks, [("compare_table", "medium_compare.txt", names, header)], used

@@ -14,16 +14,20 @@ weight delegates, its public medium weights.
 The last section is the one exception to independence: the one-record-
 at-a-time loop of the Monte-Carlo unitarity check, on the package's own
 conditioning cores, the identity-block sweep of the field-sampled
-average, on the package's own field sweep, and the two-half-step master
-equation loop, on the package's own step plan.  They are the references
-for batching records side by side, for sweeping a factor of rho0 and for
-composing the half steps, which must change nothing but roundoff and the
-order of sums.
+average, on the package's own field sweep, and the one-step-at-a-time
+loops of the averaged ideal sweep, of its adjoint and of the master
+equation (two half steps, or dense with them composed), on the package's
+own step plan's phases and matrices.  They are the references for
+batching records side by side, for sweeping a factor of rho0, for
+composing the half steps and for the plan's fused sweep, which must
+change nothing but roundoff and the order of sums (and nothing at all on
+a dense plan).
 """
 
 import math
 
 import numpy as np
+import scipy.fft
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
@@ -457,7 +461,7 @@ def verify_window_moment_identity(pair, window, dt):
 # ----------------------------------------------------------------------
 # the per-record Monte-Carlo unitarity loop (reference for record batches),
 # the identity-block field average (reference for the factor sweep) and the
-# two-half-step master equation (reference for the composed half steps)
+# per-step averaged sweeps (references for the plan's fused sweep)
 
 
 def mixture_record(rng, values, kappa, dt, n_steps):
@@ -526,7 +530,46 @@ def field_average_identity_sweep(rho0, kernel_spec, ham, obs, sgrid, tgrid, samp
     return moments.mean(), moments.stderr()
 
 
-def lindblad_two_half_steps(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
+def conjugate_per_step(plan, rho):
+    """M rho M^dagger by the plan's dense matrix or by one 2-D FFT pair, on
+    fresh arrays: one plain conjugation, no gain folded in."""
+    if plan.dense:
+        return plan.matrix @ rho @ plan.matrix_h
+    v2 = plan.half_v * plan.half_v.conj().T
+    out = scipy.fft.fft2(v2 * rho, overwrite_x=True)
+    out *= plan.kinetic * plan.kinetic.conj().T
+    out = scipy.fft.ifft2(out, overwrite_x=True)
+    out *= v2
+    return out
+
+
+def ideal_average_steps(rho0, kappa, ham, obs, sgrid, tgrid, observer=None,
+                        conjugate=conjugate_per_step):
+    """`superpropagate`'s exact ideal sweep one step at a time:
+    rho <- M (D . rho) M^dagger, each conjugation by ``conjugate(plan, rho)``,
+    with ``observer(i, rho)`` after each step."""
+    rho = np.asarray(rho0, dtype=complex)
+    decay = _decay_matrix(obs.values, kappa, tgrid.dt)
+    plan = _StepPlan(ham, sgrid, tgrid.dt)
+    for i in range(tgrid.n_steps):
+        rho = conjugate(plan, rho * decay)
+        if observer is not None:
+            observer(i, rho)
+    return rho
+
+
+def ideal_adjoint_steps(x, kappa, ham, obs, sgrid, tgrid, conjugate=conjugate_per_step):
+    """`_ideal_adjoint` one step at a time: X <- D . (M^dagger X M), the
+    conjugation by the plan for -dt."""
+    decay = _decay_matrix(obs.values, kappa, tgrid.dt)
+    back = _StepPlan(ham, sgrid, -tgrid.dt)
+    for _ in range(tgrid.n_steps):
+        x = decay * conjugate(back, x)
+    return x
+
+
+def lindblad_two_half_steps(rho0, kappa, ham, obs, sgrid, tgrid, observer=None,
+                            conjugate=conjugate_per_step):
     """`lindblad_evolve` as two half-step conjugations around the decay, every step.
 
     rho <- M_h (D . (M_h rho M_h^dagger)) M_h^dagger, with ``observer(i, rho)``
@@ -536,7 +579,22 @@ def lindblad_two_half_steps(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
     half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
     for i in range(tgrid.n_steps):
-        rho = half.conjugate(half.conjugate(rho) * decay)
+        rho = conjugate(half, conjugate(half, rho) * decay)
         if observer is not None:
             observer(i, rho)
     return rho
+
+
+def lindblad_composed_dense(rho0, kappa, ham, obs, sgrid, tgrid):
+    """`lindblad_evolve` on a dense plan one step at a time, the half steps
+    that meet between steps composed into one conjugation by M_h M_h:
+    tau <- D . (W tau W^dagger) from tau = D . (M_h rho0 M_h^dagger)."""
+    decay = _decay_matrix(obs.values, kappa, tgrid.dt)
+    half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
+    assert half.dense
+    square, square_h = half.squared
+    tau = conjugate_per_step(half, np.asarray(rho0, dtype=complex)) * decay
+    for _ in range(tgrid.n_steps - 1):
+        tau = square @ tau @ square_h
+        tau *= decay
+    return conjugate_per_step(half, tau)

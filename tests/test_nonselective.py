@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.testing import assert_allclose
 
 import oracles
@@ -139,23 +140,63 @@ def test_lindblad_observer_sees_every_step(n):
     assert got is seen[-1][1]
 
 
+def _count_conjugations(monkeypatch, plan):
+    """Count the conjugations by ``plan``: on a dense plan the products whose
+    left factor is its M ("half") or its M M ("twice"), on the FFT the 2-D
+    transforms, one fft2 and one ifft2 per conjugation."""
+    calls = {"half": 0, "twice": 0, "fft2": 0, "ifft2": 0}
+    factors = {"half": plan.matrix, "twice": plan.squared[0]} if plan.dense else {}
+    matmul = np.matmul
+
+    def counted_matmul(a, *args, **kwargs):
+        for key, factor in factors.items():
+            calls[key] += np.array_equal(a, factor)
+        return matmul(a, *args, **kwargs)
+
+    def counted(name, transform):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
+    return calls
+
+
 @pytest.mark.parametrize("n, observed, half, twice", [
     (16, False, 2, 7),  # dense: one conjugation by M_h M_h per step, a half one at each end
     (16, True, 16, 0),  # an observer needs every state: two half conjugations per step
-    (256, False, 16, 7),  # FFT: M_h M_h is two half conjugations, as before
+    (256, False, 16, 0),  # FFT: two transform pairs per step, the gains folded between them
+    (256, True, 16, 0),
 ])
 def test_lindblad_conjugations_per_step(monkeypatch, n, observed, half, twice):
-    calls = {"conjugate": 0, "conjugate_twice": 0}
-    for name in calls:
-        method = getattr(_StepPlan, name)
+    args = _lindblad_setup(n, 8)
+    calls = _count_conjugations(monkeypatch, _StepPlan(args[2], args[4], 0.5 * args[5].dt))
+    lindblad_evolve(*args, observer=(lambda i, r: None) if observed else None)
+    dense = n <= 128
+    assert calls == {"half": half if dense else 0, "twice": twice,
+                     "fft2": 0 if dense else half, "ifft2": 0 if dense else half}
 
-        def counted(self, rho, name=name, method=method):
-            calls[name] += 1
-            return method(self, rho)
 
-        monkeypatch.setattr(_StepPlan, name, counted)
-    lindblad_evolve(*_lindblad_setup(n, 8), observer=(lambda i, r: None) if observed else None)
-    assert calls == {"conjugate": half, "conjugate_twice": twice}
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("engine", ["superpropagate", "readout_average", "adjoint"])
+def test_ideal_sweeps_conjugate_once_per_step(monkeypatch, engine, n):
+    # one conjugation per step, by M (by M^dagger for the adjoint): on the
+    # FFT one fft2 and one ifft2, the decay folded into the product between
+    rho0, kappa, ham, obs, g, tg = _lindblad_setup(n, 8)
+    dt = -tg.dt if engine == "adjoint" else tg.dt
+    calls = _count_conjugations(monkeypatch, _StepPlan(ham, g, dt))
+    if engine == "superpropagate":
+        superpropagate(rho0, InfluenceKernelSpec("ideal", kappa), ham, obs, g, tg)
+    elif engine == "readout_average":
+        readout_average(gaussian_packet(g, center=1.0, width=0.8), kappa, ham, obs, g, tg)
+    else:
+        nonselective._ideal_adjoint(rho0 + 1j * rho0.T, kappa, ham, obs, g, tg)
+    dense = n <= 128
+    assert calls == {"half": 8 if dense else 0, "twice": 0,
+                     "fft2": 0 if dense else 8, "ifft2": 0 if dense else 8}
 
 
 def test_readout_average_matches_numeric_record_integration():

@@ -712,6 +712,12 @@ CONFIG_REFUSALS = {
         BASE, "unitarity-check", ["--tol", "nan"], {"tol": math.nan}, "tol"),
     "empty corpus": (
         WINDOWED, "medium-compare", ["--corpus", "0"], {"corpus": 0}, "corpus"),
+    # zero slices wrote weights of exactly 1 for empty paths; a negative count
+    # failed in the sampler with a message naming no option
+    "no slices": (
+        WINDOWED, "medium-compare", ["--n-slices", "0"], {"n_slices": 0}, "n_slices: 0 slices"),
+    "negative slices": (
+        WINDOWED, "medium-compare", ["--n-slices", "-3"], {"n_slices": -3}, "n_slices: -3 slices"),
     # a zero scale made every weight 1 under [ok]; a negative one was recorded as given
     **{f"corpus scale {scale}": (
         WINDOWED, "medium-compare", ["--scale", str(scale)], {"scale": scale}, f"scale: {scale!r}")
@@ -772,11 +778,10 @@ def test_zeno_sweep_defaults_to_four_decades_around_kappa(tmp_path):
     (["--ell", "0"], "ell"),
     (["--ell", "-2"], "ell"),
     (["--ell", "nan"], "ell"),
-    (["--n-slices", "0"], "n_slices"),
-], ids=["ell=0", "ell=-2", "ell=nan", "n_slices=0"])
+], ids=["ell=0", "ell=-2", "ell=nan"])
 def test_cli_medium_compare_refuses_a_degenerate_pair_setup(tmp_path, capsys, argv, key):
-    # ell = 0 wrote a nan w_exact column under [ok], ell = -2 ran as if at
-    # ell = 2, and zero slices wrote weights of exactly 1 for empty paths
+    # ell = 0 wrote a nan w_exact column under [ok] and ell = -2 ran as if at
+    # ell = 2 (slice counts below one are configuration refusals)
     out = tmp_path / "m"
     assert main(["medium-compare", str(SLOW_DETECTOR), "--corpus", "5", *argv,
                  "--outdir", str(out)]) == 1

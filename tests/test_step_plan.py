@@ -25,7 +25,14 @@ from corridors.grids import (
     pure_density,
     unitary_step,
 )
-from corridors.nonselective import check_generalized_unitarity, lindblad_evolve, readout_average
+from corridors.nonselective import (
+    InfluenceKernelSpec,
+    _ideal_adjoint,
+    check_generalized_unitarity,
+    lindblad_evolve,
+    readout_average,
+    superpropagate,
+)
 from corridors.readout import FormFactor
 from corridors.selective import (
     WindowSpec,
@@ -150,23 +157,96 @@ def wide_ideal_shape():
     return sgrid, tgrid, ham, obs, gaussian_packet(sgrid, 0.0, 1.2, 0.4)
 
 
-def test_engines_match_the_column_sweeps_at_the_wide_ideal_shape(monkeypatch):
-    # above the crossover every conjugation is the 2-D FFT pair; the two
-    # column sweeps it replaced must give the same densities to roundoff
-    kappa = 1.0
+def random_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_engines_match_the_column_sweeps_at_the_wide_ideal_shape():
+    # above the crossover every sweep steps by 2-D FFT pairs with the gains
+    # folded between them; the per-step loops on the two column sweeps the
+    # pairs replaced must give the same densities to roundoff
+    kappa, columns = 1.0, oracles.conjugate_by_column_sweeps
     sgrid, tgrid, ham, obs, psi0 = wide_ideal_shape()
+    rho0, x = pure_density(psi0), random_matrix(sgrid.n_points, 3)
     assert not grids._StepPlan(ham, sgrid, tgrid.dt).dense
+    args = kappa, ham, obs, sgrid, tgrid
+    pairs = [
+        (lindblad_evolve(rho0, *args), oracles.lindblad_two_half_steps(rho0, *args, conjugate=columns)),
+        (readout_average(psi0, *args).rho, oracles.ideal_average_steps(rho0, *args, conjugate=columns)),
+        (_ideal_adjoint(x, *args), oracles.ideal_adjoint_steps(x, *args, conjugate=columns)),
+    ]
+    for new, old in pairs:
+        assert rel_gap(new, old) <= 1e-11
 
-    def outputs():
-        return (
-            lindblad_evolve(pure_density(psi0), kappa, ham, obs, sgrid, tgrid),
-            readout_average(psi0, kappa, ham, obs, sgrid, tgrid).rho,
-        )
 
-    new = outputs()
-    monkeypatch.setattr(grids._StepPlan, "conjugate", oracles.conjugate_by_column_sweeps)
-    for new_out, old_out in zip(new, outputs()):
-        assert rel_gap(new_out, old_out) <= 1e-11
+def harmonic_shape(n, n_steps):
+    # a nonzero potential, so V2 != 1 and every folded factor counts; dt as
+    # in the ideal benchmark shapes
+    sgrid, tgrid = build_grids(32.0 if n > 128 else 12.0, n, n_steps / 128, n_steps)
+    ham = HamiltonianSpec.harmonic(sgrid, 0.7)
+    obs = ObservableSpec.position(sgrid)
+    return sgrid, tgrid, ham, obs, gaussian_packet(sgrid, 0.5, 1.2, 0.4)
+
+
+def sweep_outputs(n, n_steps, kappa=1.0):
+    """(engine, per-step loop) pairs of every averaged sweep without an observer."""
+    sgrid, tgrid, ham, obs, psi0 = harmonic_shape(n, n_steps)
+    rho0, x = pure_density(psi0), random_matrix(n, 4)  # x: neither Hermitian nor real
+    args = kappa, ham, obs, sgrid, tgrid
+    spec = InfluenceKernelSpec("ideal", kappa)
+    lindblad = oracles.lindblad_composed_dense if n <= grids._DENSE_STEP_MAX_POINTS else \
+        oracles.lindblad_two_half_steps
+    average = oracles.ideal_average_steps(rho0, *args)
+    return [
+        (superpropagate(rho0, spec, ham, obs, sgrid, tgrid).rho, average),
+        (readout_average(psi0, *args).rho, average),
+        (_ideal_adjoint(x, *args), oracles.ideal_adjoint_steps(x, *args)),
+        (lindblad_evolve(rho0, *args), lindblad(rho0, *args)),
+    ]
+
+
+def observed_states(n, n_steps, kappa=1.0):
+    """(engine, per-step loop) pairs of the states each observer was handed;
+    the engine's must be as they were when handed, after the call too."""
+    sgrid, tgrid, ham, obs, psi0 = harmonic_shape(n, n_steps)
+    rho0 = pure_density(psi0)
+    args = kappa, ham, obs, sgrid, tgrid
+    spec = InfluenceKernelSpec("ideal", kappa)
+    pairs = []
+    for engine, loop in [
+        (lambda seen: lindblad_evolve(rho0, *args, observer=seen),
+         lambda seen: oracles.lindblad_two_half_steps(rho0, *args, observer=seen)),
+        (lambda seen: superpropagate(rho0, spec, ham, obs, sgrid, tgrid, observer=seen).rho,
+         lambda seen: oracles.ideal_average_steps(rho0, *args, observer=seen)),
+    ]:
+        handed, copies, ref = [], [], []
+        final = engine(lambda i, rho: (handed.append(rho), copies.append(rho.copy())))
+        loop(lambda i, rho: ref.append(rho))
+        assert final is handed[-1] and len(handed) == n_steps
+        assert all(np.array_equal(h, c) for h, c in zip(handed, copies))
+        pairs += zip(handed, ref)
+    return pairs
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 128])
+def test_fused_fft_sweep_matches_the_per_step_loops_with_a_potential(n_steps):
+    # V2 . g . V2 between the transform pairs and g . V2 after the last one
+    # must reproduce the loops' V2, g, V2 products, to roundoff
+    sgrid, tgrid, ham, _, _ = harmonic_shape(256, n_steps)
+    assert not grids._StepPlan(ham, sgrid, tgrid.dt).dense
+    for got, want in sweep_outputs(256, n_steps):
+        assert rel_gap(got, want) <= 1e-12
+    for got, want in observed_states(256, n_steps):
+        assert rel_gap(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+def test_dense_sweep_is_bit_identical_to_the_per_step_loops(n):
+    # dense steps are the loops' products in the loops' order, into buffers
+    for n_steps in (1, 2, 9):
+        for got, want in sweep_outputs(n, n_steps) + observed_states(n, n_steps):
+            assert np.array_equal(got, want)
 
 
 def test_exact_ideal_unitarity_at_the_wide_ideal_shape():

@@ -22,7 +22,9 @@ being even in k, which k^2 on the FFT-ordered lattice is at every n.  An
 averaged engine runs all its steps as one sweep of the plan, which folds the
 diagonal factors between two transform pairs (the closing potential phase,
 the step's gain and the next opening phase) into one precomputed product and
-transforms in place, so a step allocates no array.
+transforms in place, so a step allocates no array.  Every vector or
+column block, conditioned or field-sampled, steps through the plan's one
+column sweep, `apply`, with a diagonal gain between steps.
 """
 
 from __future__ import annotations
@@ -287,7 +289,10 @@ class _StepPlan:
     (``overwrite_x``) and two in-place products, so no step allocates.
     Dense, a step is M x, then (M x) M^dagger, then the gain, into two
     buffers per call; no gain between two conjugations makes them one by
-    the cached M M (`squared`).  `conjugate` is the sweep of one step.
+    the cached M M (`squared`).
+
+    `apply` is the one stepping kernel of vectors and column blocks, the
+    gains unfolded: a fold pays only against (n, n) passes.
     """
 
     def __init__(self, ham, grid, dt):
@@ -314,9 +319,21 @@ class _StepPlan:
     def matrix_h(self):  # M^dagger, contiguous
         return np.ascontiguousarray(self.matrix.conj().T)
 
-    def step(self, block):
-        """M applied to a vector or to an (n, m) column block."""
-        return self.matrix @ block if self.dense else self.fft_step(block)
+    def apply(self, x, gains):
+        """g_N . M (... g_1 . M (g_0 . x)) over the columns of an (n, ...) x, for
+        the gains g_0 .. g_N (an iterable; None: no gain), each broadcasting
+        against x, as a new array; x is never written."""
+        gains, x = iter(gains), np.asarray(x, dtype=complex)
+        first = next(gains)
+        # x first: numpy rounds a complex product by the order of its operands
+        x = x.copy() if first is None else x * first
+        shape = x.shape
+        for g in gains:
+            x = (self.matrix @ x.reshape(self.n, -1)).reshape(shape) if self.dense else \
+                self.fft_step(x)
+            if g is not None:
+                x *= g
+        return x
 
     @cached_property
     def kinetic_2d(self):  # K2 = k k^dagger of the 2-D conjugation
@@ -331,10 +348,6 @@ class _StepPlan:
         m = self.matrix.astype(np.clongdouble)
         square = (m @ m).astype(complex)
         return square, np.ascontiguousarray(square.conj().T)
-
-    def conjugate(self, rho):
-        """M rho M^dagger, as a new array."""
-        return self.sweep(rho, [None, None])
 
     def sweep(self, x, gains):
         """g_N . M (... g_2 . M (g_1 . M (g_0 . x) M^dagger) M^dagger ...) M^dagger

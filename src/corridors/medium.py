@@ -6,9 +6,10 @@ out leaves an influence weight on pairs of system paths.  The medium is
 summarized by a response density nu(omega) — oscillators per unit
 frequency, weighted by coupling —
 
-    nu(omega) = n (pi l^2 / 2)^(3/2) gamma_omega^2 / (4 hbar m_osc omega),
+    nu(omega) = n (pi l^2 / 2)^(3/2) gamma_omega^2 / (4 hbar m_osc omega).
 
-and the weight of a path pair (r1, r2) over slices t_0 .. t_{J-1} is
+The package takes a density as a `SpectralDensity`; that microscopic
+formula is evaluated only by the tests' oracles.  The weight of a path pair (r1, r2) over slices t_0 .. t_{J-1} is
 
     W = exp( - integral domega nu(omega)
              integral dt' dt'' cos(omega (t'-t''))
@@ -44,56 +45,15 @@ from scipy.integrate import quad
 from .readout import FormFactor
 
 __all__ = [
-    "MediumSpec",
     "SpectralDensity",
     "PathPair",
     "ReductionResult",
-    "nu_of_omega",
     "correlation_function",
     "form_factor_from_medium",
     "influence_exact",
     "firstorder_log_weights",
     "reduce_to_phenomenological",
 ]
-
-
-@dataclass(frozen=True)
-class MediumSpec:
-    """Microscopic medium parameters.
-
-    density  : oscillators per unit volume
-    range_l  : interaction range l of the Gaussian well
-    m_osc    : mass of one medium oscillator (distinct from the monitored
-               particle's mass, which lives in HamiltonianSpec)
-    coupling : gamma, either a constant or a callable gamma(omega)
-    """
-
-    density: float
-    range_l: float
-    m_osc: float = 1.0
-    hbar: float = 1.0
-    coupling: float | object = 1.0
-
-    def __post_init__(self):
-        for name in ("density", "range_l", "m_osc", "hbar"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-
-    def gamma(self, omega):
-        if callable(self.coupling):
-            return self.coupling(omega)
-        return self.coupling
-
-
-def nu_of_omega(medium: MediumSpec, omega):
-    """Response density of the medium at frequency omega > 0."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("nu(omega) is defined for omega > 0")
-    pref = medium.density * (math.pi * medium.range_l**2 / 2.0) ** 1.5
-    gam = np.vectorize(medium.gamma)(omega) if callable(medium.coupling) else medium.coupling
-    return pref * np.asarray(gam, dtype=float) ** 2 / (4.0 * medium.hbar * medium.m_osc * omega)
 
 
 @dataclass(frozen=True)

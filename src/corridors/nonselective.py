@@ -16,8 +16,8 @@ product, once per step on the dense plan and two transform pairs on the
 FFT plan.  The ideal sweep, its adjoint and the master equation each run
 all their steps as one `_StepPlan.sweep`, which on the FFT folds each
 decay between the potential phases around it and transforms in place, so
-no step allocates; an observer, which sees every full step, gets plain
-per-step conjugations and fresh arrays that nothing writes again.  Finite
+no step allocates; an observer, which sees every full step, gets one
+sweep per step and fresh arrays that nothing writes again.  Finite
 time resolution correlates the decay across a window of steps; the
 doubled (bra x ket) lattice chain is then contracted exactly with the
 same sliding-buffer sweep the selective engine uses.  The
@@ -41,11 +41,13 @@ rho0 = A B† runs the 2 rank(rho0) columns [A | B].
 corridor decomposition — the record-integrated U†U is the identity —
 either in closed form (ideal), by an exact time-reversed doubled
 contraction (windowed), or by importance-sampled records with error
-bars.  The sampled records are conditioned exactly through the selective
-cores in batches, side by side in one sweep, with records x identity
-columns x live elements within the samplers' batch
-(`_FIELD_BATCH_ELEMENTS`) and the cap.  A window above the cap is
-refused in both modes: no sampled estimate of U[a] stands in for it.
+bars.  The sampled records are conditioned exactly in batches, side by
+side: an ideal batch is one `_StepPlan.apply` over the identity columns
+of every record, each record's corridor factors its gains, and a
+windowed batch one contraction, with records x identity columns x live
+elements within the samplers' batch (`_FIELD_BATCH_ELEMENTS`) and the
+cap.  A window above the cap is refused in both modes: no sampled
+estimate of U[a] stands in for it.
 `superpropagate` accepts pluggable two-path weights, including the
 oscillator-medium kernels, so the same machinery covers phenomenological
 and microscopic decoherence models.
@@ -66,9 +68,9 @@ from .selective import (
     DEFAULT_WORK_CAP,
     WindowSpec,
     _contract_windowed,
+    _corridor_gains,
     _corridor_rows,
     _field_sweep,
-    _ideal_sweep,
     _Moments,
 )
 
@@ -174,8 +176,8 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     steps that meet between steps are one conjugation by the cached
     M_h M_h; above it each step is two FFT transform pairs with the
     folded gains V2_h^2 between them and V2_h^2 . D after them.  An
-    observer needs every rho_i, so it gets two plain half conjugations
-    per step.
+    observer needs every rho_i, so it gets a sweep of two half
+    conjugations per step.
     """
     _check_kappa(kappa)
     rho = np.asarray(rho0, dtype=complex)
@@ -184,7 +186,7 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
     if observer is None:
         return half.sweep(rho, [None] + [decay, None] * tgrid.n_steps)
     for i in range(tgrid.n_steps):
-        rho = half.conjugate(half.conjugate(rho) * decay)
+        rho = half.sweep(rho, [None, decay, None])
         observer(i, rho)
     return rho
 
@@ -281,7 +283,7 @@ def superpropagate(
         else:
             rho = rho0
             for i in range(tgrid.n_steps):
-                rho = plan.conjugate(rho * decay)
+                rho = plan.sweep(rho, [decay, None])
                 observer(i, rho)
         return AverageResult(rho=rho, mode=mode)
 
@@ -525,7 +527,7 @@ def check_generalized_unitarity(
         a, log_q = _mixture_records(rng, vals, kappa, dt, n_steps, min(batch, samples - done))
         starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
         if window is None:
-            u = _ideal_sweep(plan, starts.transpose(1, 0, 2), a, kappa, vals, dt)
+            u = plan.apply(starts.transpose(1, 0, 2), _corridor_gains(vals, a, kappa, dt))
             u = u.transpose(1, 0, 2)
         else:
             # the records and the identity columns ride as two leading batch axes

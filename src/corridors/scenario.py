@@ -286,13 +286,15 @@ class RunManifest:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-def _check(name, value, tolerance, passed):
-    return {
+def _check(name, value, tolerance, passed, note=None):
+    """A manifest check; ``note`` says why it failed where its value cannot."""
+    check = {
         "name": name,
         "value": bool(value) if isinstance(value, (bool, np.bool_)) else float(value),
         "tolerance": None if tolerance is None else float(tolerance),
         "passed": bool(passed),
     }
+    return check if note is None else dict(check, note=note)
 
 
 def _matrix_columns(axis, matrix, names):
@@ -392,7 +394,8 @@ def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
           ("abs2_psi[1/pos]", np.abs(psi) ** 2)],
          [f"conditioned final state, engine {engine}",
           f"norm_sq = {result.norm_sq:.17g}",
-          f"readout_probability_density = {result.probability_density:.17g}"]),
+          f"readout_probability_density = {result.probability_density:.17g}",
+          f"log_readout_probability_density = {result.log_probability_density:.17g}"]),
         ("readout", "readout_used.txt",
          [("t[time]", cfg.tgrid.times[:-1]), ("a[obs]", record)],
          ["record values, one per step, left-aligned with the slices"]),
@@ -405,14 +408,15 @@ def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
               ("var_q[pos^2]", variances)],
              ["squared norm and position moments along the conditioned path"])
         )
+    density, log_density = result.probability_density, result.log_probability_density
+    # c^N rounds a long record's density to 0.0 while its log is finite
+    underflow = density == 0.0 and math.isfinite(log_density)
     checks = [
         _check("state_finite", finite, None, finite),
-        _check(
-            "readout_probability_density",
-            result.probability_density,
-            None,
-            np.isfinite(result.probability_density) and result.probability_density >= 0,
-        ),
+        _check("readout_probability_density", density, None,
+               np.isfinite(density) and density >= 0 and not underflow,
+               note=f"underflow: below the smallest float, its log is {log_density:.17g}"
+               if underflow else None),
     ]
     used = {"readout": readout, "engine": engine}
     if result.n_samples is not None:
@@ -750,6 +754,7 @@ def run_scenario(config, task="evolve", outdir=None, **options):
             "; ".join(
                 f"{c['name']} = {c['value']:.6g}"
                 + (f" (tolerance {c['tolerance']:g})" if c["tolerance"] is not None else "")
+                + (f" ({c['note']})" if "note" in c else "")
                 for c in failed
             )
         )

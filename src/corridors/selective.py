@@ -24,8 +24,11 @@ dropping as 1/sqrt(samples).  One field sweep, `_field_sweep`, runs both
 this sampler and the random-phase samplers of `nonselective`, and that
 module's Monte-Carlo unitarity check conditions its records through the
 exact cores here, in batches side by side: the ideal sweep or the
-contraction, on one plan per call.  A window above the cap is refused
-there as here; no auxiliary-field estimate of U[a] replaces it.
+contraction, on one plan per call.  Every ideal sweep and every field
+sample steps through the plan's one column sweep, `_StepPlan.apply`, with
+the corridor factors (`_corridor_gains`) or the field's phases as gains.
+A window above the cap is refused there as here; no auxiliary-field
+estimate of U[a] replaces it.
 
 All engines use the left-rule weight pairing (the step-i factor
 multiplies the state before the step-i kernel); for that discretization
@@ -71,14 +74,17 @@ class SelectiveResult:
 
     final_state is unnormalized: its squared norm (times the readout
     measure factor, one sqrt(2 kappa dt / pi) per step) is the record's
-    probability density.  The Monte-Carlo engine also fills the stderr
-    fields (per-component for the state, scalar for the density).
+    probability density.  Its log, log(norm_sq) + N log c, is finite where
+    c^N underflows a long record's density to 0.0 (-inf for a zero
+    norm).  The Monte-Carlo engine also fills the stderr fields
+    (per-component for the state, scalar for the density).
     """
 
     final_state: np.ndarray
     norm_sq: float
     measure_factor: float
     probability_density: float
+    log_probability_density: float
     state_stderr: np.ndarray | None = None
     probability_stderr: float | None = None
     n_samples: int | None = None
@@ -234,23 +240,33 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
 # engines
 
 
-def _ideal_sweep(plan, block, readout, kappa, values, dt, observer=None):
-    """Left-rule conditioned sweep of a vector, or of the columns of a block.
+def _check_readout(readout, n_steps):
+    """One (N,) record of finite values, as floats."""
+    readout = np.asarray(readout, dtype=float)
+    if readout.shape != (n_steps,):
+        raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
+    bad = np.flatnonzero(~np.isfinite(readout))
+    if bad.size:
+        raise ValueError(f"readout value at step {bad[0]} is {readout[bad[0]]}, not finite")
+    return readout
 
-    ``readout`` is one (N,) record, or (m, N) for m records side by side:
-    record r then conditions block[:, r] of an (n, m, ...) block.
+
+def _corridor_gains(values, readout, kappa, dt):
+    """The gains of the left-rule conditioned sweep, for `_StepPlan.apply`:
+    exp(-kappa dt (A - a_i)^2) before each step i, and none after the last.
+
+    ``readout`` is one (N,) record, giving (n,) gains, or (m, N) for m
+    records side by side, giving (n, m, 1) gains that condition record r
+    on column block [:, r] of an (n, m, k) block.  One exp serves a chunk
+    of steps of at most _FIELD_BATCH_ELEMENTS elements.
     """
-    values = np.reshape(values, (-1,) + (1,) * (np.ndim(block) - 1))
-    # step i's record values, on the block's record axis when there is one
-    steps = readout.T.reshape(readout.shape[::-1] + (1,) * (np.ndim(block) - readout.ndim))
-    # a vector or an (n, k) block steps as it is, with no per-step reshape
-    step = plan.step if np.ndim(block) <= 2 else \
-        (lambda b: plan.step(b.reshape(plan.n, -1)).reshape(b.shape))
-    for i, a in enumerate(steps):
-        block = step(np.exp(-kappa * dt * (values - a) ** 2) * block)
-        if observer is not None:
-            observer(i, block)
-    return block
+    lead = (1,) * (readout.ndim - 1)
+    values = np.reshape(values, (-1,) + lead + lead)
+    steps = readout.T.reshape(readout.shape[::-1] + lead)  # step i's values, on the record axis
+    chunk = max(1, _FIELD_BATCH_ELEMENTS // (values.size * steps[0].size))
+    for lo in range(0, len(steps), chunk):
+        yield from np.exp(-kappa * dt * (values - steps[lo:lo + chunk, None]) ** 2)
+    yield None
 
 
 def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observer=None):
@@ -261,11 +277,15 @@ def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observe
     sees the unnormalized working state after every step.
     """
     _check_kappa(kappa)
-    readout = np.asarray(readout, dtype=float)
-    if readout.shape != (tgrid.n_steps,):
-        raise ValueError(f"readout must have {tgrid.n_steps} entries, got {readout.shape}")
-    psi = _ideal_sweep(_StepPlan(ham, sgrid, tgrid.dt), np.asarray(psi0, dtype=complex),
-                       readout, kappa, obs.values, tgrid.dt, observer)
+    readout = _check_readout(readout, tgrid.n_steps)
+    plan = _StepPlan(ham, sgrid, tgrid.dt)
+    gains = _corridor_gains(obs.values, readout, kappa, tgrid.dt)
+    psi = np.asarray(psi0, dtype=complex)
+    if observer is None:
+        return _wrap_result(plan.apply(psi, gains), kappa, sgrid, tgrid)
+    for i, g in zip(range(tgrid.n_steps), gains):
+        psi = plan.apply(psi, [g, None])
+        observer(i, psi)
     return _wrap_result(psi, kappa, sgrid, tgrid)
 
 
@@ -283,6 +303,7 @@ def evolve_selective_coarse(
     if form_factor.is_delta:
         return evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid)
     _check_kappa(kappa)
+    readout = _check_readout(readout, tgrid.n_steps)
     window = form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
     spec = WindowSpec.plan(window, sgrid.n_points, cap)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
@@ -322,10 +343,8 @@ def evolve_selective_coarse_mc(
     the probability density.
     """
     _check_kappa(kappa)
-    readout = np.asarray(readout, dtype=float)
     n_steps, dt = tgrid.n_steps, tgrid.dt
-    if readout.shape != (n_steps,):
-        raise ValueError(f"readout must have {n_steps} entries, got {readout.shape}")
+    readout = _check_readout(readout, n_steps)
     moments = _Moments(sgrid.n_points, samples, parts=(np.real, np.imag))
     window = form_factor.window_matrix(n_steps, dt)
     # the field T = sqrt(2 kappa dt) P^T, S = A, and the real log weight
@@ -366,25 +385,23 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
     from ``rng``.  Yields (n, m, k) blocks, m samples side by side, k the
     columns of ``start``, each of about _FIELD_BATCH_ELEMENTS elements.
     """
-    n = plan.n
-    start = np.asarray(start, dtype=complex).reshape(n, 1, -1)
-    k = start.shape[2]
-    batch = max(1, _FIELD_BATCH_ELEMENTS // (n * k))
+    start = np.asarray(start, dtype=complex).reshape(plan.n, 1, -1)
+    batch = max(1, _FIELD_BATCH_ELEMENTS // start.size)
     for done in range(0, samples, batch):
         m = min(batch, samples - done)
         xi = rng.standard_normal((m, time_factor.shape[1], space_factor.shape[1]))
         time_part = np.tensordot(time_factor, xi, axes=(1, 1))  # (N+1, m, S columns)
-        block = np.broadcast_to(start, (n, m, k)).copy()
-        for j, part in enumerate(time_part):
-            if j:
-                block = plan.step(block.reshape(n, m * k)).reshape(n, m, k)
-            # (n, m); keep a vectorized ufunc between the BLAS product and the
-            # exp: numpy's scalar complex exp measured 10x slower right after one
-            exponent = 1j * (space_factor @ part.T)
-            if log_weight is not None:
-                exponent += log_weight[j][:, None]
-            block *= np.exp(exponent)[:, :, None]
-        yield block
+
+        def gains():  # (n, m, 1) per slice
+            for j, part in enumerate(time_part):
+                # keep a vectorized ufunc between the BLAS product and the
+                # exp: numpy's scalar complex exp measured 10x slower right after one
+                exponent = 1j * (space_factor @ part.T)
+                if log_weight is not None:
+                    exponent += log_weight[j][:, None]
+                yield np.exp(exponent)[:, :, None]
+
+        yield plan.apply(start, gains())
 
 
 class _Moments:
@@ -428,9 +445,11 @@ def _wrap_result(psi, kappa, sgrid, tgrid):
     n2 = norm_sq(psi, sgrid)
     c = readout_measure_factor(kappa, tgrid.dt) if kappa > 0 else 0.0
     measure = c**tgrid.n_steps
+    log_density = math.log(n2) + tgrid.n_steps * math.log(c) if n2 and c else -math.inf
     return SelectiveResult(
         final_state=psi,
         norm_sq=n2,
         measure_factor=measure,
         probability_density=n2 * measure,
+        log_probability_density=log_density,
     )

@@ -7,24 +7,27 @@ the package beyond the one-step kernel: the matrices handed in by the
 tests and the public `unitary_step`.
 
 The next section holds the closed-form single-path and path-pair weights,
-lattice states and dense Hamiltonian that only the tests evaluate.  They
+lattice states, dense Hamiltonian and the medium's microscopic response
+density (`MediumSpec`, `nu_of_omega`) that only the tests evaluate.  They
 use the package's data types (form factors, path pairs) and, where a
 weight delegates, its public medium weights.
 
 The last section is the one exception to independence: the one-record-
-at-a-time loop of the Monte-Carlo unitarity check, on the package's own
-conditioning cores, the identity-block sweep of the field-sampled
-average, on the package's own field sweep, and the one-step-at-a-time
-loops of the averaged ideal sweep, of its adjoint and of the master
-equation (two half steps, or dense with them composed), on the package's
-own step plan's phases and matrices.  They are the references for
-batching records side by side, for sweeping a factor of rho0, for
-composing the half steps and for the plan's fused sweep, which must
-change nothing but roundoff and the order of sums (and nothing at all on
-a dense plan).
+at-a-time loop of the Monte-Carlo unitarity check, which conditions an
+ideal record by its own per-step loop on `unitary_step` but a windowed
+one by the package's own windowed contraction; the identity-block sweep
+of the field-sampled average, on the package's own field sweep; and the
+one-step-at-a-time loops of the averaged ideal sweep, of its adjoint and
+of the master equation (two half steps, or dense with them composed), on
+the package's own step plan's phases and matrices.  They are the
+references for batching records side by side, for sweeping a factor of
+rho0, for composing the half steps and for the plan's fused sweep, which
+must change nothing but roundoff and the order of sums (and nothing at
+all on a dense plan).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -32,7 +35,7 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from corridors.grids import HamiltonianSpec, _StepPlan, unitary_step
-from corridors.medium import PathPair, influence_exact, nu_of_omega
+from corridors.medium import PathPair, influence_exact
 from corridors.nonselective import _decay_matrix, _field_factors
 from corridors.readout import readout_measure_factor
 from corridors.selective import (
@@ -41,7 +44,6 @@ from corridors.selective import (
     _contract_windowed,
     _corridor_rows,
     _field_sweep,
-    _ideal_sweep,
     _Moments,
 )
 
@@ -281,6 +283,20 @@ def effective_step(psi, a_value, kappa, ham, obs, grid, dt):
     return half * unitary_step(half * psi, ham, grid, dt)
 
 
+def log_density_in_segments(psi0, record, kappa, ham, obs, grid, dt, segment=32):
+    """log of a record's probability density, log ||psi_N||^2 + N log c, by
+    the left-rule loop on `unitary_step`, the state renormalized after every
+    ``segment`` steps and the logs of the norms summed: no factor underflows."""
+    psi, log_norm = np.asarray(psi0, dtype=complex), 0.0
+    for i, a in enumerate(record):
+        psi = unitary_step(np.exp(-kappa * dt * (obs.values - a) ** 2) * psi, ham, grid, dt)
+        if (i + 1) % segment == 0 or i + 1 == len(record):
+            norm2 = float(np.sum(np.abs(psi) ** 2) * grid.spacing)
+            log_norm += math.log(norm2)
+            psi = psi / math.sqrt(norm2)
+    return log_norm + len(record) * math.log(readout_measure_factor(kappa, dt))
+
+
 def conjugate_by_column_sweeps(plan, rho):
     """M rho M^dagger by two FFT sweeps over the columns of a plan."""
     return plan.fft_step(plan.fft_step(rho).conj().T).conj().T
@@ -416,6 +432,46 @@ def influence_firstorder(pair, form_factor, kappa, dt):
     return float(np.exp(-0.25 * kappa * dt * np.sum(kernel * bracket)))
 
 
+@dataclass(frozen=True)
+class MediumSpec:
+    """Microscopic medium parameters.
+
+    density  : oscillators per unit volume
+    range_l  : interaction range l of the Gaussian well
+    m_osc    : mass of one medium oscillator (distinct from the monitored
+               particle's mass, which lives in HamiltonianSpec)
+    coupling : gamma, either a constant or a callable gamma(omega)
+    """
+
+    density: float
+    range_l: float
+    m_osc: float = 1.0
+    hbar: float = 1.0
+    coupling: float | object = 1.0
+
+    def __post_init__(self):
+        for name in ("density", "range_l", "m_osc", "hbar"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+    def gamma(self, omega):
+        if callable(self.coupling):
+            return self.coupling(omega)
+        return self.coupling
+
+
+def nu_of_omega(medium: MediumSpec, omega):
+    """Response density of the medium at frequency omega > 0:
+    nu = n (pi l^2 / 2)^(3/2) gamma_omega^2 / (4 hbar m_osc omega)."""
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0):
+        raise ValueError("nu(omega) is defined for omega > 0")
+    pref = medium.density * (math.pi * medium.range_l**2 / 2.0) ** 1.5
+    gam = np.vectorize(medium.gamma)(omega) if callable(medium.coupling) else medium.coupling
+    return pref * np.asarray(gam, dtype=float) ** 2 / (4.0 * medium.hbar * medium.m_osc * omega)
+
+
 def influence_single_frequency(pair, omega, medium, dt):
     """Suppression from a unit-bandwidth slice of the medium at omega.
 
@@ -497,8 +553,12 @@ def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, sam
         batch = max(1, cap // spec.work_elements)
 
     def conditioned(a):
-        if window is None:
-            return _ideal_sweep(plan, eye, a, kappa, vals, dt)
+        if window is None:  # left rule: each corridor factor, then one step
+            u = eye
+            for value in a:
+                u = unitary_step(np.exp(-kappa * dt * (vals - value) ** 2)[:, None] * u,
+                                 ham, sgrid, dt)
+            return u
         rows = _corridor_rows(window, vals, a, kappa, dt)
         return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, spec, rows)
                                for c in range(0, n, batch)]).T

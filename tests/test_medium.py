@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import influence_firstorder, influence_single_frequency, verify_window_moment_identity
-from corridors.medium import (
+from oracles import (
     MediumSpec,
+    influence_firstorder,
+    influence_single_frequency,
+    nu_of_omega,
+    verify_window_moment_identity,
+)
+from corridors.medium import (
     PathPair,
     SpectralDensity,
     correlation_function,
     firstorder_log_weights,
     form_factor_from_medium,
     influence_exact,
-    nu_of_omega,
     reduce_to_phenomenological,
 )
 from corridors.readout import FormFactor

@@ -5,7 +5,8 @@ lattice size: the averaged state stays a state (trace, hermiticity,
 positivity), the record-integrated U†U is the identity, and the backward
 recursion of the unitarity check is the adjoint of the forward averaged
 sweep.  The last is the witness that can fail: the recursion started from
-the identity stays the identity whatever its one-step conjugation is.
+the identity stays the identity whatever its one-step conjugation is.  The
+step plan's column sweep keeps every column's norm under phase gains.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from corridors.grids import (
     ObservableSpec,
     SpatialGrid,
     TimeGrid,
+    _StepPlan,
     check_density_matrix,
 )
 from corridors.nonselective import (
@@ -95,3 +97,24 @@ def test_averaged_engines_keep_states_physical(system):
 def test_exact_ideal_unitarity(system):
     kappa, ham, obs, sgrid, tgrid, _ = system
     assert check_generalized_unitarity(kappa, ham, obs, sgrid, tgrid).deviation <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 40), st.sampled_from([129, 200, 256])),  # dense and FFT plans
+    columns=st.integers(1, 4),
+    n_steps=st.integers(1, 12),
+    dt=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_sweep_with_phase_gains_keeps_every_norm(n, columns, n_steps, dt, seed):
+    # M is unitary and a gain of unit modulus is a phase, so the column sweep
+    # must keep each column's norm
+    rng = np.random.default_rng(seed)
+    sgrid = SpatialGrid(float(n), n)
+    ham = HamiltonianSpec(mass=1.0, potential=rng.uniform(-5.0, 5.0, n))
+    x = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+    gains = (np.exp(1j * rng.uniform(-np.pi, np.pi, (n, columns))) for _ in range(n_steps + 1))
+    out = _StepPlan(ham, sgrid, dt).apply(x, gains)
+    before, after = np.linalg.norm(x, axis=0), np.linalg.norm(out, axis=0)
+    assert np.max(np.abs(after - before) / before) <= 1e-12

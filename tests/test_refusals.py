@@ -85,6 +85,19 @@ REFUSALS = {
         lambda: evolve_selective_coarse_mc(PSI0, SHORT, WINDOWED, 1.0, HAM, OBS, SGRID, TGRID,
                                            samples=20),
         "readout must have 10 entries"),
+    # a NaN record value gave a NaN state in silence, an inf one a zero state
+    # with density 0.0
+    **{f"{name} record value {bad}": (
+        lambda call=call, bad=bad: call(np.where(np.arange(TGRID.n_steps) == 4, bad, 0.0)),
+        f"readout value at step 4 is {bad}, not finite")
+       for bad in (math.nan, math.inf)
+       for name, call in {
+           "ideal": lambda r: evolve_selective_ideal(PSI0, r, 1.0, HAM, OBS, SGRID, TGRID),
+           "coarse": lambda r: evolve_selective_coarse(PSI0, r, WINDOWED, 1.0, HAM, OBS, SGRID,
+                                                       TGRID),
+           "coarse mc": lambda r: evolve_selective_coarse_mc(PSI0, r, WINDOWED, 1.0, HAM, OBS,
+                                                             SGRID, TGRID, samples=20),
+       }.items()},
     "plan of a window with a zero row": (
         lambda: WindowSpec.plan(_zero_row_window(), SGRID.n_points),
         "window row 3 is identically zero"),

@@ -788,3 +788,34 @@ def test_cli_medium_compare_refuses_a_degenerate_pair_setup(tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert "invalid run" in err and key in err
     assert not (out / "manifest.json").exists()
+
+
+def test_evolve_fails_the_density_check_when_c_to_the_n_underflows(tmp_path):
+    # the long ideal lattice at N = 4096: the linear density rounds to 0.0
+    # while its log is finite, and the check must say so
+    text = (
+        BASE.replace("extent = 10.0", "extent = 8.0")
+        .replace("duration = 0.6", "duration = 1.0")
+        .replace("n_steps = 12", "n_steps = 4096")
+        .replace("kappa = 0.9", "kappa = 1.0")
+    )
+    cfg = load_config(write_scenario(tmp_path, text))
+    out = tmp_path / "long"
+    with pytest.raises(CheckFailure, match="readout_probability_density = 0 .*underflow"):
+        run_scenario(cfg, task="evolve", outdir=out)
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    density = next(c for c in checks if c["name"] == "readout_probability_density")
+    assert density["value"] == 0.0 and not density["passed"] and "underflow" in density["note"]
+    header = [line for line in (out / "state_final.txt").read_text().splitlines()
+              if line.startswith("# log_readout_probability_density = ")]
+    assert len(header) == 1 and -2e4 < float(header[0].split("=")[1]) < -1e4
+
+
+def test_evolve_states_the_log_density_and_passes_a_representable_one(tmp_path):
+    cfg = load_config(write_scenario(tmp_path))
+    manifest = run_scenario(cfg, task="evolve", outdir=tmp_path / "run")
+    density = next(c for c in manifest.checks if c["name"] == "readout_probability_density")
+    assert density["passed"] and density["value"] > 0 and "note" not in density
+    header = (tmp_path / "run" / "state_final.txt").read_text()
+    logged = float(header.split("# log_readout_probability_density = ")[1].split("\n")[0])
+    assert_allclose(logged, math.log(density["value"]), rtol=1e-12)

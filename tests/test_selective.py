@@ -13,6 +13,7 @@ from corridors.grids import (
     ObservableSpec,
     SpatialGrid,
     TimeGrid,
+    build_grids,
     gaussian_packet,
     norm_sq,
     short_time_kernel_matrix,
@@ -289,3 +290,25 @@ def test_left_rule_composition_differs_from_strang_by_first_order():
     orders = np.log2(np.array(gaps[:-1]) / gaps[1:])
     assert np.all(orders > 0.8), (gaps, orders)
     assert gaps[-1] < gaps[0] / 3.0
+
+
+def test_log_density_survives_the_underflow_of_c_to_the_n():
+    # the long ideal lattice (n = 16, extent 8, free, kappa = 1) at N = 4096:
+    # c^N underflows, so the linear density reads exactly 0.0, beside a
+    # finite norm; its log must match a renormalized per-step loop
+    sgrid, tgrid = build_grids(8.0, 16, 1.0, 4096)
+    ham, obs = HamiltonianSpec.free(sgrid), ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.0, 1.2, 0.4)
+    record = np.random.default_rng(1).uniform(-1.0, 1.0, tgrid.n_steps)
+    res = evolve_selective_ideal(psi0, record, 1.0, ham, obs, sgrid, tgrid)
+    assert res.probability_density == 0.0 and res.measure_factor == 0.0 and res.norm_sq > 0.1
+    ref = oracles.log_density_in_segments(psi0, record, 1.0, ham, obs, sgrid, tgrid.dt)
+    assert abs(res.log_probability_density - ref) <= 1e-9 * abs(ref)
+
+
+def test_log_density_is_the_log_of_the_density():
+    g, tg, ham, obs, psi0, readout, kappa = _setup_a()
+    res = evolve_selective_ideal(psi0, readout, kappa, ham, obs, g, tg)
+    assert_allclose(res.log_probability_density, math.log(res.probability_density), rtol=1e-14)
+    assert evolve_selective_ideal(psi0, readout, 0.0, ham, obs, g, tg).log_probability_density \
+        == -math.inf  # c = 0 at kappa = 0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from corridors import grids
+from corridors import grids, selective
 from corridors.grids import (
     HamiltonianSpec,
     ObservableSpec,
@@ -39,6 +39,7 @@ from corridors.selective import (
     _contract_windowed,
     _corridor_rows,
     evolve_selective_coarse,
+    evolve_selective_coarse_mc,
     evolve_selective_ideal,
 )
 
@@ -70,10 +71,83 @@ def test_dense_and_fft_branches_agree(n, mass, dt, extent, seed):
     out = {}
     for dense in (True, False):
         plan.dense = back.dense = dense
-        out[dense] = plan.step(block), plan.step(block[:, 0]), plan.conjugate(rho)
-        assert rel_gap(back.conjugate(x), adjoint) <= 1e-12
+        out[dense] = (plan.apply(block, [None, None]), plan.apply(block[:, 0], [None, None]),
+                      plan.sweep(rho, [None, None]))
+        assert rel_gap(back.sweep(x, [None, None]), adjoint) <= 1e-12
     for dense_out, fft_out in zip(out[True], out[False]):
         assert rel_gap(dense_out, fft_out) <= 1e-12
+
+
+def plan_step_loop(plan, x, gains):
+    """g_N . M (... g_1 . M (g_0 . x)) one step at a time: M x by the plan's
+    dense matrix, or by its FFT step."""
+    x = np.asarray(x, dtype=complex)
+    for i, g in enumerate(gains):
+        if i:
+            x = np.tensordot(plan.matrix, x, axes=1) if plan.dense else plan.fft_step(x)
+        if g is not None:
+            x = x * g
+    return x
+
+
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("shape", [(), (3,), (4, 2)])
+def test_apply_matches_per_step_loops(n, shape):
+    # every vector sweep runs through apply: a vector, an (n, k) block and
+    # an (n, m, k) block with per-record gains, with and without gains
+    rng = np.random.default_rng(n + len(shape))
+    grid = SpatialGrid(9.0, n)
+    ham = HamiltonianSpec.harmonic(grid, 0.8)
+    dt = 0.05
+    plan = grids._StepPlan(ham, grid, dt)
+    x = rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
+    gain_shape = (n,) + shape[:1] + (1,) * len(shape[1:])
+    gains = [np.exp(rng.standard_normal(gain_shape) + 1j * rng.standard_normal(gain_shape))
+             for _ in range(6)]
+    for chosen in (gains, [None] * 6, [gains[0], None, gains[2], None, None, gains[5]]):
+        got = plan.apply(x, (g for g in chosen))  # gains from a generator
+        assert np.array_equal(got, plan_step_loop(plan, x, chosen))
+        assert got.shape == x.shape
+        want = x if chosen[0] is None else x * chosen[0]
+        for g in chosen[1:]:
+            want = unitary_step(want, ham, grid, dt)
+            want = want if g is None else want * g
+        assert rel_gap(got, want) <= 1e-12
+    x_before = x.copy()
+    plan.apply(x, [None, None])
+    assert np.array_equal(x, x_before)  # never written
+
+
+def test_apply_steps_once_per_call_or_batch(monkeypatch):
+    # the ideal selective sweep, both field samplers and the ideal Monte-Carlo
+    # unitarity records each step through one apply per call or batch
+    calls = []
+    apply = grids._StepPlan.apply
+
+    def counted(plan, x, gains):
+        calls.append(np.shape(x))
+        return apply(plan, x, gains)
+
+    monkeypatch.setattr(grids._StepPlan, "apply", counted)
+    kappa = 1.0
+    sgrid, tgrid, ham, obs, psi0 = harmonic_shape(64, 12)
+    n, batch = sgrid.n_points, selective._FIELD_BATCH_ELEMENTS
+    record = np.random.default_rng(1).standard_normal(tgrid.n_steps)
+    ff = FormFactor.gaussian(0.4 * tgrid.dt)
+    runs = [
+        (lambda: evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid), 1),
+        (lambda: evolve_selective_coarse_mc(psi0, record, ff, kappa, ham, obs, sgrid, tgrid,
+                                            samples=600, seed=2), math.ceil(600 / (batch // n))),
+        (lambda: superpropagate(pure_density(psi0), InfluenceKernelSpec("coarse", kappa, ff), ham,
+                                obs, sgrid, tgrid, mode="mc", samples=300, seed=3),
+         math.ceil(300 / (batch // n))),
+        (lambda: check_generalized_unitarity(kappa, ham, obs, sgrid, tgrid, mode="mc",
+                                             samples=10, seed=4), math.ceil(10 / (batch // n**2))),
+    ]
+    for run, count in runs:
+        calls.clear()
+        run()
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 127, 128, 129, 255, 256, 257])

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "SpatialGrid",
@@ -355,6 +354,8 @@ class _StepPlan:
         the (n, n) x is never written."""
         if self.dense:
             return self._dense_sweep(x, gains)
+        import scipy.fft  # the FFT plan alone needs scipy: loaded here, once per call
+
         v, v_h = self.half_v, self.half_v.conj().T  # V2 = v v_h
         s = x * v
         s *= v_h
@@ -363,7 +364,7 @@ class _StepPlan:
         v_sq, v_h_sq = v * v, v_h * v_h
         folded = {}  # id(g) -> V2 . g . V2, the product between two transform pairs
         for g in gains[1:-1]:
-            s = self._transform_pair(s)
+            s = self._transform_pair(s, scipy.fft)
             if g is None:  # V2 . V2 by its two factors, no (n, n) array
                 s *= v_sq
                 s *= v_h_sq
@@ -372,18 +373,18 @@ class _StepPlan:
                 folded[id(g)] = v_sq * v_h_sq
                 folded[id(g)] *= g
             s *= folded[id(g)]
-        s = self._transform_pair(s)
+        s = self._transform_pair(s, scipy.fft)
         s *= v
         s *= v_h
         if gains[-1] is not None:
             s *= gains[-1]
         return s
 
-    def _transform_pair(self, s):
-        """ifft2(K2 . fft2(s)), in the memory of s."""
-        s = scipy.fft.fft2(s, overwrite_x=True)
+    def _transform_pair(self, s, fft):
+        """ifft2(K2 . fft2(s)) by the module ``fft`` (scipy.fft), in the memory of s."""
+        s = fft.fft2(s, overwrite_x=True)
         s *= self.kinetic_2d
-        return scipy.fft.ifft2(s, overwrite_x=True)
+        return fft.ifft2(s, overwrite_x=True)
 
     def _dense_sweep(self, x, gains):
         """`sweep` on the dense plan."""

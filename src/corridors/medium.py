@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .readout import FormFactor
 
@@ -92,6 +91,8 @@ def correlation_function(density: SpectralDensity, t):
         _, peak, sigma, _ = density.band
         # half-line integral of a centered gaussian times cosine
         return peak * sigma * math.sqrt(math.pi / 2.0) * np.exp(-(sigma * np.asarray(t)) ** 2 / 2.0)
+    from scipy.integrate import quad  # scipy loads only where it is used
+
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
     for idx, ti in np.ndenumerate(t):

@@ -59,7 +59,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grids import _StepPlan, pure_density
 from .readout import FormFactor, _check_kappa, readout_measure_factor
@@ -219,6 +218,8 @@ def _mixture_records(rng, values, kappa, dt, n_steps, count):
     """Draw ``count`` records, each from the per-step equal-weight mixture
     of normals centered on the observable's lattice values and in turn
     from ``rng``; returns the (count, N) records a and their log q(a)."""
+    from scipy.special import logsumexp  # scipy loads only where it is used
+
     n = values.size
     sigma = 1.0 / math.sqrt(4.0 * kappa * dt)
     a = np.array([values[rng.integers(0, n, size=n_steps)] + sigma * rng.standard_normal(n_steps)

@@ -409,14 +409,18 @@ def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
              ["squared norm and position moments along the conditioned path"])
         )
     density, log_density = result.probability_density, result.log_probability_density
-    # c^N rounds a long record's density to 0.0 while its log is finite
-    underflow = density == 0.0 and math.isfinite(log_density)
+    note = None
+    if density == 0.0 and math.isfinite(log_density):
+        # c^N rounds a long record's density to 0.0 while its log is finite
+        note = f"underflow: below the smallest float, its log is {log_density:.17g}"
+    elif result.norm_sq == 0.0 and engine in ("ideal", "coarse"):
+        # the exact engines weigh paths by positive Gaussians: from a normalized
+        # start a finite record leaves a zero norm only by underflow
+        note = "underflow: the conditioned state's norm_sq rounds to 0.0, so its log is -inf"
     checks = [
         _check("state_finite", finite, None, finite),
         _check("readout_probability_density", density, None,
-               np.isfinite(density) and density >= 0 and not underflow,
-               note=f"underflow: below the smallest float, its log is {log_density:.17g}"
-               if underflow else None),
+               np.isfinite(density) and density >= 0 and note is None, note=note),
     ]
     used = {"readout": readout, "engine": engine}
     if result.n_samples is not None:

@@ -5,8 +5,10 @@ lattice size: the averaged state stays a state (trace, hermiticity,
 positivity), the record-integrated U†U is the identity, and the backward
 recursion of the unitarity check is the adjoint of the forward averaged
 sweep.  The last is the witness that can fail: the recursion started from
-the identity stays the identity whatever its one-step conjugation is.  The
-step plan's column sweep keeps every column's norm under phase gains.
+the identity stays the identity whatever its one-step conjugation is.
+Duality and physical states are also drawn on runs long enough for the
+dense sweeps' power path.  The step plan's column sweep keeps every
+column's norm under phase gains.
 """
 
 import numpy as np
@@ -30,10 +32,7 @@ from corridors.nonselective import (
 )
 
 
-@st.composite
-def systems(draw):
-    n = draw(st.integers(4, 16))
-    n_steps = draw(st.integers(1, 8))
+def _system(draw, n, n_steps):
     dt = draw(st.floats(1e-3, 0.5))
     kappa = draw(st.floats(0.0, 5.0, exclude_min=True))
     mass = draw(st.floats(0.2, 5.0))
@@ -42,6 +41,19 @@ def systems(draw):
     ham = HamiltonianSpec(mass=mass, potential=rng.uniform(-5.0, 5.0, n))
     obs = ObservableSpec(rng.uniform(-3.0, 3.0, n))
     return kappa, ham, obs, sgrid, TimeGrid(dt * n_steps, n_steps), rng
+
+
+@st.composite
+def systems(draw):
+    return _system(draw, draw(st.integers(4, 16)), draw(st.integers(1, 8)))
+
+
+@st.composite
+def power_systems(draw):
+    # runs of n^3 to 4 n^3 steps, which the dense sweeps take as one power of
+    # the step's superoperator
+    n = draw(st.sampled_from([4, 8]))
+    return _system(draw, n, draw(st.integers(n**3, 4 * n**3)))
 
 
 def random_complex(rng, n):
@@ -66,7 +78,7 @@ def duality_gap(kappa, ham, obs, sgrid, tgrid, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(systems())
+@given(st.one_of(systems(), power_systems()))
 def test_ideal_adjoint_is_dual_to_the_averaged_sweep(system):
     assert duality_gap(*system) <= 1e-12
 
@@ -81,7 +93,7 @@ def test_ideal_adjoint_is_dual_on_the_fft_plan():
 
 
 @settings(max_examples=40, deadline=None)
-@given(systems())
+@given(st.one_of(systems(), power_systems()))
 def test_averaged_engines_keep_states_physical(system):
     kappa, ham, obs, sgrid, tgrid, rng = system
     rho0 = random_pure_state(rng, sgrid)

@@ -357,14 +357,26 @@ def test_unitarity_task_pass_and_fail(tmp_path):
     assert (tmp_path / "u2" / "manifest.json").exists()  # artifacts still written
 
 
-def test_unitarity_duality_check_sees_a_wrong_adjoint_step(tmp_path, monkeypatch):
+@pytest.mark.parametrize("n_steps", [12, 4096])
+def test_unitarity_duality_check_sees_a_wrong_adjoint_step(tmp_path, monkeypatch, n_steps):
     # any unitary step maps X = I to I, so the identity check passes a wrong
-    # adjoint plan; the seeded witness X compared with the forward sweep does not
-    cfg = load_config(write_scenario(tmp_path))
+    # adjoint plan; the seeded witness X compared with the forward sweep does
+    # not.  At 4096 = 16^3 steps every sweep takes the dense plan's power path
+    cfg = load_config(write_scenario(tmp_path, BASE.replace("n_steps = 12",
+                                                            f"n_steps = {n_steps}")))
+    powers, power = [], _StepPlan._power
+
+    def counted(plan, *args):
+        powers.append(plan)
+        return power(plan, *args)
+
+    monkeypatch.setattr(_StepPlan, "_power", counted)
     manifest = run_scenario(cfg, task="unitarity-check", outdir=tmp_path / "u")
     assert [c["name"] for c in manifest.checks] == ["generalized_unitarity_deviation",
                                                     "adjoint_duality_gap"]
     assert manifest.checks[1]["passed"] and manifest.checks[1]["value"] < 1e-13
+    # the identity's adjoint sweep, then the witness's forward and adjoint sweeps
+    assert len(powers) == (3 if n_steps == 4096 else 0)
 
     def mutant(ham, sgrid, dt):  # the adjoint's plan for 3 dt instead of -dt
         return _StepPlan(ham, sgrid, -3.0 * dt if dt < 0 else dt)
@@ -790,16 +802,19 @@ def test_cli_medium_compare_refuses_a_degenerate_pair_setup(tmp_path, capsys, ar
     assert not (out / "manifest.json").exists()
 
 
+# the long ideal lattice (n = 16, extent 8, kappa = 1) at N = 4096
+LONG_IDEAL = (
+    BASE.replace("extent = 10.0", "extent = 8.0")
+    .replace("duration = 0.6", "duration = 1.0")
+    .replace("n_steps = 12", "n_steps = 4096")
+    .replace("kappa = 0.9", "kappa = 1.0")
+)
+
+
 def test_evolve_fails_the_density_check_when_c_to_the_n_underflows(tmp_path):
-    # the long ideal lattice at N = 4096: the linear density rounds to 0.0
-    # while its log is finite, and the check must say so
-    text = (
-        BASE.replace("extent = 10.0", "extent = 8.0")
-        .replace("duration = 0.6", "duration = 1.0")
-        .replace("n_steps = 12", "n_steps = 4096")
-        .replace("kappa = 0.9", "kappa = 1.0")
-    )
-    cfg = load_config(write_scenario(tmp_path, text))
+    # the linear density rounds to 0.0 while its log is finite, and the check
+    # must say so
+    cfg = load_config(write_scenario(tmp_path, LONG_IDEAL))
     out = tmp_path / "long"
     with pytest.raises(CheckFailure, match="readout_probability_density = 0 .*underflow"):
         run_scenario(cfg, task="evolve", outdir=out)
@@ -809,6 +824,24 @@ def test_evolve_fails_the_density_check_when_c_to_the_n_underflows(tmp_path):
     header = [line for line in (out / "state_final.txt").read_text().splitlines()
               if line.startswith("# log_readout_probability_density = ")]
     assert len(header) == 1 and -2e4 < float(header[0].split("=")[1]) < -1e4
+
+
+@pytest.mark.parametrize("engine, resolution", [("ideal", "kind = delta"),
+                                                ("coarse", "kind = gaussian\ntau = 0.00005")])
+def test_evolve_fails_the_density_check_when_the_norm_underflows(tmp_path, engine, resolution):
+    # a record drawn around the packet's mean (--readout sample): norm_sq
+    # itself rounds to 0.0, so the log is -inf as for a true zero, which the
+    # exact engines cannot give from a normalized start
+    cfg = load_config(write_scenario(tmp_path, LONG_IDEAL.replace("kind = delta", resolution)))
+    out = tmp_path / "sampled"
+    with pytest.raises(CheckFailure, match="readout_probability_density = 0 .*norm_sq"):
+        run_scenario(cfg, task="evolve", outdir=out, readout="sample")
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    density = next(c for c in checks if c["name"] == "readout_probability_density")
+    assert density["value"] == 0.0 and not density["passed"] and "underflow" in density["note"]
+    header = (out / "state_final.txt").read_text()
+    assert header.startswith(f"# conditioned final state, engine {engine}\n# norm_sq = 0\n")
+    assert "# log_readout_probability_density = -inf\n" in header
 
 
 def test_evolve_states_the_log_density_and_passes_a_representable_one(tmp_path):

@@ -180,8 +180,9 @@ def chained_state(psi0, record, kappa, ham, obs, sgrid, dt, segment=32):
 
 
 def test_engines_match_the_fft_branch_at_the_long_ideal_shape(monkeypatch):
-    # n = 16, N = 8192: the engines step densely; forcing every plan onto
-    # the FFT must move their outputs by roundoff only
+    # n = 16, N = 8192: the averaged engines take the dense plan's power path
+    # and the selective sweep steps densely; forcing every plan onto the FFT
+    # must move their outputs by roundoff only
     kappa = 1.0
     sgrid, tgrid = build_grids(8.0, 16, 1.0, 8192)
     ham = HamiltonianSpec.free(sgrid)
@@ -254,18 +255,18 @@ def test_engines_match_the_column_sweeps_at_the_wide_ideal_shape():
         assert rel_gap(new, old) <= 1e-11
 
 
-def harmonic_shape(n, n_steps):
-    # a nonzero potential, so V2 != 1 and every folded factor counts; dt as
-    # in the ideal benchmark shapes
+def harmonic_shape(n, n_steps, omega=0.7):
+    # a nonzero potential, so V2 != 1 and every folded factor counts (omega = 0:
+    # the free packet); dt as in the ideal benchmark shapes
     sgrid, tgrid = build_grids(32.0 if n > 128 else 12.0, n, n_steps / 128, n_steps)
-    ham = HamiltonianSpec.harmonic(sgrid, 0.7)
+    ham = HamiltonianSpec.harmonic(sgrid, omega)
     obs = ObservableSpec.position(sgrid)
     return sgrid, tgrid, ham, obs, gaussian_packet(sgrid, 0.5, 1.2, 0.4)
 
 
-def sweep_outputs(n, n_steps, kappa=1.0):
+def sweep_outputs(n, n_steps, kappa=1.0, omega=0.7):
     """(engine, per-step loop) pairs of every averaged sweep without an observer."""
-    sgrid, tgrid, ham, obs, psi0 = harmonic_shape(n, n_steps)
+    sgrid, tgrid, ham, obs, psi0 = harmonic_shape(n, n_steps, omega)
     rho0, x = pure_density(psi0), random_matrix(n, 4)  # x: neither Hermitian nor real
     args = kappa, ham, obs, sgrid, tgrid
     spec = InfluenceKernelSpec("ideal", kappa)
@@ -327,3 +328,48 @@ def test_exact_ideal_unitarity_at_the_wide_ideal_shape():
     sgrid, tgrid, ham, obs, _ = wide_ideal_shape()
     report = check_generalized_unitarity(1.0, ham, obs, sgrid, tgrid)
     assert report.deviation <= 1e-12
+
+
+def spy_powers(monkeypatch, refuse=False):
+    """Count the dense sweeps' power-path runs, each of which builds the
+    step's n^2 x n^2 superoperator; ``refuse``: fail on the first one."""
+    calls = []
+    power = grids._StepPlan._power
+
+    def counted(plan, m, g, k, x):
+        assert not refuse, f"superoperator built at n={plan.n} for a run of {k} steps"
+        calls.append((plan.n, k))
+        return power(plan, m, g, k, x)
+
+    monkeypatch.setattr(grids._StepPlan, "_power", counted)
+    return calls
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7], ids=["free", "harmonic"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_power_path_matches_the_per_step_loops(monkeypatch, n, omega):
+    # N = 2 n^3: each averaged sweep takes its long run of identical steps as
+    # one power of the step's superoperator.  Its squarings round coherently,
+    # so it drifts from the loops by about N eps, not by sqrt(N) eps
+    n_steps = 2 * n**3
+    powers = spy_powers(monkeypatch)
+    pairs = sweep_outputs(n, n_steps, omega=omega)
+    assert len(powers) == 4  # superpropagate, readout_average, the adjoint, lindblad
+    for got, want in pairs:
+        assert rel_gap(got, want) <= 10 * n_steps * np.finfo(float).eps
+
+
+def test_no_superoperator_is_built_off_the_power_rule(monkeypatch):
+    # the ideal_wide shape (FFT plan), the free demo's (dense, 200 < 64^3
+    # steps), runs shorter than n^3 steps and observer sweeps all step
+    spy_powers(monkeypatch, refuse=True)
+    kappa = 1.0
+    shapes = [wide_ideal_shape(), harmonic_shape(64, 200, omega=0.0),
+              harmonic_shape(4, 63), harmonic_shape(8, 511), harmonic_shape(16, 4095)]
+    for sgrid, tgrid, ham, obs, psi0 in shapes:  # the three sweeps every averaged engine runs
+        rho0, x = pure_density(psi0), random_matrix(sgrid.n_points, 5)
+        args = kappa, ham, obs, sgrid, tgrid
+        superpropagate(rho0, InfluenceKernelSpec("ideal", kappa), ham, obs, sgrid, tgrid)
+        lindblad_evolve(rho0, *args)
+        _ideal_adjoint(x, *args)
+    observed_states(4, 4**3 + 1)

@@ -19,14 +19,14 @@ step by products with its dense matrix, which is cheaper there than the FFT.
 Above it a density matrix is conjugated, M rho M^dagger, by one 2-D FFT pair
 with the phases applied as outer products; this relies on the kinetic phase
 being even in k, which k^2 on the FFT-ordered lattice is at every n.  An
-averaged engine runs all its steps as one sweep of the plan, which folds the
-diagonal factors between two transform pairs (the closing potential phase,
-the step's gain and the next opening phase) into one precomputed product and
-transforms in place, so a step allocates no array; on a small dense lattice
-a long run of identical steps is one power of the step's real superoperator
-instead.  Every vector or column block, conditioned or field-sampled, steps
-through the plan's one column sweep, `apply`, with a diagonal gain between
-steps.
+averaged engine runs its steps as sweeps of the plan, each N identical steps
+with one gain.  A sweep folds the diagonal factors between two transform
+pairs (the closing potential phase, the gain and the next opening phase)
+into one precomputed product and transforms in place, so a step allocates
+no array; on a small dense lattice a long sweep is one power of the step's
+real superoperator instead.  Every vector or column block, conditioned or
+field-sampled, steps through the plan's one column sweep, `apply`, with a
+diagonal gain between steps.
 """
 
 from __future__ import annotations
@@ -282,31 +282,29 @@ class _StepPlan:
     the self-paired Nyquist bin of an even lattice included.  A plan for
     -dt has exactly the conjugate phases, so it is M^dagger.
 
-    `sweep` is the one stepping kernel of the averaged engines: for gains
-    g_0 .. g_N it returns g_N . M (... g_1 . M (g_0 . x) M^dagger ...) M^dagger.
-    On the FFT it runs in the shifted frame s = V2 . x: between two
-    transform pairs the closing V2 of one conjugation, the gain and the
-    opening V2 of the next fold into one product V2 . g . V2, formed once
-    per call and gain (no gain: V2 . V2 by its column and row factors), and
-    V2 then g_N close the last pair.  A step is then fft2, times K2, ifft2,
-    times the folded gain: two transforms in the array's own memory
-    (``overwrite_x``) and two in-place products, so no step allocates.
-    Dense, a step is M x, then (M x) M^dagger, then the gain, into two
-    buffers per call; no gain between two conjugations makes them one by
-    the cached M M (`squared`).
+    `sweep` is the one stepping kernel of the averaged engines: N identical
+    steps X -> g . (W X W^dagger), W = M or, ``twice``, W = M M.  On the FFT
+    it runs in the shifted frame s = V2 . x: between two transform pairs
+    the closing V2 of one conjugation, the gain and the opening V2 of the
+    next fold into one product V2 . g . V2, formed once per call if a step
+    uses it (no gain, or inside W = M M: V2 . V2 by its column and row
+    factors), and V2 then g close the last pair.  A pair is fft2, times K2,
+    ifft2, in the array's own memory (``overwrite_x``), and the products
+    are in place, so no step allocates.  Dense, a step is W x, then
+    (W x) W^dagger, then the gain, into two buffers per call, with the
+    cached M M (`squared`) as W when ``twice``.
 
-    A dense run of k identical steps (one M or M M, one gain object) is
-    one power when n <= ``_POWER_MAX_POINTS``, k >= n^3 and the gain is
-    real and symmetric (`_takes_power`): the ideal sweeps at fine dt.  On
-    the Hermitian coordinates h = vec(Re X + Im X), one-to-one between
-    Hermitian and real n x n matrices, the step X -> g . (M X M^dagger) is
-    the real n^2 x n^2 matrix Q = g[:, None] . (Re K + (Im K) Pi), with
-    K = M (x) conj(M) on the row-major vec and Pi the transpose
-    permutation; any other X runs as its two Hermitian parts.  Q^k by
-    repeated squaring is log2(k) real n^2 x n^2 GEMMs, which BLAS runs
-    near its peak, where a step's two n x n complex GEMMs run at a small
-    fraction of it.  Measured on the adjoint sweep (power against stepping,
-    one BLAS thread, 2-core VM):
+    N dense steps are one power when n <= ``_POWER_MAX_POINTS``, N >= n^3
+    and the gain is real and symmetric or None (`_takes_power`): the ideal
+    sweeps at fine dt.  On the Hermitian coordinates h = vec(Re X + Im X),
+    one-to-one between Hermitian and real n x n matrices, the step
+    X -> g . (W X W^dagger) is the real n^2 x n^2 matrix
+    Q = g[:, None] . (Re K + (Im K) Pi), with K = W (x) conj(W) on the
+    row-major vec and Pi the transpose permutation; any other X runs as its
+    two Hermitian parts.  Q^N by repeated squaring is log2(N) real
+    n^2 x n^2 GEMMs, which BLAS runs near its peak, where a step's two
+    n x n complex GEMMs run at a small fraction of it.  Measured on the
+    adjoint sweep (power against stepping, one BLAS thread, 2-core VM):
 
         n    power already faster at    stepping still faster at
         4    N=64    (0.33 vs 0.45 ms)  -
@@ -378,36 +376,51 @@ class _StepPlan:
         square = (m @ m).astype(complex)
         return square, np.ascontiguousarray(square.conj().T)
 
-    def sweep(self, x, gains):
-        """g_N . M (... g_2 . M (g_1 . M (g_0 . x) M^dagger) M^dagger ...) M^dagger
-        for the gains g_0 .. g_N (None: no gain, and N >= 1), as a new array;
-        the (n, n) x is never written."""
+    def sweep(self, x, gain, n_steps, twice=False):
+        """(X -> g . (W X W^dagger))^N applied to the (n, n) x, as a new array, for
+        N = n_steps, the gain g (None: no gain) and W = M, or W = M M when
+        ``twice``; x is never written, and N = 0 returns a copy."""
         if self.dense:
-            return self._dense_sweep(x, gains)
+            m, m_h = self.squared if twice else (self.matrix, self.matrix_h)
+            if self._takes_power(n_steps, gain):
+                return self._power(m, gain, n_steps, x)
+            out = np.array(x, dtype=complex)
+            tmp = np.empty_like(out)
+            for _ in range(n_steps):
+                np.matmul(m, out, out=tmp)
+                np.matmul(tmp, m_h, out=out)
+                if gain is not None:
+                    out *= gain
+            return out
+        if not n_steps:
+            return np.array(x, dtype=complex)
         import scipy.fft  # the FFT plan alone needs scipy: loaded here, once per call
 
         v, v_h = self.half_v, self.half_v.conj().T  # V2 = v v_h
+        v_sq, v_h_sq = v * v, v_h * v_h
         s = x * v
         s *= v_h
-        if gains[0] is not None:
-            s *= gains[0]
-        v_sq, v_h_sq = v * v, v_h * v_h
-        folded = {}  # id(g) -> V2 . g . V2, the product between two transform pairs
-        for g in gains[1:-1]:
+        folded = None  # V2 . g . V2, the product between two steps
+        for i in range(n_steps):
+            if twice:
+                s = self._transform_pair(s, scipy.fft)
+                s *= v_sq  # V2 . V2 by its two factors, no (n, n) array
+                s *= v_h_sq
             s = self._transform_pair(s, scipy.fft)
-            if g is None:  # V2 . V2 by its two factors, no (n, n) array
+            if i + 1 == n_steps:
+                break
+            if gain is None:
                 s *= v_sq
                 s *= v_h_sq
                 continue
-            if id(g) not in folded:
-                folded[id(g)] = v_sq * v_h_sq
-                folded[id(g)] *= g
-            s *= folded[id(g)]
-        s = self._transform_pair(s, scipy.fft)
+            if folded is None:
+                folded = v_sq * v_h_sq
+                folded *= gain
+            s *= folded
         s *= v
         s *= v_h
-        if gains[-1] is not None:
-            s *= gains[-1]
+        if gain is not None:
+            s *= gain
         return s
 
     def _transform_pair(self, s, fft):
@@ -416,46 +429,13 @@ class _StepPlan:
         s *= self.kinetic_2d
         return fft.ifft2(s, overwrite_x=True)
 
-    def _dense_sweep(self, x, gains):
-        """`sweep` on the dense plan, run by run of identical steps (`_takes_power`)."""
-        runs, i = [], 1  # [M, M^dagger, gain, k]: k conjugations by M, each followed by the gain
-        while i < len(gains):
-            if gains[i] is None and i + 1 < len(gains):  # no gain between: one conjugation by M M
-                (m, m_h), i = self.squared, i + 1
-            else:
-                m, m_h = self.matrix, self.matrix_h
-            if runs and runs[-1][0] is m and runs[-1][2] is gains[i]:
-                runs[-1][3] += 1
-            else:
-                runs.append([m, m_h, gains[i], 1])
-            i += 1
-        tmp = np.empty((self.n, self.n), dtype=complex)
-        out = np.empty_like(tmp)
-        if gains[0] is not None:
-            x = np.multiply(x, gains[0], out=out)
-        for r, (m, m_h, g, k) in enumerate(runs):
-            closing = r + 1 < len(runs) and runs[r + 1][0] is m
-            if self._takes_power(k + closing, g):
-                out[...] = self._power(m, g, k, x)
-                x = out
-                continue
-            for _ in range(k):
-                np.matmul(m, x, out=tmp)
-                np.matmul(tmp, m_h, out=out)
-                if g is not None:
-                    out *= g
-                x = out
-        return out
-
-    def _takes_power(self, conjugations, g):
-        """Whether a run of conjugations by one M, each followed by the gain g,
-        is taken as one power: on lattices up to ``_POWER_MAX_POINTS``, for at
-        least n^3 conjugations (counting the conjugation by the same M that
-        closes `superpropagate`'s sweep without a gain), and for a real
-        symmetric (n, n) gain or none, so that the step maps Hermitian matrices
-        to Hermitian matrices."""
+    def _takes_power(self, n_steps, g):
+        """Whether n_steps identical dense steps, each followed by the gain g, are
+        taken as one power: on lattices up to ``_POWER_MAX_POINTS``, for at least
+        n^3 steps, and for a real symmetric (n, n) gain or none, so that the step
+        maps Hermitian matrices to Hermitian matrices."""
         n = self.n
-        return n <= _POWER_MAX_POINTS and conjugations >= n**3 and (
+        return n <= _POWER_MAX_POINTS and n_steps >= n**3 and (
             g is None or (np.isrealobj(g) and np.shape(g) == (n, n) and np.array_equal(g, g.T)))
 
     def _power(self, m, g, k, x):

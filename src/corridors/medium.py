@@ -190,8 +190,11 @@ def firstorder_log_weights(pair: PathPair, form_factor: FormFactor, kappa, ell, 
 # ----------------------------------------------------------------------
 # reduction to the phenomenological corridor
 
+# lags of a numeric profile's table, which spans |t| <= 12 / (omega_max / 8)
+_PROFILE_LAGS = 401
 
-def form_factor_from_medium(density: SpectralDensity, n_lags=401):
+
+def form_factor_from_medium(density: SpectralDensity):
     """Reduce a medium response to (form factor, kappa).
 
     kappa = 2 pi nu(0) / l^2 and the smoothing profile is the normalized
@@ -215,7 +218,7 @@ def form_factor_from_medium(density: SpectralDensity, n_lags=401):
         return FormFactor.gaussian(tau=1.0 / sigma), kappa
     # numeric profile: tabulate C out to where a smooth band has decayed
     t_max = 12.0 / (density.omega_max / 8.0)
-    lags = np.linspace(-t_max, t_max, int(n_lags))
+    lags = np.linspace(-t_max, t_max, _PROFILE_LAGS)
     values = correlation_function(density, lags) / (math.pi * nu0)
     return FormFactor.from_arrays(lags, values), kappa
 

@@ -13,17 +13,18 @@ equation  d rho/dt = -i[H, rho]/hbar - (kappa/2) [A, [A, rho]]  in Strang
 form.  `lindblad_evolve` sweeps that equation on the mid-step state: the
 two half steps that meet between steps are one conjugation by their
 product, once per step on the dense plan and two transform pairs on the
-FFT plan.  The ideal sweep, its adjoint and the master equation each run
-all their steps as one `_StepPlan.sweep`, which on the FFT folds each
-decay between the potential phases around it and transforms in place, so
-no step allocates.  On a dense lattice of at most 32 points it takes a run
-of at least n^3 identical decay steps as one power of the step's real
-superoperator, which drifts from stepping by about N eps.  An observer,
-which sees every full step, gets one sweep per step and fresh arrays that
-nothing writes again.  Finite time resolution correlates the decay across
-a window of steps; the doubled (bra x ket) lattice chain is then
-contracted exactly with the same sliding-buffer sweep the selective
-engine uses.  The
+FFT plan.  The ideal sweep, its adjoint and the master equation run their
+steps as `_StepPlan.sweep`s, each N identical steps X -> g . (W X W†)
+with one decay, W = M or the merged half steps' W = M M.  On the FFT a
+sweep folds the decay between the potential phases around it and
+transforms in place, so no step allocates.  On a dense lattice of at
+most 32 points it takes a sweep of at least n^3 decay steps as one power
+of the step's real superoperator, which drifts from stepping by about
+N eps.  An observer, which sees every full step, gets one-step sweeps
+and fresh arrays that nothing writes again.  Finite time resolution
+correlates the decay across a window of steps; the doubled (bra x ket)
+lattice chain is then contracted exactly with the same sliding-buffer
+sweep the selective engine uses.  The
 oscillator medium's pair influence couples slices through the
 stationary time kernel in the same way (a Feynman-Vernon influence with
 that kernel as its memory), so its exact mode is the same doubled
@@ -173,22 +174,23 @@ def lindblad_evolve(rho0, kappa, ham, obs, sgrid, tgrid, observer=None):
         tau_{i+1} = D . (M_h M_h tau_i (M_h M_h)^dagger),
         rho_N = M_h tau_{N-1} M_h^dagger,
 
-    one `_StepPlan.sweep` of 2N half conjugations with the decay after
-    the first of each pair.  Up to the plan's dense crossover the two half
-    steps that meet between steps are one conjugation by the cached
-    M_h M_h; above it each step is two FFT transform pairs with the
-    folded gains V2_h^2 between them and V2_h^2 . D after them.  An
-    observer needs every rho_i, so it gets a sweep of two half
-    conjugations per step.
+    three `_StepPlan.sweep` calls: tau_0 by one half step with the decay,
+    tau_{N-1} by N - 1 steps with W = M_h M_h (``twice``), and rho_N by a
+    half step without it.  Up to the plan's dense crossover W is one
+    conjugation by the cached M_h M_h; above it W is two FFT transform
+    pairs with V2_h^2 between them and V2_h^2 . D after them.  An
+    observer needs every rho_i, so it gets two one-step sweeps of a half
+    conjugation per step.
     """
     _check_kappa(kappa)
     rho = np.asarray(rho0, dtype=complex)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
     half = _StepPlan(ham, sgrid, 0.5 * tgrid.dt)
     if observer is None:
-        return half.sweep(rho, [None] + [decay, None] * tgrid.n_steps)
+        tau = half.sweep(half.sweep(rho, decay, 1), decay, tgrid.n_steps - 1, twice=True)
+        return half.sweep(tau, None, 1)
     for i in range(tgrid.n_steps):
-        rho = half.sweep(rho, [None, decay, None])
+        rho = half.sweep(half.sweep(rho, decay, 1), None, 1)
         observer(i, rho)
     return rho
 
@@ -198,7 +200,7 @@ def _ideal_adjoint(x, kappa, ham, obs, sgrid, tgrid):
     X <- decay . (M† X M), M† X M the conjugation by the plan for -dt."""
     back = _StepPlan(ham, sgrid, -tgrid.dt)
     decay = _decay_matrix(obs.values, kappa, tgrid.dt)
-    return back.sweep(np.asarray(x, dtype=complex), [None] + [decay] * tgrid.n_steps)
+    return back.sweep(np.asarray(x, dtype=complex), decay, tgrid.n_steps)
 
 
 def readout_average(psi0, kappa, ham, obs, sgrid, tgrid):
@@ -283,11 +285,11 @@ def superpropagate(
         decay = _decay_matrix(obs.values, kappa, tgrid.dt)
         plan = _StepPlan(ham, sgrid, tgrid.dt)
         if observer is None:
-            rho = plan.sweep(rho0, [decay] * tgrid.n_steps + [None])
+            rho = plan.sweep(plan.sweep(rho0 * decay, decay, tgrid.n_steps - 1), None, 1)
         else:
             rho = rho0
             for i in range(tgrid.n_steps):
-                rho = plan.sweep(rho, [decay, None])
+                rho = plan.sweep(rho * decay, None, 1)
                 observer(i, rho)
         return AverageResult(rho=rho, mode=mode)
 

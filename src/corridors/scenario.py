@@ -620,8 +620,9 @@ def _task_zeno(cfg, kappas=None):
     if kappas is None:
         kappas = cfg.meas.kappa * np.logspace(-2.0, 2.0, 5)
     kappas = np.asarray(sorted(float(k) for k in kappas))
-    if kappas.size < 2 or np.any(kappas <= 0):
-        raise ConfigError("kappas: need at least two positive strengths")
+    if kappas.size < 2 or not np.all(kappas > 0) or np.any(np.diff(kappas) == 0):
+        raise ConfigError("kappas: need at least two distinct positive strengths, "
+                          f"got {kappas.tolist()}")
     psi0 = cfg.initial_packet()
     record = np.zeros(cfg.tgrid.n_steps)
     variances = []

@@ -357,11 +357,12 @@ def test_unitarity_task_pass_and_fail(tmp_path):
     assert (tmp_path / "u2" / "manifest.json").exists()  # artifacts still written
 
 
-@pytest.mark.parametrize("n_steps", [12, 4096])
+@pytest.mark.parametrize("n_steps", [12, 4097])
 def test_unitarity_duality_check_sees_a_wrong_adjoint_step(tmp_path, monkeypatch, n_steps):
     # any unitary step maps X = I to I, so the identity check passes a wrong
     # adjoint plan; the seeded witness X compared with the forward sweep does
-    # not.  At 4096 = 16^3 steps every sweep takes the dense plan's power path
+    # not.  At 4097 = 16^3 + 1 steps every sweep takes the dense plan's power
+    # path, the forward sweep's 16^3 decay steps before its closing step
     cfg = load_config(write_scenario(tmp_path, BASE.replace("n_steps = 12",
                                                             f"n_steps = {n_steps}")))
     powers, power = [], _StepPlan._power
@@ -376,7 +377,7 @@ def test_unitarity_duality_check_sees_a_wrong_adjoint_step(tmp_path, monkeypatch
                                                     "adjoint_duality_gap"]
     assert manifest.checks[1]["passed"] and manifest.checks[1]["value"] < 1e-13
     # the identity's adjoint sweep, then the witness's forward and adjoint sweeps
-    assert len(powers) == (3 if n_steps == 4096 else 0)
+    assert len(powers) == (3 if n_steps == 4097 else 0)
 
     def mutant(ham, sgrid, dt):  # the adjoint's plan for 3 dt instead of -dt
         return _StepPlan(ham, sgrid, -3.0 * dt if dt < 0 else dt)
@@ -735,6 +736,9 @@ CONFIG_REFUSALS = {
         WINDOWED, "medium-compare", ["--scale", str(scale)], {"scale": scale}, f"scale: {scale!r}")
        for scale in (0.0, -1.0, math.nan, math.inf)},
     "one strength": (BASE, "zeno-sweep", ["--kappas", "0,1"], {"kappas": [0.0, 1.0]}, "kappas"),
+    # a repeated strength failed variance_monotone_decreasing (exit 2) on equal variances
+    "repeated strength": (
+        BASE, "zeno-sweep", ["--kappas", "1,1,10"], {"kappas": [1.0, 1.0, 10.0]}, "kappas"),
     "one level": (BASE, "convergence", ["--levels", "1"], {"levels": 1}, "levels"),
     "tau study at delta resolution": (
         BASE, "convergence", ["--study", "tau"], {"study": "tau"}, "study"),

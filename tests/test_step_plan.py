@@ -72,8 +72,8 @@ def test_dense_and_fft_branches_agree(n, mass, dt, extent, seed):
     for dense in (True, False):
         plan.dense = back.dense = dense
         out[dense] = (plan.apply(block, [None, None]), plan.apply(block[:, 0], [None, None]),
-                      plan.sweep(rho, [None, None]))
-        assert rel_gap(back.sweep(x, [None, None]), adjoint) <= 1e-12
+                      plan.sweep(rho, None, 1))
+        assert rel_gap(back.sweep(x, None, 1), adjoint) <= 1e-12
     for dense_out, fft_out in zip(out[True], out[False]):
         assert rel_gap(dense_out, fft_out) <= 1e-12
 
@@ -373,3 +373,30 @@ def test_no_superoperator_is_built_off_the_power_rule(monkeypatch):
         lindblad_evolve(rho0, *args)
         _ideal_adjoint(x, *args)
     observed_states(4, 4**3 + 1)
+
+
+@pytest.mark.parametrize("twice", [False, True], ids=["M", "MM"])
+@pytest.mark.parametrize("n_steps", [0, 1, 4**3])
+@pytest.mark.parametrize("path", ["dense", "power", "fft"])
+def test_sweep_returns_a_new_array_and_never_writes_x(monkeypatch, path, n_steps, twice):
+    # (X -> g . (W X W^dagger))^N with W = M or M M, on each branch: a complex
+    # gain keeps the dense plan stepping, a real symmetric one takes the power
+    # path at N = n^3, and the n = 4 plan is forced onto the FFT
+    n = 4
+    grid = SpatialGrid(5.0, n)
+    plan = grids._StepPlan(HamiltonianSpec.harmonic(grid, 0.8), grid, 0.05)
+    plan.dense = path != "fft"
+    gain = np.exp(-np.subtract.outer(grid.coords, grid.coords) ** 2)
+    if path == "dense":
+        gain = gain * np.exp(1j * np.random.default_rng(7).standard_normal((n, n)))
+    powers = spy_powers(monkeypatch)
+    x = random_matrix(n, 6)
+    x_before = x.copy()
+    got = plan.sweep(x, gain, n_steps, twice)
+    assert np.array_equal(x, x_before) and not np.shares_memory(got, x)
+    assert len(powers) == (path == "power" and n_steps == n**3)
+    w = plan.matrix @ plan.matrix if twice else plan.matrix
+    want = x
+    for _ in range(n_steps):
+        want = gain * (w @ want @ w.conj().T)
+    assert rel_gap(got, want) <= 1e-12

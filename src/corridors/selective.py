@@ -14,7 +14,11 @@ slice axes stay live after each slice and which weight rows apply there,
 under a cap on the buffer.  `_contract_windowed` replays a plan and takes
 its weight rows from the caller, so the averaged engines of
 `nonselective` run the same sweep on the doubled (bra x ket) chain, for
-the windowed decay and the medium weights.  When the buffer would not
+the windowed decay and the medium weights.  Per slice it takes the weight
+and the sums first and the kernel after: the slice's rows make one real
+weight, the weight and the sum over the axes leaving the buffer are one
+real product, and the one-step kernel multiplies that product, a tensor
+n times smaller than the weight.  When the buffer would not
 fit in memory, `plan` refuses: its cap is the one exact-or-sample rule,
 and a caller that may sample falls back on that refusal to a Monte-Carlo
 unraveling (`evolve_selective_coarse_mc`), which decouples the window
@@ -60,7 +64,8 @@ __all__ = [
 
 # hard ceiling on the windowed-contraction working tensor, in complex
 # elements (1.6e9 bytes at complex128); beyond this the exact sweep refuses
-# and callers should fall back to the Monte-Carlo unraveling
+# and callers should fall back to the Monte-Carlo unraveling.  A sweep's
+# traced peak is 1.17 such tensors at a 16^5 plan, so about 1.9e9 bytes here
 DEFAULT_WORK_CAP = 100_000_000
 # complex elements in one batch of samples side by side (256 KB): sampled
 # propagators here, and the records the Monte-Carlo unitarity check
@@ -99,8 +104,11 @@ class WindowSpec:
     """Resource plan and schedule of a windowed contraction.
 
     buffer_len is the peak number of simultaneously live slice axes and
-    work_elements = n_sites ** buffer_len the peak working-tensor size
-    (transients during a step allocate a small constant multiple of it).
+    work_elements = n_sites ** buffer_len the peak working-tensor size.
+    At its peak a sweep holds 1.17 complex tensors of that size
+    (1.17 x 16 work_elements bytes, traced by tracemalloc over one
+    `evolve_selective_coarse` call at n = 16, tau = 0.4 dt and 64 steps, a
+    16^5 plan); a tier-1 test bounds it at 2.
     live[j] is the oldest slice still live once slice j is added and its
     rows applied, and emit[j] the rows whose last slice is j: the schedule
     `_contract_windowed` replays.
@@ -177,31 +185,64 @@ def _contract_windowed(vec0, kernel, spec, log_row):
     Returns the final vector over slice-N sites (after the batch axes).
     Live slice axes are kept in chronological order; after slice j is
     added and the rows spec.emit[j] applied, the axes older than
-    spec.live[j] are contracted through the kernel; live[N] == N, so after
-    the last slice only its axis is left.  This is Makri & Makarov's
-    augmented propagator (J. Chem. Phys. 102, 4600 (1995)).
-    """
-    kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
-    state = np.asarray(vec0, dtype=complex).copy()
-    lead = state.ndim - 1  # batch axes ahead of the live slice axes
-    oldest = 0  # slice index carried by axis `lead` of `state`
+    spec.live[j] are summed out; live[N] == N, so after the last slice only
+    its axis is left.  This is Makri & Makarov's augmented propagator
+    (J. Chem. Phys. 102, 4600 (1995)).
 
-    def place(j, values):
-        shape = [1] * state.ndim
-        shape[lead + j - oldest] = values.size
+    Per slice j the rows it emits are added and exponentiated once, to a
+    real weight over the live axes and slice j.  When the slice also sums
+    axes older than x_{j-1}, weight and sum are one batched real product
+    on the (re, im) view of the state before slice j's axis exists, and
+    the kernel factor K[x_j, x_{j-1}] multiplies the result, n or more
+    times smaller than the weight.  A sum over x_{j-1} itself comes after
+    the kernel.  The tests' oracles keep the per-slice sweep (append
+    through the kernel, one exp and product per row, then the sums) as
+    the reference.
+    """
+    n = kernel.shape[0]
+    kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
+    state = np.array(vec0, dtype=complex, order="C")  # a new array: the (re, im) view is free
+    lead = state.ndim - 1  # batch axes ahead of the live slice axes
+    oldest = 0  # slice carried by axis `lead` of `state`
+
+    def place(s, values):
+        shape = [1] * (lead + j + 1 - oldest)  # the live axes once slice j is in
+        shape[lead + s - oldest] = values.size
         return values.reshape(shape)
 
     for j, (lo, rows) in enumerate(zip(spec.live, spec.emit)):
-        if j:
-            # append the axis for slice j; the kernel contraction over
-            # slice j-1 is deferred until that axis is summed out
-            state = state[..., :, None] * kernel_t
+        weight = None
         for i in rows:
-            weight = log_row(i, place)
-            state *= np.exp(weight, out=weight)
-        while oldest < lo:
-            state = state.sum(axis=lead)
-            oldest += 1
+            term = log_row(i, place)
+            weight = term if weight is None else weight + term
+        if weight is not None:
+            np.exp(weight, out=weight)
+        # axes older than x_{j-1} summed here; the plan sums them only where
+        # the rows reaching back to them end, so only where there is a weight
+        summed = max(0, min(lo, j - 1) - oldest)
+        if summed:
+            # sum_O weight[.., O, .., x_{j-1}, x_j] state[.., O, .., x_{j-1}] with
+            # the O axes merged, as one matmul per kept index: weight's
+            # (x_j, O) by the state's (O, re/im)
+            before, after = weight.shape[:lead], weight.shape[lead + summed:]
+            if weight.shape[lead:lead + summed] != (n,) * summed:  # a row skips an O slice
+                weight = np.broadcast_to(weight, before + (n,) * summed + after)
+            weight = weight.reshape(before + (-1,) + after)
+            kept = state.ndim - summed + 1  # the re/im axis, after x_{j-1}
+            batch = (*range(lead), *range(lead + 1, kept))
+            parts = state.view(float).reshape(state.shape[:lead] + (-1,)
+                                              + state.shape[lead + summed:] + (2,))
+            state = weight.transpose(*batch, kept, lead) @ parts.transpose(*batch, lead, kept)
+            state = state.view(complex)[..., 0] * kernel_t
+            oldest += summed
+        else:
+            if j:
+                state = state[..., None] * kernel_t
+            if weight is not None:
+                state *= weight
+        if j and lo == j:
+            state = state.sum(axis=-2)
+            oldest = j
     return state
 
 

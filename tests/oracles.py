@@ -1,7 +1,8 @@
 """Independent brute-force references for the engine tests.
 
 Everything here is deliberately naive: explicit enumeration of all
-lattice paths, dense matrix exponentials, and plain numeric quadrature.
+lattice paths, dense matrix exponentials, plain numeric quadrature, and
+the windowed sweep one slice and one weight row at a time.
 The engines must reproduce these numbers; nothing here shares code with
 the package beyond the one-step kernel: the matrices handed in by the
 tests and the public `unitary_step`.
@@ -109,6 +110,36 @@ def dry_run_window_plan(window):
         lo = max(lo, min(pending + [j]))
         live.append(lo)
     return bandwidth, peak, tuple(live), tuple(emit)
+
+
+def contract_windowed_per_slice(vec0, kernel, spec, log_row):
+    """`selective._contract_windowed` one row at a time, the kernel first.
+
+    Each slice j appends its axis as the full product state[..., x_{j-1},
+    None] * K^T[x_{j-1}, x_j], then multiplies in exp(log_row(i)) for each
+    row i of spec.emit[j] in turn, then sums every axis older than
+    spec.live[j]; the same call contract as the package's fused sweep.
+    """
+    kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
+    state = np.asarray(vec0, dtype=complex).copy()
+    lead = state.ndim - 1  # batch axes ahead of the live slice axes
+    oldest = 0  # slice index carried by axis `lead` of `state`
+
+    def place(j, values):
+        shape = [1] * state.ndim
+        shape[lead + j - oldest] = values.size
+        return values.reshape(shape)
+
+    for j, (lo, rows) in enumerate(zip(spec.live, spec.emit)):
+        if j:
+            state = state[..., :, None] * kernel_t
+        for i in rows:
+            weight = log_row(i, place)
+            state *= np.exp(weight, out=weight)
+        while oldest < lo:
+            state = state.sum(axis=lead)
+            oldest += 1
+    return state
 
 
 def aux_field_conditioned_state(psi0, kernel, site_values, readout, kappa, dt, window, xi):

@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -19,6 +21,7 @@ from corridors.grids import (
     short_time_kernel_matrix,
     unitary_step,
 )
+from corridors.nonselective import InfluenceKernelSpec, _medium_rows
 from corridors.readout import FormFactor, readout_measure_factor
 from corridors.selective import (
     _FIELD_BATCH_ELEMENTS,
@@ -165,6 +168,18 @@ def test_window_spec_plan_reports_and_caps():
         WindowSpec.plan(window[:, :-1], n_sites=4)  # not (N, N+1)
 
 
+def random_band_window(rng, n_steps, reach, shift, reverse):
+    """(N, N+1) weights on per-row spans around a shifted diagonal, with
+    holes, both ends of each span set; time-reversed on request."""
+    window = np.zeros((n_steps, n_steps + 1))
+    for i in range(n_steps):
+        lo = int(np.clip(i + shift - rng.integers(0, reach + 1), 0, n_steps))
+        hi = int(np.clip(i + shift + rng.integers(0, reach + 1), lo, n_steps))
+        window[i, lo : hi + 1] = rng.uniform(0.1, 1.0, hi - lo + 1) * (rng.random(hi - lo + 1) < 0.7)
+        window[i, [lo, hi]] = 0.5
+    return window[::-1, ::-1].copy() if reverse else window
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_steps=st.integers(1, 40),
@@ -175,19 +190,105 @@ def test_window_spec_plan_reports_and_caps():
 )
 def test_window_spec_plan_matches_dry_run(n_steps, reach, shift, reverse, seed):
     # random bands: per-row spans around a shifted diagonal, with holes
-    rng = np.random.default_rng(seed)
-    window = np.zeros((n_steps, n_steps + 1))
-    for i in range(n_steps):
-        lo = int(np.clip(i + shift - rng.integers(0, reach + 1), 0, n_steps))
-        hi = int(np.clip(i + shift + rng.integers(0, reach + 1), lo, n_steps))
-        window[i, lo : hi + 1] = rng.uniform(0.1, 1.0, hi - lo + 1) * (rng.random(hi - lo + 1) < 0.7)
-        window[i, [lo, hi]] = 0.5
-    if reverse:
-        window = window[::-1, ::-1].copy()
+    window = random_band_window(np.random.default_rng(seed), n_steps, reach, shift, reverse)
     spec = WindowSpec.plan(window, n_sites=2, cap=2**64)
     expect = oracles.dry_run_window_plan(window)
     assert (spec.bandwidth, spec.buffer_len, spec.live, spec.emit) == expect
     assert spec.work_elements == 2**spec.buffer_len
+
+
+def slice_kinds(spec):
+    """(rows emitted, axes older than x_{j-1} summed, whether x_{j-1} is
+    summed) of each slice j >= 1 of a plan, the counts capped at 2."""
+    kinds = set()
+    for j in range(1, spec.n_steps + 1):
+        older = min(spec.live[j], j - 1) - spec.live[j - 1]
+        kinds.add((min(len(spec.emit[j]), 2), min(older, 2), spec.live[j] == j))
+    return kinds
+
+
+def test_fused_sweep_matches_the_per_slice_reference():
+    # the fused sweep adds a slice's rows, folds weight and sum into one
+    # product and multiplies the kernel after; on random bands (shifts,
+    # holes, reversed windows) it must give the per-slice sweep's numbers,
+    # for corridor and medium rows, with rows varying along the batch axes
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 4),
+        kind=st.sampled_from(["corridor", "medium_firstorder", "medium_exact"]),
+        batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        n_steps=st.integers(1, 12),
+        reach=st.integers(0, 3),
+        shift=st.integers(-3, 3),
+        reverse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, kind, batch, n_steps, reach, shift, reverse, seed):
+        rng = np.random.default_rng(seed)
+        window = random_band_window(rng, n_steps, reach, shift, reverse)
+        dt, kappa = 0.1, rng.uniform(0.5, 5.0)
+        if kind == "corridor":
+            pattern = window
+            readout = rng.uniform(-1.0, 1.0, batch[:1] + (n_steps,))
+            rows = _corridor_rows(window, rng.uniform(-1.0, 1.0, n), readout, kappa, dt)
+        else:
+            # the doubled chain of 2 sites, its slice couplings the band made symmetric
+            n = 4
+            time = np.zeros((n_steps + 1, n_steps + 1))
+            time[:n_steps] = window
+            medium = InfluenceKernelSpec(kind, kappa, ell=rng.uniform(0.5, 2.0), form_factor=
+                                         SimpleNamespace(stationary_matrix=lambda *_: time + time.T))
+            obs = SimpleNamespace(values=rng.uniform(-1.0, 1.0, 2))
+            pattern, rows = _medium_rows(medium, obs, SimpleNamespace(n_steps=n_steps, dt=dt))
+        spec = WindowSpec.plan(pattern, n, cap=2**64)
+        assume(spec.work_elements * math.prod(batch) <= 4**7)
+        # a per-record offset on every row, so the rows vary along each batch axis
+        offset = rng.uniform(-0.5, 0.0, batch + (n_steps,))
+
+        def log_row(i, place):
+            out = rows(i, place)
+            return out + offset[..., i].reshape(batch + (1,) * (out.ndim - len(batch)))
+
+        kernel = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        vec0 = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
+        got = _contract_windowed(vec0, kernel, spec, log_row)
+        expect = oracles.contract_windowed_per_slice(vec0, kernel, spec, log_row)
+        assert got.shape == expect.shape == batch + (n,)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        seen.update(slice_kinds(spec))
+
+    check()
+    assert {rows for rows, _, _ in seen} == {0, 1, 2}
+    assert {older for _, older, _ in seen} == {0, 1, 2}
+    # rows, weight-and-sum product and the x_{j-1} sum at one slice
+    assert any(rows and older and prev for rows, older, prev in seen)
+    # a slice with no row sums x_{j-1} at most: an older axis stays live until
+    # the rows reaching back to it end, so every older sum has a weight
+    assert any(prev and not rows for rows, _, prev in seen)
+    assert not any(older and not rows for rows, older, _ in seen)
+
+
+def test_coarse_engine_peak_memory_is_within_two_work_tensors():
+    # the cap's promise: a contraction allocates at most two complex working
+    # tensors (16 work_elements bytes each) at its peak, here at the slow
+    # detector's shape on a 64-step record (n = 16, tau = 0.4 dt, 16^5)
+    kappa, n_steps = 1.0, 64
+    sgrid, tgrid = build_grids(6.0, 16, 0.1 * n_steps, n_steps)
+    ham, obs = HamiltonianSpec.harmonic(sgrid, 0.9), ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.3, 1.0, 0.0)
+    record = 0.3 + np.random.default_rng(99).standard_normal(n_steps) / math.sqrt(4.0 * kappa * tgrid.dt)
+    ff = FormFactor.gaussian(0.4 * tgrid.dt)
+    work = WindowSpec.plan(ff.window_matrix(n_steps, tgrid.dt), sgrid.n_points).work_elements
+    assert work == 16**5
+    tracemalloc.start()
+    try:
+        evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * work
 
 
 def test_window_spec_fits_is_the_plan_cap():

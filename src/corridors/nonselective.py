@@ -50,8 +50,10 @@ side: an ideal batch is one `_StepPlan.apply` over the identity columns
 of every record, each record's corridor factors its gains, and a
 windowed batch one contraction, with records x identity columns x live
 elements within the samplers' batch (`_FIELD_BATCH_ELEMENTS`) and the
-cap.  A window above the cap is refused in both modes: no sampled
-estimate of U[a] stands in for it.
+cap.  The ideal batches, like the field samples, run side by side on
+worker threads (`selective._batch_map`), bit for bit as on one.  A window
+above the cap is refused in both modes: no sampled estimate of U[a]
+stands in for it.
 `superpropagate` accepts pluggable two-path weights, including the
 oscillator-medium kernels, so the same machinery covers phenomenological
 and microscopic decoherence models.
@@ -70,6 +72,7 @@ from .selective import (
     _FIELD_BATCH_ELEMENTS,
     DEFAULT_WORK_CAP,
     WindowSpec,
+    _batch_map,
     _contract_windowed,
     _corridor_gains,
     _corridor_rows,
@@ -494,7 +497,12 @@ def check_generalized_unitarity(
     its columns split under ``cap``).  A window whose contraction does not
     fit ``cap`` is refused, as in mode "exact".  Records are drawn in turn
     from one stream, so a seed fixes the estimate up to the order of sums
-    whatever the batch size.
+    whatever the batch size.  Ideal batches are conditioned on
+    `_batch_map`'s worker threads, one per usable core, the records drawn
+    here and the batches summed in order, so the estimate and its stderr
+    are bit for bit those of one thread.  Windowed batches stay on this
+    thread: their contractions of a few sites hold the GIL, and two
+    threads ran them slower than one.
     """
     _check_kappa(kappa)
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
@@ -529,8 +537,15 @@ def check_generalized_unitarity(
     batch = max(1, min(_FIELD_BATCH_ELEMENTS, cap) // (cols * work))
 
     log_c = math.log(readout_measure_factor(kappa, dt))
-    for done in range(0, samples, batch):
-        a, log_q = _mixture_records(rng, vals, kappa, dt, n_steps, min(batch, samples - done))
+    if plan.dense:
+        plan.matrix  # the lazy cache is built here, not by the workers
+
+    def records():
+        for done in range(0, samples, batch):
+            yield _mixture_records(rng, vals, kappa, dt, n_steps, min(batch, samples - done))
+
+    def weighted_pairs(drawn):
+        a, log_q = drawn
         starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
         if window is None:
             u = plan.apply(starts.transpose(1, 0, 2), _corridor_gains(vals, a, kappa, dt))
@@ -544,7 +559,11 @@ def check_generalized_unitarity(
         # libm's exp per record (numpy's vectorized exp can differ in the last bit),
         # so a record weighs what it weighs alone
         w = np.array([math.exp(n_steps * log_c - q) for q in log_q])
-        moments.add(w[:, None, None] * pairs)
+        return w[:, None, None] * pairs
+
+    # windowed batches stay serial: their small contractions hold the GIL
+    for weighted in (_batch_map if window is None else map)(weighted_pairs, records()):
+        moments.add(weighted)
     mean = moments.mean()
     deviation = float(np.max(np.abs(mean - np.eye(n))))
     return UnitarityReport(

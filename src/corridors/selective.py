@@ -28,7 +28,14 @@ dropping as 1/sqrt(samples).  One field sweep, `_field_sweep`, runs both
 this sampler and the random-phase samplers of `nonselective`, and that
 module's Monte-Carlo unitarity check conditions its records through the
 exact cores here, in batches side by side: the ideal sweep or the
-contraction, on one plan per call.  Every ideal sweep and every field
+contraction, on one plan per call.  The sampler batches run on worker
+threads, one per usable core (`os.sched_getaffinity`), through one ordered
+batch map, `_batch_map`: the calling thread draws the random numbers in
+stream order and sums the results in batch order, so they are bit for bit
+those of one thread.  The workers are separate from BLAS's own threads
+(``OPENBLAS_NUM_THREADS``); with both above one they oversubscribe the
+cores.  Windowed unitarity records stay on the calling thread (their small
+contractions hold the GIL).  Every ideal sweep and every field
 sample steps through the plan's one column sweep, `_StepPlan.apply`, with
 the corridor factors (`_corridor_gains`) or the field's phases as gains.
 A window above the cap is refused there as here; no auxiliary-field
@@ -42,8 +49,12 @@ step size, not just in the small-step limit.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -71,6 +82,10 @@ DEFAULT_WORK_CAP = 100_000_000
 # propagators here, and the records the Monte-Carlo unitarity check
 # conditions together (records x columns x live elements, within the cap)
 _FIELD_BATCH_ELEMENTS = 1 << 14
+# threads that sweep sampler batches side by side (`_batch_map`): the cores
+# this process may run on
+_BATCH_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -425,12 +440,21 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
     sample's xi ~ N(0, 1), shaped (T columns, S columns), is drawn in turn
     from ``rng``.  Yields (n, m, k) blocks, m samples side by side, k the
     columns of ``start``, each of about _FIELD_BATCH_ELEMENTS elements.
+    The batches sweep on `_batch_map`'s worker threads, each batch's xi
+    drawn here in stream order, and come back in that order, so the
+    blocks do not depend on the worker count.
     """
     start = np.asarray(start, dtype=complex).reshape(plan.n, 1, -1)
     batch = max(1, _FIELD_BATCH_ELEMENTS // start.size)
-    for done in range(0, samples, batch):
-        m = min(batch, samples - done)
-        xi = rng.standard_normal((m, time_factor.shape[1], space_factor.shape[1]))
+    if plan.dense:
+        plan.matrix  # the lazy cache is built here, not by the workers
+
+    def draws():
+        for done in range(0, samples, batch):
+            yield rng.standard_normal((min(batch, samples - done), time_factor.shape[1],
+                                       space_factor.shape[1]))
+
+    def sweep(xi):
         time_part = np.tensordot(time_factor, xi, axes=(1, 1))  # (N+1, m, S columns)
 
         def gains():  # (n, m, 1) per slice
@@ -442,7 +466,45 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
                     exponent += log_weight[j][:, None]
                 yield np.exp(exponent)[:, :, None]
 
-        yield plan.apply(start, gains())
+        return plan.apply(start, gains())
+
+    return _batch_map(sweep, draws())
+
+
+def _batch_map(fn, inputs):
+    """map(fn, inputs), the calls running side by side on worker threads.
+
+    ``inputs`` is consumed here, on the calling thread, in order, so the
+    random draws behind each batch come from the caller's stream in stream
+    order; each fn(x) runs on one of `_BATCH_WORKERS` threads in a copy of
+    the caller's context (numpy's errstate is context-local), and the
+    results are yielded in input order, so every sum over them runs in the
+    same order at any worker count and the results are bit for bit those
+    of the serial map.  numpy drops the GIL in BLAS and in large ufuncs,
+    which is where a sampler batch spends its time.  At most one input per
+    worker is in flight.  A single input, or a single worker, runs inline,
+    and `concurrent.futures` is imported only when a pool is needed.  fn
+    must not call the package's public functions (a tracer wrapping them
+    need not be thread-safe) nor fill a lazy cache shared between calls.
+    """
+    inputs = iter(inputs)
+    head = list(islice(inputs, 2))
+    workers = _BATCH_WORKERS
+    if len(head) < 2 or workers < 2:
+        yield from map(fn, chain(head, inputs))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for x in chain(head, inputs):
+            if len(pending) == workers:
+                pending[0].result()  # wait for the oldest: one input per worker
+            pending.append(pool.submit(contextvars.copy_context().run, fn, x))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 class _Moments:

@@ -237,27 +237,24 @@ def purity(rho, grid):
     return float(np.real(np.sum(rho * rho.T)) * grid.spacing**2)
 
 
-def check_density_matrix(rho, grid, tol=1e-10):
+def check_density_matrix(rho, grid):
     """Diagnostics for a density matrix: hermiticity, trace, positivity.
 
     Returns a dict with ``herm_error`` (sup-norm of rho - rho^dagger),
-    ``trace`` and ``trace_error`` (distance from 1), ``min_eigenvalue``
+    ``trace`` and ``trace_error`` (distance from 1) and ``min_eigenvalue``
     (of the hermitized, measure-weighted matrix rho*spacing, whose
-    eigenvalues sum to the trace) and the boolean ``ok`` verdict at
-    tolerance ``tol``.
+    eigenvalues sum to the trace), each for the caller to bound.
     """
     rho = np.asarray(rho)
     herm_error = float(np.max(np.abs(rho - rho.conj().T)))
     tr = density_trace(rho, grid)
     sym = 0.5 * (rho + rho.conj().T) * grid.spacing
     min_eig = float(np.linalg.eigvalsh(sym).min())
-    ok = herm_error <= tol and abs(tr - 1.0) <= tol and min_eig >= -tol
     return {
         "herm_error": herm_error,
         "trace": tr,
         "trace_error": abs(tr - 1.0),
         "min_eigenvalue": min_eig,
-        "ok": bool(ok),
     }
 
 
@@ -265,12 +262,32 @@ def check_density_matrix(rho, grid, tol=1e-10):
 # propagation
 
 
-class _StepPlan:
+class _SplitStep:
+    """The split-operator step's phases, computed once: `unitary_step`'s plan,
+    which steps one vector and so builds no dense M."""
+
+    def __init__(self, ham, grid, dt):
+        self.n = grid.n_points
+        self.half_v = np.exp(-0.5j * ham.potential * dt / ham.hbar)[:, None]
+        # FFT-ordered angular wavenumbers (p = hbar k)
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)[:, None]
+        self.kinetic = np.ones_like(k, dtype=complex) if math.isinf(ham.mass) else \
+            np.exp(-1j * ham.hbar * k**2 * dt / (2.0 * ham.mass))
+
+    def fft_step(self, block):
+        """The split-operator step of a vector or of every column of a block."""
+        out = self.half_v * np.reshape(block, (self.n, -1))
+        out = np.fft.ifft(self.kinetic * np.fft.fft(out, axis=0), axis=0)
+        return (self.half_v * out).reshape(np.shape(block))
+
+
+class _StepPlan(_SplitStep):
     """The one-step propagator M, its phases computed once per engine call.
 
     ``dense`` (lattices up to ``_DENSE_STEP_MAX_POINTS``): every step is one
-    product with M, built on first use; otherwise every step runs the FFT,
-    and a conjugation is one 2-D transform pair,
+    product with M, built with the plan (the threads of `_batch_map` share
+    it and only read it); otherwise every step runs the FFT, and a
+    conjugation is one 2-D transform pair,
 
         M rho M^dagger = V2 . ifft2(K2 . fft2(V2 . rho)),
 
@@ -322,23 +339,15 @@ class _StepPlan:
     """
 
     def __init__(self, ham, grid, dt):
-        self.n = grid.n_points
-        self.half_v = np.exp(-0.5j * ham.potential * dt / ham.hbar)[:, None]
-        # FFT-ordered angular wavenumbers (p = hbar k)
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)[:, None]
-        self.kinetic = np.ones_like(k, dtype=complex) if math.isinf(ham.mass) else \
-            np.exp(-1j * ham.hbar * k**2 * dt / (2.0 * ham.mass))
+        super().__init__(ham, grid, dt)
         self.dense = self.n <= _DENSE_STEP_MAX_POINTS
-
-    def fft_step(self, block):
-        """The split-operator step of a vector or of every column of a block."""
-        out = self.half_v * np.reshape(block, (self.n, -1))
-        out = np.fft.ifft(self.kinetic * np.fft.fft(out, axis=0), axis=0)
-        return (self.half_v * out).reshape(np.shape(block))
+        if self.dense:
+            self.matrix  # built now: the plan's users only read it
 
     @cached_property
     def matrix(self):
-        """Dense M: column k is the split-operator image of basis vector k."""
+        """Dense M: column k is the split-operator image of basis vector k;
+        an FFT plan builds it on first use (a windowed kernel's)."""
         return self.fft_step(np.eye(self.n, dtype=complex))
 
     @cached_property
@@ -474,7 +483,7 @@ class _StepPlan:
 
 def unitary_step(psi, ham, grid, dt):
     """One split-operator step of exp(-i H dt / hbar) applied to psi."""
-    return _StepPlan(ham, grid, dt).fft_step(psi)
+    return _SplitStep(ham, grid, dt).fft_step(psi)
 
 
 def short_time_kernel_matrix(ham, grid, dt):

@@ -28,7 +28,7 @@ sweep the selective engine uses.  The
 oscillator medium's pair influence couples slices through the
 stationary time kernel in the same way (a Feynman-Vernon influence with
 that kernel as its memory), so its exact mode is the same doubled
-contraction with other weight rows, and ``cap`` bounds its working tensor.
+contraction with other weight rows, under the same `WindowSpec.plan` cap.
 
 Every averaged weight here (ideal, windowed, or from the medium) is the
 characteristic function of a Gaussian phase field, so the averaged state
@@ -50,7 +50,7 @@ side: an ideal batch is one `_StepPlan.apply` over the identity columns
 of every record, each record's corridor factors its gains, and a
 windowed batch one contraction, with records x identity columns x live
 elements within the samplers' batch (`_FIELD_BATCH_ELEMENTS`) and the
-cap.  The ideal batches, like the field samples, run side by side on
+plan's cap.  The ideal batches, like the field samples, run side by side on
 worker threads (`selective._batch_map`), bit for bit as on one.  A window
 above the cap is refused in both modes: no sampled estimate of U[a]
 stands in for it.
@@ -70,7 +70,6 @@ from .grids import _StepPlan, pure_density
 from .readout import FormFactor, _check_kappa, readout_measure_factor
 from .selective import (
     _FIELD_BATCH_ELEMENTS,
-    DEFAULT_WORK_CAP,
     WindowSpec,
     _batch_map,
     _contract_windowed,
@@ -252,7 +251,6 @@ def superpropagate(
     mode="exact",
     samples=1000,
     seed=None,
-    cap=DEFAULT_WORK_CAP,
     observer=None,
 ):
     """Evolve a density matrix under a two-path decoherence weight.
@@ -263,8 +261,8 @@ def superpropagate(
     and that accepts one.  Kind "coarse" contracts the doubled bra x ket
     chain through the resolution window, and the medium kinds the same
     chain under the microscopic influence weight, whose slice couplings
-    are the stationary time kernel.  ``cap`` bounds the contraction's
-    working tensor, and the call refuses above it.  Exact mode takes any
+    are the stationary time kernel.  The call refuses a contraction whose
+    working tensor is above `WindowSpec.plan`'s cap.  Exact mode takes any
     time kernel.  Mode "mc", for every kind, averages unitary evolutions
     under the Gaussian phase field whose characteristic function is the
     weight, and reports entrywise standard errors.  Paths take values in
@@ -301,17 +299,17 @@ def superpropagate(
     else:
         rows = _medium_rows(kernel_spec, obs, tgrid)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
-    return AverageResult(rho=_doubled_contraction(rho0, kernel, *rows, cap), mode=mode)
+    return AverageResult(rho=_doubled_contraction(rho0, kernel, *rows), mode=mode)
 
 
-def _doubled_contraction(rho0, kernel, pattern, log_row, cap):
+def _doubled_contraction(rho0, kernel, pattern, log_row):
     """kernel rho kernel^dagger per step, through the doubled windowed chain.
 
     The doubled site (x, y), bra x and ket y, is flattened as x n + y;
-    ``pattern`` (planned under ``cap``) and ``log_row`` give its weight rows.
+    ``pattern`` (planned by `WindowSpec.plan`) and ``log_row`` give its weight rows.
     """
     n = kernel.shape[0]
-    spec = WindowSpec.plan(pattern, n * n, cap)
+    spec = WindowSpec.plan(pattern, n * n)
     vec = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), spec, log_row)
     return vec.reshape(n, n)
 
@@ -477,7 +475,6 @@ def check_generalized_unitarity(
     mode="exact",
     samples=200,
     seed=None,
-    cap=DEFAULT_WORK_CAP,
 ):
     """Verify that the record-integrated U[a]† U[a] is the identity.
 
@@ -493,11 +490,11 @@ def check_generalized_unitarity(
     Mode "mc" conditions its records exactly, in batches: m records side
     by side in one ideal sweep, or in one windowed contraction whose
     records x identity columns x live elements stay within
-    `_FIELD_BATCH_ELEMENTS` and ``cap`` (at least one record per batch,
-    its columns split under ``cap``).  A window whose contraction does not
-    fit ``cap`` is refused, as in mode "exact".  Records are drawn in turn
-    from one stream, so a seed fixes the estimate up to the order of sums
-    whatever the batch size.  Ideal batches are conditioned on
+    `_FIELD_BATCH_ELEMENTS` and the plan's cap (at least one record per
+    batch, its columns split under the cap), which refuses the window it
+    does not fit, as in mode "exact".  Records are drawn in turn from one
+    stream, so a seed fixes the estimate up to the order of sums whatever
+    the batch size.  Ideal batches are conditioned on
     `_batch_map`'s worker threads, one per usable core, the records drawn
     here and the batches summed in order, so the estimate and its stderr
     are bit for bit those of one thread.  Windowed batches stay on this
@@ -507,38 +504,37 @@ def check_generalized_unitarity(
     _check_kappa(kappa)
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     is_ideal = form_factor is None or form_factor.is_delta
-    plan = _StepPlan(ham, sgrid, dt)
     if mode == "exact":
         if is_ideal:
             matrix = _ideal_adjoint(np.eye(n, dtype=complex), kappa, ham, obs, sgrid, tgrid)
         else:
             window = form_factor.window_matrix(n_steps, dt)[::-1, ::-1].copy()
-            matrix = _doubled_contraction(np.eye(n, dtype=complex), plan.matrix_h,
-                                          *_coarse_rows(window, obs, kappa, dt), cap)
+            matrix = _doubled_contraction(np.eye(n, dtype=complex),
+                                          _StepPlan(ham, sgrid, dt).matrix_h,  # M^dagger
+                                          *_coarse_rows(window, obs, kappa, dt))
         deviation = float(np.max(np.abs(matrix - np.eye(n))))
         return UnitarityReport(matrix=matrix, deviation=deviation, mode=mode)
     if mode != "mc":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if kappa <= 0:
         raise ValueError("record sampling requires kappa > 0")
+    plan = _StepPlan(ham, sgrid, dt)
     moments = _Moments((n, n), samples)
     samples = int(samples)
     rng = np.random.default_rng(seed)
     vals, eye = obs.values, np.eye(n, dtype=complex)
     window = None if is_ideal else form_factor.window_matrix(n_steps, dt)
     # records side by side: records x identity columns x live elements stay
-    # within the samplers' batch and the cap
-    if window is None:
-        cols = work = n
-    else:
-        spec = WindowSpec.plan(window, n, cap)  # one plan for every batch and column chunk
+    # within the samplers' batch and, windowed, within the plan's cap
+    cols = work = n
+    limit = _FIELD_BATCH_ELEMENTS
+    if window is not None:
+        spec = WindowSpec.plan(window, n)  # one plan for every batch and column chunk
         work = spec.work_elements
-        cols = min(n, cap // work)
-    batch = max(1, min(_FIELD_BATCH_ELEMENTS, cap) // (cols * work))
+        cols, limit = min(n, spec.cap // work), min(limit, spec.cap)
+    batch = max(1, limit // (cols * work))
 
     log_c = math.log(readout_measure_factor(kappa, dt))
-    if plan.dense:
-        plan.matrix  # the lazy cache is built here, not by the workers
 
     def records():
         for done in range(0, samples, batch):

@@ -18,12 +18,12 @@ the windowed decay and the medium weights.  Per slice it takes the weight
 and the sums first and the kernel after: the slice's rows make one real
 weight, the weight and the sum over the axes leaving the buffer are one
 real product, and the one-step kernel multiplies that product, a tensor
-n times smaller than the weight.  When the buffer would not
-fit in memory, `plan` refuses: its cap is the one exact-or-sample rule,
-and a caller that may sample falls back on that refusal to a Monte-Carlo
-unraveling (`evolve_selective_coarse_mc`), which decouples the window
-with an auxiliary Gaussian field: every sample is again a
-diagonal-factor sweep, unbiased for the exact result, with errors
+n times smaller than the weight.  When the buffer would not fit in memory,
+`plan` refuses: its cap, `DEFAULT_WORK_CAP` read at every call, is the one
+exact-or-sample rule, and a caller that may sample falls back on that
+refusal to a Monte-Carlo unraveling (`evolve_selective_coarse_mc`), which
+decouples the window with an auxiliary Gaussian field: every sample is
+again a diagonal-factor sweep, unbiased for the exact result, with errors
 dropping as 1/sqrt(samples).  One field sweep, `_field_sweep`, runs both
 this sampler and the random-phase samplers of `nonselective`, and that
 module's Monte-Carlo unitarity check conditions its records through the
@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 # hard ceiling on the windowed-contraction working tensor, in complex
-# elements (1.6e9 bytes at complex128); beyond this the exact sweep refuses
+# elements (1.6e9 bytes at complex128); beyond this `WindowSpec.plan` refuses
 # and callers should fall back to the Monte-Carlo unraveling.  A sweep's
 # traced peak is 1.17 such tensors at a 16^5 plan, so about 1.9e9 bytes here
 DEFAULT_WORK_CAP = 100_000_000
@@ -139,8 +139,8 @@ class WindowSpec:
     emit: tuple = field(repr=False)
 
     @classmethod
-    def plan(cls, window, n_sites, cap=DEFAULT_WORK_CAP):
-        """Schedule the contraction (indices only) and check the cap.
+    def plan(cls, window, n_sites):
+        """Schedule the contraction (indices only) and check it against the cap.
 
         ``window`` is the (N, N+1) window, or any weight pattern of that
         shape whose nonzero entries are the slices each row couples.  Row
@@ -174,14 +174,14 @@ class WindowSpec:
         # slice j joins the live axes [live[j - 1], j]
         peak = int(np.max(np.arange(1, n_steps + 2) - np.concatenate(([0], live[:-1]))))
         work = n_sites**peak
-        if work > cap:
+        if work > DEFAULT_WORK_CAP:
             raise ValueError(
                 f"windowed contraction needs a working tensor of {n_sites}^{peak} "
-                f"= {work:.3g} elements, above the cap {cap:.3g}; reduce the window "
+                f"= {work:.3g} elements, above the cap {DEFAULT_WORK_CAP:.3g}; reduce the window "
                 "width or use a Monte-Carlo engine: evolve_selective_coarse_mc, or "
                 "mode='mc' of superpropagate"
             )
-        return cls(int(n_sites), int(n_steps), bandwidth, peak, int(work), int(cap),
+        return cls(int(n_sites), int(n_steps), bandwidth, peak, int(work), int(DEFAULT_WORK_CAP),
                    tuple(live.tolist()), tuple(map(tuple, emit)))
 
 
@@ -267,12 +267,10 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
     Row i is -kappa dt ((P A)_i - readout_i)^2: the window-smoothed
     observable of the live slices against record value i.  ``readout`` is
     one (N,) record, or (m, N) for m records on the contraction's first
-    batch axis.
+    batch axis: a record `_check_readout` passed, sampled ones, or zeros.
     """
     window = np.asarray(window, dtype=float)
     readout = np.asarray(readout, dtype=float)
-    if readout.ndim not in (1, 2) or readout.shape[-1] != window.shape[0]:
-        raise ValueError(f"readout must have {window.shape[0]} entries, got {readout.shape}")
     cols = [np.flatnonzero(row) for row in window]
     site_values = np.asarray(site_values, dtype=float)
     records = readout.shape[:-1]
@@ -345,23 +343,21 @@ def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observe
     return _wrap_result(psi, kappa, sgrid, tgrid)
 
 
-def evolve_selective_coarse(
-    psi0, readout, form_factor, kappa, ham, obs, sgrid, tgrid, cap=DEFAULT_WORK_CAP
-):
+def evolve_selective_coarse(psi0, readout, form_factor, kappa, ham, obs, sgrid, tgrid):
     """Conditioned evolution through a finite-resolution window (exact).
 
     Delta-resolution profiles dispatch to `evolve_selective_ideal`
     unchanged, so the ideal engine is literally the window -> 0 limit.
     Otherwise runs the windowed path-sum contraction; raises with a
     pointer at the Monte-Carlo engine if the window band needs a working
-    tensor above ``cap`` elements.
+    tensor above `WindowSpec.plan`'s cap.
     """
     if form_factor.is_delta:
         return evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid)
     _check_kappa(kappa)
     readout = _check_readout(readout, tgrid.n_steps)
     window = form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
-    spec = WindowSpec.plan(window, sgrid.n_points, cap)
+    spec = WindowSpec.plan(window, sgrid.n_points)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
     psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, spec,
                              _corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
@@ -446,8 +442,6 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
     """
     start = np.asarray(start, dtype=complex).reshape(plan.n, 1, -1)
     batch = max(1, _FIELD_BATCH_ELEMENTS // start.size)
-    if plan.dense:
-        plan.matrix  # the lazy cache is built here, not by the workers
 
     def draws():
         for done in range(0, samples, batch):
@@ -484,8 +478,8 @@ def _batch_map(fn, inputs):
     which is where a sampler batch spends its time.  At most one input per
     worker is in flight.  A single input, or a single worker, runs inline,
     and `concurrent.futures` is imported only when a pool is needed.  fn
-    must not call the package's public functions (a tracer wrapping them
-    need not be thread-safe) nor fill a lazy cache shared between calls.
+    must not call the package's public functions: a tracer wrapping them
+    need not be thread-safe.
     """
     inputs = iter(inputs)
     head = list(islice(inputs, 2))

@@ -40,7 +40,6 @@ from corridors.medium import PathPair, influence_exact
 from corridors.nonselective import _decay_matrix, _field_factors
 from corridors.readout import readout_measure_factor
 from corridors.selective import (
-    DEFAULT_WORK_CAP,
     WindowSpec,
     _contract_windowed,
     _corridor_rows,
@@ -567,11 +566,12 @@ def mixture_record(rng, values, kappa, dt, n_steps):
 
 
 def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, samples=200,
-                            seed=None, cap=DEFAULT_WORK_CAP):
+                            seed=None):
     """The mean of `check_generalized_unitarity(mode="mc")`, one record at a time.
 
     Each record is drawn, conditioned and weighted in turn from one stream,
-    so a seed gives the same records as the batched check.
+    so a seed gives the same records as the batched check; a windowed one
+    contracts its identity columns in chunks under the plan's cap.
     """
     n, dt, n_steps = sgrid.n_points, tgrid.dt, tgrid.n_steps
     plan = _StepPlan(ham, sgrid, dt)
@@ -580,8 +580,8 @@ def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, sam
     window = None if form_factor is None or form_factor.is_delta else \
         form_factor.window_matrix(n_steps, dt)
     if window is not None:
-        spec = WindowSpec.plan(window, n, cap)
-        batch = max(1, cap // spec.work_elements)
+        spec = WindowSpec.plan(window, n)
+        batch = max(1, spec.cap // spec.work_elements)
 
     def conditioned(a):
         if window is None:  # left rule: each corridor factor, then one step

@@ -101,8 +101,8 @@ def test_lindblad_keeps_states_physical():
     rho = lindblad_evolve(
         rho0, 0.5, ham, obs, g, tg, observer=lambda i, r: purities.append(purity(r, g))
     )
-    rep = check_density_matrix(rho, g, tol=1e-9)
-    assert rep["ok"], rep
+    rep = check_density_matrix(rho, g)
+    assert max(rep["herm_error"], rep["trace_error"], -rep["min_eigenvalue"]) <= 1e-9, rep
     # monitoring mixes the state monotonically in this regime
     assert purities[-1] < 0.9
     assert np.all(np.diff(purities) < 1e-10)
@@ -377,8 +377,8 @@ def test_superpropagate_medium_reaches_long_records(kind):
     spec = InfluenceKernelSpec(kind, 0.9, form_factor=FormFactor.gaussian(0.4 * tg.dt), ell=1.4)
     rho = superpropagate(rho0, spec, ham, obs, g, tg).rho
     assert abs(density_trace(rho, g) - 1.0) < 1e-12
-    rep = check_density_matrix(rho, g, tol=1e-8)
-    assert rep["ok"], rep
+    rep = check_density_matrix(rho, g)
+    assert max(rep["herm_error"], rep["trace_error"], -rep["min_eigenvalue"]) <= 1e-8, rep
     mc = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=400, seed=4)
     assert np.all(np.abs(mc.rho - rho) < 4.0 * mc.stderr)
 
@@ -419,8 +419,8 @@ def test_mc_averages_are_valid_states_for_every_kind(kind_index):
     res = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=50, seed=2)
     assert res.mode == "mc" and res.n_samples == 50
     assert abs(density_trace(res.rho, g) - 1.0) < 1e-12
-    rep = check_density_matrix(res.rho, g, tol=1e-8)
-    assert rep["ok"], rep
+    rep = check_density_matrix(res.rho, g)
+    assert max(rep["herm_error"], rep["trace_error"], -rep["min_eigenvalue"]) <= 1e-8, rep
 
 
 def test_mc_field_average_reruns_bit_identically():
@@ -522,11 +522,12 @@ def test_medium_mc_refuses_a_kernel_that_is_not_a_covariance(kind):
         superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=10, seed=1)
 
 
-def test_superpropagate_medium_cap():
+def test_superpropagate_medium_cap(monkeypatch):
     g, tg, ham, obs, rho0, ff = _medium_setup()
     spec = InfluenceKernelSpec("medium_exact", 0.9, form_factor=ff, ell=1.4)
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", 100)
     with pytest.raises(ValueError, match="mc"):
-        superpropagate(rho0, spec, ham, obs, g, tg, cap=100)
+        superpropagate(rho0, spec, ham, obs, g, tg)
 
 
 def test_unitarity_ideal_is_machine_exact():
@@ -561,27 +562,28 @@ def test_unitarity_mc_modes():
     assert rep_c.deviation < 5.0 * rep_c.stderr + 0.05
 
 
-def test_unitarity_mc_refuses_a_window_above_the_cap():
+def test_unitarity_mc_refuses_a_window_above_the_cap(monkeypatch):
     # records are conditioned only exactly: a window whose contraction does
     # not fit the cap is refused, as in mode "exact", not estimated
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", 10)
     with pytest.raises(ValueError, match="above the cap"):
         check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
-                                    samples=600, seed=13, cap=10)
+                                    samples=600, seed=13)
 
 
-def test_unitarity_mc_batches_identity_columns_under_the_cap():
+def test_unitarity_mc_batches_identity_columns_under_the_cap(monkeypatch):
     # the windowed core contracts records x identity columns in batches as
     # large as the cap allows: here 1 column of 1 record, 2 and 3 columns,
     # all 4 columns of 2 records, and of 4 (the samplers' batch); every
     # batching gives the same estimate
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
     work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
-    mats = [
-        check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
-                                    samples=20, seed=7, cap=cap).matrix
-        for cap in (work, 2 * work, 3 * work, 8 * work, DEFAULT_WORK_CAP)
-    ]
+    mats = []
+    for cap in (work, 2 * work, 3 * work, 8 * work, DEFAULT_WORK_CAP):
+        monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", cap)
+        mats.append(check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff,
+                                                mode="mc", samples=20, seed=7).matrix)
     for m in mats[1:]:
         assert np.max(np.abs(m - mats[0])) <= 1e-15 * np.max(np.abs(mats[0]))
 
@@ -599,8 +601,9 @@ def test_unitarity_mc_contractions_stay_within_the_cap(monkeypatch, factor):
         return contract(vec0, *args)
 
     monkeypatch.setattr(nonselective, "_contract_windowed", recorded)
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", factor * work)
     check_generalized_unitarity(kappa, ham, obs, g, tg, form_factor=ff, mode="mc",
-                                samples=10, seed=7, cap=factor * work)
+                                samples=10, seed=7)
     assert sum(records for records, _ in sizes) == 10 * math.ceil(g.n_points / min(factor, 4))
     for records, elements in sizes:
         assert elements <= factor * work
@@ -608,7 +611,7 @@ def test_unitarity_mc_contractions_stay_within_the_cap(monkeypatch, factor):
 
 
 @pytest.mark.parametrize("case", ["ideal", "ideal_multi_batch", "windowed", "windowed_small_cap"])
-def test_unitarity_mc_batches_match_the_per_record_loop(case):
+def test_unitarity_mc_batches_match_the_per_record_loop(monkeypatch, case):
     # records conditioned side by side give the estimate of conditioning them
     # one at a time from the same stream, up to the order of sums
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
@@ -617,11 +620,9 @@ def test_unitarity_mc_batches_match_the_per_record_loop(case):
         g = SpatialGrid(8.0, 64)
         ham = oracles.hamiltonian_from_potential(g, lambda q: 0.3 * q**2)
         obs, tg = ObservableSpec.position(g), TimeGrid(0.6, 3)
-    kw = {
-        "ideal": {}, "ideal_multi_batch": {},
-        "windowed": {"form_factor": ff},
-        "windowed_small_cap": {"form_factor": ff, "cap": 3 * work},
-    }[case]
+    if case == "windowed_small_cap":
+        monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", 3 * work)
+    kw = {"form_factor": ff} if case.startswith("windowed") else {}
     rep = check_generalized_unitarity(kappa, ham, obs, g, tg, mode="mc", samples=100, seed=5, **kw)
     ref = oracles.unitarity_mc_per_record(kappa, ham, obs, g, tg, samples=100, seed=5, **kw)
     assert np.max(np.abs(rep.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))

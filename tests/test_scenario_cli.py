@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from corridors import nonselective
+from corridors import nonselective, selective
 from corridors.cli import main
 from corridors.grids import _StepPlan
 from corridors.nonselective import AverageResult
@@ -595,6 +595,31 @@ def test_cli_evolve_auto_samples_a_window_above_the_cap(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "invalid run" in err and "above the cap" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_every_exact_engine_follows_the_one_work_cap(tmp_path, capsys, monkeypatch):
+    # WindowSpec.plan reads the module's cap at every call: just below the
+    # slow detector's doubled-chain plan (16^5) the averaged and unitarity
+    # contractions refuse while the conditioned one (4^5) still runs exactly;
+    # below the conditioned plan, auto evolve samples instead
+    cfg = load_config(SLOW_DETECTOR)
+    window = cfg.form.window_matrix(cfg.tgrid.n_steps, cfg.tgrid.dt)
+    n = cfg.sgrid.n_points
+    single, doubled = (WindowSpec.plan(window, m).work_elements for m in (n, n * n))
+    assert single < doubled - 1
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", doubled - 1)
+    for task in (["average", "--engine", "superpropagator", "--mode", "exact"],
+                 ["unitarity-check", "--mode", "exact"]):
+        out = tmp_path / task[0]
+        assert main([task[0], str(SLOW_DETECTOR), *task[1:], "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"above the cap {doubled - 1:.3g}" in err
+        assert not (out / "manifest.json").exists()
+    for cap, engine in ((doubled - 1, "coarse"), (single - 1, "mc")):
+        monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", cap)
+        out = tmp_path / f"evolve_{engine}"
+        assert main(["evolve", str(SLOW_DETECTOR), "--samples", "100", "--outdir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["options"]["engine"] == engine
 
 
 def test_unknown_task_and_engine(tmp_path):

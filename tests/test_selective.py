@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from corridors import selective
 from corridors.grids import (
     HamiltonianSpec,
     ObservableSpec,
@@ -155,15 +156,16 @@ def test_contraction_handles_shifted_bands():
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
-def test_window_spec_plan_reports_and_caps():
+def test_window_spec_plan_reports_and_caps(monkeypatch):
     dt = 0.2
     window = FormFactor.gaussian(0.4 * dt).window_matrix(20, dt)
     spec = WindowSpec.plan(window, n_sites=4)
     assert spec.bandwidth == 2
     assert spec.buffer_len == 2 * spec.bandwidth + 1
     assert spec.work_elements == 4**spec.buffer_len
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", 100)
     with pytest.raises(ValueError, match="evolve_selective_coarse_mc"):
-        WindowSpec.plan(window, n_sites=4, cap=100)
+        WindowSpec.plan(window, n_sites=4)
     with pytest.raises(ValueError):
         WindowSpec.plan(window[:, :-1], n_sites=4)  # not (N, N+1)
 
@@ -191,7 +193,7 @@ def random_band_window(rng, n_steps, reach, shift, reverse):
 def test_window_spec_plan_matches_dry_run(n_steps, reach, shift, reverse, seed):
     # random bands: per-row spans around a shifted diagonal, with holes
     window = random_band_window(np.random.default_rng(seed), n_steps, reach, shift, reverse)
-    spec = WindowSpec.plan(window, n_sites=2, cap=2**64)
+    spec = WindowSpec.plan(window, n_sites=2)
     expect = oracles.dry_run_window_plan(window)
     assert (spec.bandwidth, spec.buffer_len, spec.live, spec.emit) == expect
     assert spec.work_elements == 2**spec.buffer_len
@@ -242,7 +244,7 @@ def test_fused_sweep_matches_the_per_slice_reference():
                                          SimpleNamespace(stationary_matrix=lambda *_: time + time.T))
             obs = SimpleNamespace(values=rng.uniform(-1.0, 1.0, 2))
             pattern, rows = _medium_rows(medium, obs, SimpleNamespace(n_steps=n_steps, dt=dt))
-        spec = WindowSpec.plan(pattern, n, cap=2**64)
+        spec = WindowSpec.plan(pattern, n)
         assume(spec.work_elements * math.prod(batch) <= 4**7)
         # a per-record offset on every row, so the rows vary along each batch axis
         offset = rng.uniform(-0.5, 0.0, batch + (n_steps,))
@@ -291,20 +293,22 @@ def test_coarse_engine_peak_memory_is_within_two_work_tensors():
     assert peak <= 2 * 16 * work
 
 
-def test_window_spec_fits_is_the_plan_cap():
+def test_window_spec_fits_is_the_plan_cap(monkeypatch):
     window = FormFactor.gaussian(0.08).window_matrix(20, 0.2)
     work = WindowSpec.plan(window, n_sites=4).work_elements
-    assert WindowSpec.plan(window, 4, cap=work).work_elements == work
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", work)
+    spec = WindowSpec.plan(window, 4)
+    assert (spec.work_elements, spec.cap) == (work, work)
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", work - 1)
     with pytest.raises(ValueError, match=re.escape(f"above the cap {work - 1:.3g}")):
-        WindowSpec.plan(window, 4, cap=work - 1)
+        WindowSpec.plan(window, 4)
 
 
-def test_coarse_cap_is_enforced_by_engine():
+def test_coarse_cap_is_enforced_by_engine(monkeypatch):
     g, tg, ham, obs, psi0, readout, kappa = _setup_b()
+    monkeypatch.setattr(selective, "DEFAULT_WORK_CAP", 10)
     with pytest.raises(ValueError, match="cap"):
-        evolve_selective_coarse(
-            psi0, readout, FormFactor.gaussian(0.3), kappa, ham, obs, g, tg, cap=10
-        )
+        evolve_selective_coarse(psi0, readout, FormFactor.gaussian(0.3), kappa, ham, obs, g, tg)
 
 
 def test_mc_engine_agrees_within_error_bars():

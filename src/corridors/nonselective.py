@@ -47,10 +47,11 @@ either in closed form (ideal), by an exact time-reversed doubled
 contraction (windowed), or by importance-sampled records with error
 bars.  The sampled records are conditioned exactly in batches, side by
 side: an ideal batch is one `_StepPlan.apply` over the identity columns
-of every record, each record's corridor factors its gains, and a
-windowed batch one contraction, with records x identity columns x live
-elements within the samplers' batch (`_FIELD_BATCH_ELEMENTS`) and the
-plan's cap.  The ideal batches, like the field samples, run side by side on
+of every record, each record's corridor factors its gains, within the
+samplers' batch (`_FIELD_BATCH_ELEMENTS`), and a windowed batch one
+contraction, with records x identity columns x live elements within one
+block of the windowed sweep (`_SWEEP_BLOCK_ELEMENTS`) and the plan's
+cap.  The ideal batches, like the field samples, run side by side on
 worker threads (`selective._batch_map`), bit for bit as on one.  A window
 above the cap is refused in both modes: no sampled estimate of U[a]
 stands in for it.
@@ -70,6 +71,7 @@ from .grids import _StepPlan, pure_density
 from .readout import FormFactor, _check_kappa, readout_measure_factor
 from .selective import (
     _FIELD_BATCH_ELEMENTS,
+    _SWEEP_BLOCK_ELEMENTS,
     WindowSpec,
     _batch_map,
     _contract_windowed,
@@ -487,18 +489,18 @@ def check_generalized_unitarity(
     accordingly), mode "mc" importance-samples records (at least 2) and
     reports a standard error.
 
-    Mode "mc" conditions its records exactly, in batches: m records side
-    by side in one ideal sweep, or in one windowed contraction whose
-    records x identity columns x live elements stay within
-    `_FIELD_BATCH_ELEMENTS` and the plan's cap (at least one record per
-    batch, its columns split under the cap), which refuses the window it
-    does not fit, as in mode "exact".  Records are drawn in turn from one
-    stream, so a seed fixes the estimate up to the order of sums whatever
-    the batch size.  Ideal batches are conditioned on
-    `_batch_map`'s worker threads, one per usable core, the records drawn
-    here and the batches summed in order, so the estimate and its stderr
-    are bit for bit those of one thread.  Windowed batches stay on this
-    thread: their contractions of a few sites hold the GIL, and two
+    Mode "mc" conditions its records exactly, in batches: m records side by
+    side in one ideal sweep within `_FIELD_BATCH_ELEMENTS`, or in one
+    windowed contraction whose records x identity columns x live elements
+    stay within one block of the sweep, `_SWEEP_BLOCK_ELEMENTS`, and the
+    plan's cap (at least one record per batch, its columns split under the
+    cap), which refuses the window it does not fit, as in mode "exact".
+    Records are drawn in turn from one stream, so a seed fixes the estimate
+    up to the order of sums whatever the batch size.  Ideal batches are
+    conditioned on `_batch_map`'s worker threads, one per usable core, the
+    records drawn here and the batches summed in order, so the estimate and
+    its stderr are bit for bit those of one thread.  Windowed batches stay
+    on this thread: their contractions of a few sites hold the GIL, and two
     threads ran them slower than one.
     """
     _check_kappa(kappa)
@@ -525,13 +527,14 @@ def check_generalized_unitarity(
     vals, eye = obs.values, np.eye(n, dtype=complex)
     window = None if is_ideal else form_factor.window_matrix(n_steps, dt)
     # records side by side: records x identity columns x live elements stay
-    # within the samplers' batch and, windowed, within the plan's cap
+    # within the samplers' batch or, windowed, within one block of the
+    # windowed sweep and the plan's cap
     cols = work = n
     limit = _FIELD_BATCH_ELEMENTS
     if window is not None:
         spec = WindowSpec.plan(window, n)  # one plan for every batch and column chunk
         work = spec.work_elements
-        cols, limit = min(n, spec.cap // work), min(limit, spec.cap)
+        cols, limit = min(n, spec.cap // work), min(_SWEEP_BLOCK_ELEMENTS, spec.cap)
     batch = max(1, limit // (cols * work))
 
     log_c = math.log(readout_measure_factor(kappa, dt))

@@ -18,9 +18,13 @@ the windowed decay and the medium weights.  Per slice it takes the weight
 and the sums first and the kernel after: the slice's rows make one real
 weight, the weight and the sum over the axes leaving the buffer are one
 real product, and the one-step kernel multiplies that product, a tensor
-n times smaller than the weight.  When the buffer would not fit in memory,
-`plan` refuses: its cap, `DEFAULT_WORK_CAP` read at every call, is the one
-exact-or-sample rule, and a caller that may sample falls back on that
+n times smaller than the weight.  A slice whose weight would pass
+`_SWEEP_BLOCK_ELEMENTS` (512 KB) runs in blocks along one axis, each
+block's rows built on that axis's values for the block only, so no slice
+forms its full-size weight and each block's weight stays in the L2
+cache.  When the buffer would not fit in memory, `plan` refuses: its
+cap, `DEFAULT_WORK_CAP` read at every call, is the one exact-or-sample
+rule, and a caller that may sample falls back on that
 refusal to a Monte-Carlo unraveling (`evolve_selective_coarse_mc`), which
 decouples the window with an auxiliary Gaussian field: every sample is
 again a diagonal-factor sweep, unbiased for the exact result, with errors
@@ -76,11 +80,16 @@ __all__ = [
 # hard ceiling on the windowed-contraction working tensor, in complex
 # elements (1.6e9 bytes at complex128); beyond this `WindowSpec.plan` refuses
 # and callers should fall back to the Monte-Carlo unraveling.  A sweep's
-# traced peak is 1.17 such tensors at a 16^5 plan, so about 1.9e9 bytes here
+# traced peak is 0.18 such tensors at a 16^5 plan, so about 2.8e8 bytes here
 DEFAULT_WORK_CAP = 100_000_000
+# real elements of one block of a windowed slice's weight (512 KB):
+# `_contract_windowed` evaluates a slice whose weight is larger in blocks of
+# this size, and the Monte-Carlo unitarity check puts records side by side up
+# to it (records x identity columns x live elements)
+_SWEEP_BLOCK_ELEMENTS = 1 << 16
 # complex elements in one batch of samples side by side (256 KB): sampled
 # propagators here, and the records the Monte-Carlo unitarity check
-# conditions together (records x columns x live elements, within the cap)
+# conditions together in one ideal sweep (records x columns x sites)
 _FIELD_BATCH_ELEMENTS = 1 << 14
 # threads that sweep sampler batches side by side (`_batch_map`): the cores
 # this process may run on
@@ -120,10 +129,11 @@ class WindowSpec:
 
     buffer_len is the peak number of simultaneously live slice axes and
     work_elements = n_sites ** buffer_len the peak working-tensor size.
-    At its peak a sweep holds 1.17 complex tensors of that size
-    (1.17 x 16 work_elements bytes, traced by tracemalloc over one
+    At its peak a sweep holds 0.18 complex tensors of that size
+    (0.18 x 16 work_elements bytes, traced by tracemalloc over one
     `evolve_selective_coarse` call at n = 16, tau = 0.4 dt and 64 steps, a
-    16^5 plan); a tier-1 test bounds it at 2.
+    16^5 plan): the live slices, at most 1/n of the work, and blocks of
+    the weight; a tier-1 test bounds it at 0.5.
     live[j] is the oldest slice still live once slice j is added and its
     rows applied, and emit[j] the rows whose last slice is j: the schedule
     `_contract_windowed` replays.
@@ -213,28 +223,41 @@ def _contract_windowed(vec0, kernel, spec, log_row):
     the kernel.  The tests' oracles keep the per-slice sweep (append
     through the kernel, one exp and product per row, then the sums) as
     the reference.
+
+    A slice whose weight could pass `_SWEEP_BLOCK_ELEMENTS` (the state
+    times n elements) runs in blocks along the oldest axis it keeps: the
+    first batch axis of the weight-and-sum product, or without a product
+    the oldest live axis.  Each block is the slice on the state's part
+    along that axis, its rows built by a `place` that hands them only the
+    block's part of that slice's values, and its result goes into the new
+    state's part; blocks are independent, so the numbers are bit for bit
+    those of one block.  A slice that keeps no live axis (the last slice of
+    a time-reversed window) runs in blocks of one index of x_{j-1}, which
+    it sums after the kernel, and adds them in the order the one-block sum
+    does, again bit for bit.  A slice that fits is one block.
     """
     n = kernel.shape[0]
     kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
     state = np.array(vec0, dtype=complex, order="C")  # a new array: the (re, im) view is free
     lead = state.ndim - 1  # batch axes ahead of the live slice axes
     oldest = 0  # slice carried by axis `lead` of `state`
+    cut, part = -1, None  # the slice whose axis is blocked, and this block's part of it
 
     def place(s, values):
+        if s == cut:
+            values = values[part]
         shape = [1] * (lead + j + 1 - oldest)  # the live axes once slice j is in
         shape[lead + s - oldest] = values.size
         return values.reshape(shape)
 
-    for j, (lo, rows) in enumerate(zip(spec.live, spec.emit)):
+    def advance(state, kernel_t):
+        # slice j on `state`, or on one block of it with its rows of kernel_t
         weight = None
         for i in rows:
             term = log_row(i, place)
             weight = term if weight is None else weight + term
         if weight is not None:
             np.exp(weight, out=weight)
-        # axes older than x_{j-1} summed here; the plan sums them only where
-        # the rows reaching back to them end, so only where there is a weight
-        summed = max(0, min(lo, j - 1) - oldest)
         if summed:
             # sum_O weight[.., O, .., x_{j-1}, x_j] state[.., O, .., x_{j-1}] with
             # the O axes merged, as one matmul per kept index: weight's
@@ -249,7 +272,6 @@ def _contract_windowed(vec0, kernel, spec, log_row):
                                               + state.shape[lead + summed:] + (2,))
             state = weight.transpose(*batch, kept, lead) @ parts.transpose(*batch, lead, kept)
             state = state.view(complex)[..., 0] * kernel_t
-            oldest += summed
         else:
             if j:
                 state = state[..., None] * kernel_t
@@ -257,6 +279,37 @@ def _contract_windowed(vec0, kernel, spec, log_row):
                 state *= weight
         if j and lo == j:
             state = state.sum(axis=-2)
+        return state
+
+    for j, (lo, rows) in enumerate(zip(spec.live, spec.emit)):
+        # axes older than x_{j-1} summed here; the plan sums them only where
+        # the rows reaching back to them end, so only where there is a weight
+        summed = max(0, min(lo, j - 1) - oldest)
+        # blocks along the oldest axis the slice keeps (the product's first
+        # batch axis, or the oldest axis), each index of it carrying at most
+        # state.size weight elements
+        axis, step = lead + summed, max(1, _SWEEP_BLOCK_ELEMENTS // state.size)
+        if rows and j and step < n:
+            cut, out = oldest + summed, None
+            # no kept axis: blocks of one index of x_{j-1}, which the slice
+            # sums, added in the order of the one-block sum
+            added = lo == j and cut == j - 1
+            step = 1 if added else step
+            for start in range(0, n, step):
+                part = slice(start, start + step)
+                piece = advance(state[(slice(None),) * axis + (part,)],
+                                kernel_t[part] if cut == j - 1 else kernel_t)
+                if added:
+                    out = piece if out is None else np.add(out, piece, out=out)
+                else:
+                    if out is None:  # the kept axis comes first after the batch axes
+                        out = np.empty(piece.shape[:lead] + (n,) + piece.shape[lead + 1:], complex)
+                    out[(slice(None),) * lead + (part,)] = piece
+            state, cut = out, -1
+        else:
+            state = advance(state, kernel_t)
+        oldest += summed
+        if j and lo == j:
             oldest = j
     return state
 
@@ -276,12 +329,13 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
     records = readout.shape[:-1]
 
     def log_row(i, place):
-        # (P A)_i - a_i as a broadcast sum over the live axes it touches, the
-        # record value folded into the first term: no extra full-size pass
-        first, *rest = cols[i]
-        out = window[i, first] * place(first, site_values)
+        # (P A)_i - a_i as a broadcast sum over the live axes it touches, from
+        # the newest slice back: each add runs over the newer slices'
+        # contiguous partial sum, and the record value goes on the smallest
+        *rest, last = cols[i]
+        out = window[i, last] * place(last, site_values)
         out = out - readout[..., i].reshape(records + (1,) * (out.ndim - len(records)))
-        for j in rest:
+        for j in reversed(rest):
             out = out + window[i, j] * place(j, site_values)
         np.square(out, out=out)
         out *= -kappa * dt

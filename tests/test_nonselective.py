@@ -30,7 +30,7 @@ from corridors.nonselective import (
     superpropagate,
 )
 from corridors.readout import FormFactor
-from corridors.selective import _FIELD_BATCH_ELEMENTS, DEFAULT_WORK_CAP, WindowSpec
+from corridors.selective import _SWEEP_BLOCK_ELEMENTS, DEFAULT_WORK_CAP, WindowSpec
 
 
 def _free_pointer_setup():
@@ -575,8 +575,8 @@ def test_unitarity_mc_refuses_a_window_above_the_cap(monkeypatch):
 def test_unitarity_mc_batches_identity_columns_under_the_cap(monkeypatch):
     # the windowed core contracts records x identity columns in batches as
     # large as the cap allows: here 1 column of 1 record, 2 and 3 columns,
-    # all 4 columns of 2 records, and of 4 (the samplers' batch); every
-    # batching gives the same estimate
+    # all 4 columns of 2 records, and of 16 (one block of the windowed
+    # sweep); every batching gives the same estimate
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
     work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
     mats = []
@@ -591,7 +591,8 @@ def test_unitarity_mc_batches_identity_columns_under_the_cap(monkeypatch):
 @pytest.mark.parametrize("factor", [1, 2, 3, 8, 1000])
 def test_unitarity_mc_contractions_stay_within_the_cap(monkeypatch, factor):
     # each contraction holds records x identity columns x work elements: at
-    # most the cap, and at most the samplers' batch once it holds two records
+    # most the cap, and at most one block of the windowed sweep once it holds
+    # two records
     g, tg, ham, obs, _, kappa, ff = _coarse_setup()
     work = WindowSpec.plan(ff.window_matrix(tg.n_steps, tg.dt), g.n_points).work_elements
     contract, sizes = nonselective._contract_windowed, []
@@ -607,7 +608,7 @@ def test_unitarity_mc_contractions_stay_within_the_cap(monkeypatch, factor):
     assert sum(records for records, _ in sizes) == 10 * math.ceil(g.n_points / min(factor, 4))
     for records, elements in sizes:
         assert elements <= factor * work
-        assert records == 1 or elements <= _FIELD_BATCH_ELEMENTS
+        assert records == 1 or elements <= _SWEEP_BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize("case", ["ideal", "ideal_multi_batch", "windowed", "windowed_small_cap"])

@@ -19,10 +19,16 @@ from corridors.grids import (
     build_grids,
     gaussian_packet,
     norm_sq,
+    pure_density,
     short_time_kernel_matrix,
     unitary_step,
 )
-from corridors.nonselective import InfluenceKernelSpec, _medium_rows
+from corridors.nonselective import (
+    InfluenceKernelSpec,
+    _medium_rows,
+    check_generalized_unitarity,
+    superpropagate,
+)
 from corridors.readout import FormFactor, readout_measure_factor
 from corridors.selective import (
     _FIELD_BATCH_ELEMENTS,
@@ -209,12 +215,16 @@ def slice_kinds(spec):
     return kinds
 
 
-def test_fused_sweep_matches_the_per_slice_reference():
-    # the fused sweep adds a slice's rows, folds weight and sum into one
-    # product and multiplies the kernel after; on random bands (shifts,
-    # holes, reversed windows) it must give the per-slice sweep's numbers,
-    # for corridor and medium rows, with rows varying along the batch axes
-    seen = set()
+def check_fused_sweep():
+    """Check the fused sweep against the per-slice sweep on random draws.
+
+    The draws are random bands (shifts, holes, reversed windows), corridor
+    and medium rows, and rows varying along the batch axes.  Returns the
+    `slice_kinds` of every plan drawn, and (corridor rows, axes older than
+    x_{j-1} summed, batch axes, no older axis kept) of every slice whose
+    rows were handed a block of a slice's values.
+    """
+    seen, blocked = set(), set()
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
@@ -248,9 +258,16 @@ def test_fused_sweep_matches_the_per_slice_reference():
         assume(spec.work_elements * math.prod(batch) <= 4**7)
         # a per-record offset on every row, so the rows vary along each batch axis
         offset = rng.uniform(-0.5, 0.0, batch + (n_steps,))
+        handed_blocks = set()  # rows handed part of a slice's values
 
         def log_row(i, place):
-            out = rows(i, place)
+            def spy(s, values):
+                out = place(s, values)
+                if out.size < values.size:
+                    handed_blocks.add(i)
+                return out
+
+            out = rows(i, spy)
             return out + offset[..., i].reshape(batch + (1,) * (out.ndim - len(batch)))
 
         kernel = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
@@ -260,8 +277,21 @@ def test_fused_sweep_matches_the_per_slice_reference():
         assert got.shape == expect.shape == batch + (n,)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
         seen.update(slice_kinds(spec))
+        for j, rows_j in enumerate(spec.emit):
+            if handed_blocks.intersection(rows_j):
+                older = min(spec.live[j], j - 1) > spec.live[j - 1]
+                blocked.add((kind == "corridor", older, bool(batch), spec.live[j] == j))
 
     check()
+    return seen, blocked
+
+
+def test_fused_sweep_matches_the_per_slice_reference():
+    # the fused sweep adds a slice's rows, folds weight and sum into one
+    # product and multiplies the kernel after; it must give the per-slice
+    # sweep's numbers.  These work tensors fit one block at every slice
+    seen, blocked = check_fused_sweep()
+    assert not blocked
     assert {rows for rows, _, _ in seen} == {0, 1, 2}
     assert {older for _, older, _ in seen} == {0, 1, 2}
     # rows, weight-and-sum product and the x_{j-1} sum at one slice
@@ -272,17 +302,36 @@ def test_fused_sweep_matches_the_per_slice_reference():
     assert not any(older and not rows for rows, older, _ in seen)
 
 
-def test_coarse_engine_peak_memory_is_within_two_work_tensors():
-    # the cap's promise: a contraction allocates at most two complex working
-    # tensors (16 work_elements bytes each) at its peak, here at the slow
-    # detector's shape on a 64-step record (n = 16, tau = 0.4 dt, 16^5)
+def test_blocked_sweep_matches_the_per_slice_reference(monkeypatch):
+    # with blocks of 16 weight elements most slices of the same draws run in
+    # blocks, to the same bound: along a kept axis, or along x_{j-1} where
+    # the slice keeps no older axis
+    monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", 16)
+    _, blocked = check_fused_sweep()
+    assert {corridor for corridor, _, _, _ in blocked} == {True, False}
+    assert {older for _, older, _, _ in blocked} == {True, False}
+    assert {none_kept for _, _, _, none_kept in blocked} == {True, False}
+    assert any(batch for _, _, batch, _ in blocked)
+
+
+def slow_detector_inputs(n):
+    """A 64-step record at the slow detector's shape (tau = 0.4 dt), whose
+    window plans a 16^5 working tensor at n = 16 and on the doubled chain
+    of n = 4."""
     kappa, n_steps = 1.0, 64
-    sgrid, tgrid = build_grids(6.0, 16, 0.1 * n_steps, n_steps)
+    sgrid, tgrid = build_grids(6.0, n, 0.1 * n_steps, n_steps)
     ham, obs = HamiltonianSpec.harmonic(sgrid, 0.9), ObservableSpec.position(sgrid)
     psi0 = gaussian_packet(sgrid, 0.3, 1.0, 0.0)
     record = 0.3 + np.random.default_rng(99).standard_normal(n_steps) / math.sqrt(4.0 * kappa * tgrid.dt)
-    ff = FormFactor.gaussian(0.4 * tgrid.dt)
-    work = WindowSpec.plan(ff.window_matrix(n_steps, tgrid.dt), sgrid.n_points).work_elements
+    return psi0, record, FormFactor.gaussian(0.4 * tgrid.dt), kappa, ham, obs, sgrid, tgrid
+
+
+def test_coarse_engine_peak_memory_is_within_half_a_work_tensor():
+    # the cap's promise: a contraction allocates at most half a complex
+    # working tensor (16 work_elements bytes) at its peak, here at the slow
+    # detector's shape, since no slice forms its full-size weight
+    psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
+    work = WindowSpec.plan(ff.window_matrix(tgrid.n_steps, tgrid.dt), sgrid.n_points).work_elements
     assert work == 16**5
     tracemalloc.start()
     try:
@@ -290,7 +339,26 @@ def test_coarse_engine_peak_memory_is_within_two_work_tensors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 16 * work
+    assert peak <= 0.5 * 16 * work
+
+
+def test_blocked_sweep_is_bit_identical_to_one_block(monkeypatch):
+    # the 16^5 slices run in blocks; with the block above the work each slice
+    # is one block, and the conditioned and averaged states keep every bit,
+    # as does the time-reversed window's last slice, which keeps no older axis
+    psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
+    psi4, _, _, _, *lattice4 = slow_detector_inputs(4)  # ham, obs, sgrid, tgrid at n = 4
+    coarse = InfluenceKernelSpec("coarse", kappa, form_factor=ff)
+
+    def run():
+        return (evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid).final_state,
+                superpropagate(pure_density(psi4), coarse, *lattice4).rho,
+                check_generalized_unitarity(kappa, *lattice4, form_factor=ff).matrix)
+
+    blocked = run()
+    monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", 16 * 16**5)
+    for got, one_block in zip(blocked, run()):
+        assert np.array_equal(got, one_block)
 
 
 def test_window_spec_fits_is_the_plan_cap(monkeypatch):

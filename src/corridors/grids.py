@@ -26,7 +26,9 @@ into one precomputed product and transforms in place, so a step allocates
 no array; on a small dense lattice a long sweep is one power of the step's
 real superoperator instead.  Every vector or column block, conditioned or
 field-sampled, steps through the plan's one column sweep, `apply`, with a
-diagonal gain between steps.
+diagonal gain between steps: it steps between two buffers allocated once per
+call and keeps the block inside the double range by exact power-of-two
+rescalings, returning the base-2 exponent it took out for the caller to carry.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ _DENSE_STEP_MAX_POINTS = 128
 # Largest lattice on which a long run of identical dense steps is taken as one
 # power of the step's real n^2 x n^2 superoperator (8 MB a buffer at 32 points)
 _POWER_MAX_POINTS = 32
+# Rescaling of a column sweep (`_StepPlan.apply`): a check every _CHECK_BITS
+# of worst-case movement of the block's largest entry keeps it within
+# 2^+-_RANGE_BITS, clear of the subnormals below 2^-1022 and of overflow
+_CHECK_BITS = 480
+_RANGE_BITS = 960
 
 
 @dataclass(frozen=True)
@@ -335,7 +342,17 @@ class _StepPlan(_SplitStep):
     stepping's own error against a long-double reference is 2e-14.
 
     `apply` is the one stepping kernel of vectors and column blocks, the
-    gains unfolded: a fold pays only against (n, n) passes.
+    gains unfolded: a fold pays only against (n, n) passes.  It steps
+    between two buffers, M by one BLAS call with ``out=`` and the gain in
+    place, so no step allocates on the dense branch.  The caller bounds the
+    gains' |log2 g|; from it `apply` knows how many steps may pass before
+    the block's largest entry could move ``_CHECK_BITS``, checks that entry
+    that often (never per step, unless one step alone may move that far),
+    and rescales by a power of two only when it has left a window that
+    keeps the next stretch inside 2^+-``_RANGE_BITS``.  It returns the
+    exponent, which the callers carry: into ``log_norm_sq`` (the ideal
+    selective sweep), a batch's exponent (the field samples) or a record's
+    weight (the ideal Monte-Carlo unitarity check).
     """
 
     def __init__(self, ham, grid, dt):
@@ -354,21 +371,60 @@ class _StepPlan(_SplitStep):
     def matrix_h(self):  # M^dagger, contiguous
         return np.ascontiguousarray(self.matrix.conj().T)
 
-    def apply(self, x, gains):
+    def apply(self, x, gains, bits, observe=None):
         """g_N . M (... g_1 . M (g_0 . x)) over the columns of an (n, ...) x, for
         the gains g_0 .. g_N (an iterable; None: no gain), each broadcasting
-        against x, as a new array; x is never written."""
+        against x, whose entries all have |log2 |g|| <= ``bits``.  Returns
+        (y, k), y a new array and y 2^k the product: k is the base-2 exponent
+        the rescaling took out (0 if it never triggered); x is never written.
+        ``observe(y, k)``, if given, sees the block after each product with M,
+        before its gain, as y 2^k with y the working buffer (read it, do not
+        keep it).
+
+        The block steps between two buffers, M by `np.dot` (a vector) or
+        `np.matmul` (a block) into the other buffer, the gain multiplied in
+        place; the FFT branch steps by `fft_step`.  Every column of M x keeps
+        its 2-norm, so a step moves the block's largest entry by at most
+        ``bits`` + log2(n)/2 bits either way.  Before the first step, after
+        every ``_CHECK_BITS`` of that worst case and after the last step, one
+        check reads the largest entry and, when it lies outside
+        2^+-(``_RANGE_BITS`` - the worst case to the next check), scales the
+        block by the power of two that brings it into [1/2, 1): exact, so a
+        run that never rescales is bit for bit that of an unscaled sweep, and
+        no underflow or overflow hides between two checks.  One exponent
+        serves the whole block: a column far below the block's largest can
+        still underflow.
+        """
         gains, x = iter(gains), np.asarray(x, dtype=complex)
         first = next(gains)
-        # x first: numpy rounds a complex product by the order of its operands
-        x = x.copy() if first is None else x * first
-        shape = x.shape
+        shape = x.shape if first is None else np.broadcast_shapes(x.shape, np.shape(first))
+        cur, nxt = np.empty(shape, complex), np.empty(shape, complex)
+        if first is None:
+            cur[...] = x
+        else:  # x first: numpy rounds a complex product by the order of its operands
+            np.multiply(x, first, out=cur)
+        move = bits + 0.5 * math.log2(self.n)  # worst-case bits a step moves the block
+        stride = max(1, int(_CHECK_BITS // move))
+        limit = _RANGE_BITS - max(_CHECK_BITS, move)
+        # the buffers as the product's operands: vectors, or (n, columns) views
+        dot, cur_2d, nxt_2d = (np.dot, cur, nxt) if cur.ndim == 1 else \
+            (np.matmul, cur.reshape(self.n, -1), nxt.reshape(self.n, -1))
+        k, count = _rescale(cur, limit), 0
         for g in gains:
-            x = (self.matrix @ x.reshape(self.n, -1)).reshape(shape) if self.dense else \
-                self.fft_step(x)
+            if count == stride:
+                k += _rescale(cur, limit)
+                count = 0
+            count += 1
+            if self.dense:
+                dot(self.matrix, cur_2d, out=nxt_2d)
+                cur, nxt, cur_2d, nxt_2d = nxt, cur, nxt_2d, cur_2d
+            else:
+                cur = self.fft_step(cur)
+            if observe is not None:
+                observe(cur, k)
             if g is not None:
-                x *= g
-        return x
+                cur *= g
+        return cur, k + _rescale(cur, limit)
 
     @cached_property
     def kinetic_2d(self):  # K2 = k k^dagger of the 2-D conjugation
@@ -479,6 +535,19 @@ class _StepPlan(_SplitStep):
         h_t = h.transpose(0, 2, 1)
         parts = 0.5 * ((h + h_t) + 1j * (h - h_t))  # Re X = sym(h), Im X = antisym(h)
         return parts[0] + 1j * parts[1]
+
+
+def _rescale(block, limit):
+    """Scale the C-contiguous complex ``block`` in place by 2^-e when |e| > limit,
+    e the binary exponent of its largest real or imaginary part, which then lies
+    in [1/2, 1); returns the exponent taken out, e or 0 (always 0 for a zero or
+    non-finite block)."""
+    parts = block.view(float)
+    e = math.frexp(max(parts.max(), -parts.min()))[1]
+    if e and abs(e) > limit:
+        np.ldexp(parts, -e, out=parts)
+        return e
+    return 0
 
 
 def unitary_step(psi, ham, grid, dt):

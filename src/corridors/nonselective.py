@@ -71,13 +71,16 @@ from .grids import _StepPlan, pure_density
 from .readout import FormFactor, _check_kappa, readout_measure_factor
 from .selective import (
     _FIELD_BATCH_ELEMENTS,
+    _LN2,
     _SWEEP_BLOCK_ELEMENTS,
     WindowSpec,
     _batch_map,
     _contract_windowed,
+    _corridor_bits,
     _corridor_gains,
     _corridor_rows,
     _field_sweep,
+    _ldexp,
     _Moments,
 )
 
@@ -454,12 +457,13 @@ def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, 
     r = start.shape[1] if hermitian else start.shape[1] // 2
     moments = _Moments((n, n), samples)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
-    for block in _field_sweep(plan, start, time_factor, space_factor, samples,
-                              np.random.default_rng(seed)):
+    for block, exponent in _field_sweep(plan, start, time_factor, space_factor, samples,
+                                        np.random.default_rng(seed)):
         a = block[:, :, :r].transpose(1, 0, 2)
         b = a if hermitian else block[:, :, r:].transpose(1, 0, 2)
-        moments.add(a @ b.conj().transpose(0, 2, 1), axis=0)
-    return AverageResult(rho=moments.mean(), mode="mc", stderr=moments.stderr(),
+        moments.add(a @ b.conj().transpose(0, 2, 1), axis=0, exponent=2 * exponent)
+    return AverageResult(rho=_ldexp(moments.mean(), moments.exponent), mode="mc",
+                         stderr=_ldexp(moments.stderr(), moments.exponent),
                          n_samples=int(samples))
 
 
@@ -546,8 +550,10 @@ def check_generalized_unitarity(
     def weighted_pairs(drawn):
         a, log_q = drawn
         starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
+        k = 0  # u is 2^-k times the batch's U[a]
         if window is None:
-            u = plan.apply(starts.transpose(1, 0, 2), _corridor_gains(vals, a, kappa, dt))
+            u, k = plan.apply(starts.transpose(1, 0, 2), _corridor_gains(vals, a, kappa, dt),
+                              _corridor_bits(vals, a, kappa, dt))
             u = u.transpose(1, 0, 2)
         else:
             # the records and the identity columns ride as two leading batch axes
@@ -556,8 +562,8 @@ def check_generalized_unitarity(
                                 for c in range(0, n, cols)], axis=1).transpose(0, 2, 1)
         pairs = u.conj().transpose(0, 2, 1) @ u
         # libm's exp per record (numpy's vectorized exp can differ in the last bit),
-        # so a record weighs what it weighs alone
-        w = np.array([math.exp(n_steps * log_c - q) for q in log_q])
+        # so a record weighs what it weighs alone; 4^k puts the exponent back
+        w = np.array([math.exp(n_steps * log_c - q + 2 * k * _LN2) for q in log_q])
         return w[:, None, None] * pairs
 
     # windowed batches stay serial: their small contractions hold the GIL

@@ -32,11 +32,17 @@ dropping as 1/sqrt(samples).  One field sweep, `_field_sweep`, runs both
 this sampler and the random-phase samplers of `nonselective`, and that
 module's Monte-Carlo unitarity check conditions its records through the
 exact cores here, in batches side by side: the ideal sweep or the
-contraction, on one plan per call.  The sampler batches run on worker
-threads, one per usable core (`os.sched_getaffinity`), through one ordered
-batch map, `_batch_map`: the calling thread draws the random numbers in
-stream order and sums the results in batch order, so they are bit for bit
-those of one thread.  The workers are separate from BLAS's own threads
+contraction, on one plan per call.  Long records leave the double range:
+every column sweep rescales by powers of two and hands back the exponent,
+which the ideal engine carries into `SelectiveResult.log_norm_sq` and the
+field sampler, after shifting any slice whose real weight passes
+2^+-_WEIGHT_SHIFT_BITS, into each batch and the moments' common exponent;
+the linear fields of a result are then rounded from the logs and saturate
+instead of raising.  The sampler batches run on worker threads, one per
+usable core (`os.sched_getaffinity`), through one ordered batch map,
+`_batch_map`: the calling thread draws the random numbers in stream order
+and sums the results in batch order, so they are bit for bit those of one
+thread.  The workers are separate from BLAS's own threads
 (``OPENBLAS_NUM_THREADS``); with both above one they oversubscribe the
 cores.  Windowed unitarity records stay on the calling thread (their small
 contractions hold the GIL).  Every ideal sweep and every field
@@ -62,7 +68,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .grids import _StepPlan, norm_sq
+from .grids import _rescale, _StepPlan, norm_sq
 # unused here, kept as a module name: the benchmark's tracer self-test
 # checks that selective.unitary_step is rebound and restored
 from .grids import unitary_step  # noqa: F401
@@ -95,6 +101,10 @@ _FIELD_BATCH_ELEMENTS = 1 << 14
 # this process may run on
 _BATCH_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
+# a field slice whose largest real weight passes 2^+-_WEIGHT_SHIFT_BITS (its
+# log +-177) is shifted by it (`_field_sweep`); below that it runs unshifted
+_WEIGHT_SHIFT_BITS = 256
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -102,15 +112,23 @@ class SelectiveResult:
     """Outcome of a conditioned evolution.
 
     final_state is unnormalized: its squared norm (times the readout
-    measure factor, one sqrt(2 kappa dt / pi) per step) is the record's
-    probability density.  Its log, log(norm_sq) + N log c, is finite where
-    c^N underflows a long record's density to 0.0 (-inf for a zero
-    norm).  The Monte-Carlo engine also fills the stderr fields
-    (per-component for the state, scalar for the density).
+    measure factor c^N, one c = sqrt(2 kappa dt / pi) per step) is the
+    record's probability density.  The logs are carried separately:
+    log_norm_sq comes from the sweep's rescaled state and its exponent, and
+    log_probability_density = log_norm_sq + N log c.  Both stay finite
+    where a long record's state leaves the double range, for the ideal and
+    Monte-Carlo engines; the exact windowed engine does not rescale, and its
+    log_norm_sq is the log of its norm_sq (-inf for a zero norm).  The
+    linear fields final_state, norm_sq, measure_factor and
+    probability_density are the logs' values rounded into doubles, so they
+    may still underflow to 0.0 or overflow to inf.  The Monte-Carlo engine
+    also fills the stderr fields (per-component for the state, scalar for
+    the density).
     """
 
     final_state: np.ndarray
     norm_sq: float
+    log_norm_sq: float
     measure_factor: float
     probability_density: float
     log_probability_density: float
@@ -366,15 +384,35 @@ def _corridor_gains(values, readout, kappa, dt):
     ``readout`` is one (N,) record, giving (n,) gains, or (m, N) for m
     records side by side, giving (n, m, 1) gains that condition record r
     on column block [:, r] of an (n, m, k) block.  One exp serves a chunk
-    of steps of at most _FIELD_BATCH_ELEMENTS elements.
+    of steps of at most _FIELD_BATCH_ELEMENTS elements, formed in the real
+    part of one complex array that every chunk reuses (numpy would cast a
+    real gain to complex to multiply it into the state, at every step): a
+    gain holds until the next one is drawn, as `apply` uses them.
     """
     lead = (1,) * (readout.ndim - 1)
     values = np.reshape(values, (-1,) + lead + lead)
     steps = readout.T.reshape(readout.shape[::-1] + lead)  # step i's values, on the record axis
     chunk = max(1, _FIELD_BATCH_ELEMENTS // (values.size * steps[0].size))
+    buffer = np.zeros(np.broadcast_shapes(values.shape, steps[:chunk, None].shape), complex)
     for lo in range(0, len(steps), chunk):
-        yield from np.exp(-kappa * dt * (values - steps[lo:lo + chunk, None]) ** 2)
+        part = steps[lo:lo + chunk, None]
+        gains = buffer[:len(part)]
+        log_gain = gains.real
+        log_gain[...] = values  # then in place: numpy buffers a strided output
+        log_gain -= part
+        np.square(log_gain, out=log_gain)
+        log_gain *= -kappa * dt
+        np.exp(log_gain, out=log_gain)
+        yield from gains
     yield None
+
+
+def _corridor_bits(values, readout, kappa, dt):
+    """The bound on |log2 g| over every corridor gain of ``readout`` (one or
+    more records) that `_StepPlan.apply` takes: kappa dt d^2 / log 2, d the
+    largest distance between a record value and a lattice value of A."""
+    far = max(np.max(values) - np.min(readout), np.max(readout) - np.min(values))
+    return kappa * dt * float(far) ** 2 / _LN2
 
 
 def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observer=None):
@@ -382,19 +420,26 @@ def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observe
 
     Applies exp(-kappa dt (A - a_i)^2) then the one-step unitary kernel,
     for each of the N record values.  ``observer(i, psi)`` — if given —
-    sees the unnormalized working state after every step.
+    sees the unnormalized working state after every step, at its true
+    scale, as a new array.  The sweep (`_StepPlan.apply`, with or without an
+    observer) rescales by powers of two and carries the exponent, so
+    `log_norm_sq` and `log_probability_density` stay finite on records whose
+    state leaves the double range.
     """
     _check_kappa(kappa)
     readout = _check_readout(readout, tgrid.n_steps)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
     gains = _corridor_gains(obs.values, readout, kappa, tgrid.dt)
-    psi = np.asarray(psi0, dtype=complex)
-    if observer is None:
-        return _wrap_result(plan.apply(psi, gains), kappa, sgrid, tgrid)
-    for i, g in zip(range(tgrid.n_steps), gains):
-        psi = plan.apply(psi, [g, None])
-        observer(i, psi)
-    return _wrap_result(psi, kappa, sgrid, tgrid)
+    bits = _corridor_bits(obs.values, readout, kappa, tgrid.dt)
+    watch = None
+    if observer is not None:
+        steps = iter(range(tgrid.n_steps))
+
+        def watch(block, k):
+            observer(next(steps), _ldexp(block, k) if k else block.copy())
+
+    psi, exponent = plan.apply(np.asarray(psi0, dtype=complex), gains, bits, watch)
+    return _wrap_result(psi, exponent, kappa, sgrid, tgrid)
 
 
 def evolve_selective_coarse(psi0, readout, form_factor, kappa, ham, obs, sgrid, tgrid):
@@ -415,7 +460,7 @@ def evolve_selective_coarse(psi0, readout, form_factor, kappa, ham, obs, sgrid, 
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
     psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, spec,
                              _corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
-    return _wrap_result(psi, kappa, sgrid, tgrid)
+    return _wrap_result(psi, 0, kappa, sgrid, tgrid)
 
 
 def evolve_selective_coarse_mc(
@@ -446,7 +491,9 @@ def evolve_selective_coarse_mc(
     whatever the batch size.  The estimate is unbiased; at kappa = 0 the
     estimator is exact with zero variance.  Per-component standard errors
     of the state mean are returned, and a linearized standard error for
-    the probability density.
+    the probability density.  The batches come with base-2 exponents
+    (`_field_sweep`) and the moments sum on a common one, so the logs stay
+    finite when the samples leave the double range.
     """
     _check_kappa(kappa)
     n_steps, dt = tgrid.n_steps, tgrid.dt
@@ -458,23 +505,24 @@ def evolve_selective_coarse_mc(
     log_weight = np.outer(2.0 * kappa * dt * (window.T @ readout), obs.values)
     log_weight[0] -= kappa * dt * float(np.sum(readout**2))
     plan = _StepPlan(ham, sgrid, dt)
-    for block in _field_sweep(plan, psi0, math.sqrt(2.0 * kappa * dt) * window.T,
-                              obs.values[:, None], samples, np.random.default_rng(seed),
-                              log_weight):
-        moments.add(block[:, :, 0], axis=1)
+    for block, exponent in _field_sweep(plan, psi0, math.sqrt(2.0 * kappa * dt) * window.T,
+                                        obs.values[:, None], samples,
+                                        np.random.default_rng(seed), log_weight):
+        moments.add(block[:, :, 0], axis=1, exponent=exponent)
 
-    mean = moments.mean()
+    # the moments at their common exponent e: the mean is 2^-e times its true value
+    mean, e = moments.mean(), moments.exponent
     var_re, var_im = moments.variances()
-    result = _wrap_result(mean, kappa, sgrid, tgrid)
+    result = _wrap_result(mean, e, kappa, sgrid, tgrid)
     # linearized error of ||mean||^2 * c^N through the component means
     var_norm = float(
         np.sum((2.0 * mean.real) ** 2 * var_re + (2.0 * mean.imag) ** 2 * var_im)
         / samples
         * sgrid.spacing**2
     )
-    return replace(result, state_stderr=moments.stderr(),
-                   probability_stderr=result.measure_factor * math.sqrt(var_norm),
-                   n_samples=int(samples))
+    log_stderr = _log(var_norm) / 2 + 2 * e * _LN2 + tgrid.n_steps * _log_measure_factor(kappa, dt)
+    return replace(result, state_stderr=_ldexp(moments.stderr(), e),
+                   probability_stderr=_exp(log_stderr), n_samples=int(samples))
 
 
 # ----------------------------------------------------------------------
@@ -488,14 +536,30 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
     multiplied in at slices 0 .. N: phi_j is the row of phi for slice j
     over the sites, log_weight an optional real (N+1, n) array.  Each
     sample's xi ~ N(0, 1), shaped (T columns, S columns), is drawn in turn
-    from ``rng``.  Yields (n, m, k) blocks, m samples side by side, k the
-    columns of ``start``, each of about _FIELD_BATCH_ELEMENTS elements.
+    from ``rng``.  Yields pairs (block, e): (n, m, k) blocks, m samples side
+    by side, k the columns of ``start``, each of about
+    _FIELD_BATCH_ELEMENTS elements, and 2^e block the batch's true value.
     The batches sweep on `_batch_map`'s worker threads, each batch's xi
     drawn here in stream order, and come back in that order, so the
     blocks do not depend on the worker count.
+
+    A slice whose largest weight passes 2^+-_WEIGHT_SHIFT_BITS is shifted
+    by its largest log weight, rounded to whole bits, so its exp neither
+    overflows nor underflows.  Every batch carries the shifts and
+    `_StepPlan.apply`'s exponent in e, and a block with e != 0 has its
+    largest entry in [1/2, 1).  Runs with no shift and no rescaling are bit
+    for bit those of the unshifted sweep, with e = 0.
     """
     start = np.asarray(start, dtype=complex).reshape(plan.n, 1, -1)
     batch = max(1, _FIELD_BATCH_ELEMENTS // start.size)
+    shift, bits = 0, 0.0  # a phase has |log2 g| = 0
+    if log_weight is not None:
+        top = np.round(np.max(log_weight, axis=1) / _LN2)
+        top[np.abs(top) <= _WEIGHT_SHIFT_BITS] = 0.0
+        if top.any():
+            log_weight = log_weight - (top * _LN2)[:, None]
+            shift = int(np.sum(top))
+        bits = float(np.max(np.abs(log_weight))) / _LN2
 
     def draws():
         for done in range(0, samples, batch):
@@ -514,7 +578,10 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
                     exponent += log_weight[j][:, None]
                 yield np.exp(exponent)[:, :, None]
 
-        return plan.apply(start, gains())
+        block, k = plan.apply(start, gains(), bits)
+        if k + shift:
+            k += _rescale(block, -1)
+        return block, k + shift
 
     return _batch_map(sweep, draws())
 
@@ -560,18 +627,27 @@ class _Moments:
 
     The spread is that of the real projections in ``parts``: the modulus,
     or the real and imaginary parts for a caller that needs both variances.
-    ``samples``, the count the caller will add, must be at least 2.
+    ``samples``, the count the caller will add, must be at least 2.  The
+    sums are kept on one base-2 exponent, the largest of the batches so
+    far: `mean`, `variances` and `stderr` are 2^-exponent, 4^-exponent and
+    2^-exponent times the true values.
     """
 
     def __init__(self, shape, samples, parts=(np.abs,)):
         if samples < 2:
             raise ValueError("need at least 2 samples for an error estimate")
-        self.count, self.parts = 0, parts
+        self.count, self.parts, self.exponent = 0, parts, 0
         self.total = np.zeros(shape, dtype=complex)
         self.squares = [np.zeros(shape) for _ in parts]
 
-    def add(self, batch, axis=0):
-        """Add the samples stacked along ``axis`` of ``batch``."""
+    def add(self, batch, axis=0, exponent=0):
+        """Add the samples stacked along ``axis`` of ``batch``, whose true
+        values are 2^exponent batch."""
+        if exponent > self.exponent or not self.count:
+            shift, self.exponent = self.exponent - exponent, exponent
+            self.total = _ldexp(self.total, shift)
+            self.squares = [_ldexp(sq, 2 * shift) for sq in self.squares]
+        batch = _ldexp(batch, exponent - self.exponent)
         self.count += batch.shape[axis]
         self.total += batch.sum(axis=axis)
         for sq, part in zip(self.squares, self.parts):
@@ -592,15 +668,55 @@ class _Moments:
         return np.sqrt(sum(self.variances()) / self.count)
 
 
-def _wrap_result(psi, kappa, sgrid, tgrid):
+def _wrap_result(psi, exponent, kappa, sgrid, tgrid):
+    """The `SelectiveResult` of the conditioned state 2^exponent psi.  With a
+    nonzero exponent, psi is first scaled to a largest part in [1/2, 1), so
+    log_norm_sq is exact to roundoff whatever the state's size; the linear
+    fields are formed from the logs and saturate at 0.0 and inf."""
+    if exponent:
+        psi = psi.copy()
+        exponent += _rescale(psi, -1)
     n2 = norm_sq(psi, sgrid)
-    c = readout_measure_factor(kappa, tgrid.dt) if kappa > 0 else 0.0
-    measure = c**tgrid.n_steps
-    log_density = math.log(n2) + tgrid.n_steps * math.log(c) if n2 and c else -math.inf
+    log_n2 = _log(n2) + 2 * exponent * _LN2
+    log_measure = tgrid.n_steps * _log_measure_factor(kappa, tgrid.dt)
     return SelectiveResult(
-        final_state=psi,
-        norm_sq=n2,
-        measure_factor=measure,
-        probability_density=n2 * measure,
-        log_probability_density=log_density,
+        final_state=_ldexp(psi, exponent),
+        norm_sq=float(_ldexp(np.float64(n2), 2 * exponent)),
+        log_norm_sq=log_n2,
+        measure_factor=_exp(log_measure),
+        probability_density=_exp(log_n2 + log_measure),
+        log_probability_density=log_n2 + log_measure,
     )
+
+
+def _log_measure_factor(kappa, dt):
+    """log c, c = sqrt(2 kappa dt / pi) the readout measure factor of a step
+    (-inf at kappa = 0)."""
+    return math.log(readout_measure_factor(kappa, dt)) if kappa > 0 else -math.inf
+
+
+def _log(x):
+    """log x for x >= 0 (-inf at 0), NaN for NaN."""
+    return math.log(x) if x > 0 else -math.inf if x == 0 else math.nan
+
+
+def _exp(x):
+    """e^x, saturating at inf where math.exp raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ldexp(x, e):
+    """2^e x for a real or complex array x, as a new array rounded once and
+    saturating at 0 and inf; x itself when e = 0."""
+    if not e:
+        return x
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return _ldexp(np.ascontiguousarray(x).view(float), e).view(complex)
+    if e < 0:  # nothing overflows
+        return np.ldexp(x, e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)

@@ -44,6 +44,7 @@ from corridors.selective import (
     _contract_windowed,
     _corridor_rows,
     _field_sweep,
+    _ldexp,
     _Moments,
 )
 
@@ -163,6 +164,34 @@ def aux_field_conditioned_state(psi0, kernel, site_values, readout, kappa, dt, w
                                        + 1j * math.sqrt(2.0 * kappa * dt) * field[j]))
         total += psi
     return total / len(xi)
+
+
+def aux_field_log_norm_sq(psi0, kernel, site_values, readout, kappa, dt, window, xi, spacing):
+    """log ||mean||^2 of `aux_field_conditioned_state`'s samples, each sample
+    rescaled to a largest entry of 1 after every slice, its log scale summed
+    apart, and the samples averaged on the largest of the scales: no factor
+    leaves the double range, whatever the weights."""
+    vals = np.asarray(site_values, dtype=float)
+    readout = np.asarray(readout, dtype=float)
+    b = window.T @ readout
+    states, scales = [], []
+    for x in xi:
+        field = window.T @ x
+        psi, scale = np.asarray(psi0, dtype=complex), -kappa * dt * float(np.sum(readout**2))
+        for j in range(window.shape[1]):
+            if j:
+                psi = kernel @ psi
+            log_weight = vals * 2.0 * kappa * dt * b[j]
+            top = float(np.max(log_weight))
+            phase = vals * math.sqrt(2.0 * kappa * dt) * field[j]
+            psi = psi * np.exp(log_weight - top + 1j * phase)
+            largest = float(np.max(np.abs(psi)))
+            psi, scale = psi / largest, scale + top + math.log(largest)
+        states.append(psi)
+        scales.append(scale)
+    top = max(scales)
+    mean = sum(psi * math.exp(scale - top) for psi, scale in zip(states, scales)) / len(xi)
+    return math.log(float(np.sum(np.abs(mean) ** 2)) * spacing) + 2.0 * top
 
 
 def pair_step_integral_numeric(x, y, kappa, dt, span=40.0, n_nodes=40001):
@@ -614,11 +643,11 @@ def field_average_identity_sweep(rho0, kernel_spec, ham, obs, sgrid, tgrid, samp
     n = sgrid.n_points
     moments = _Moments((n, n), samples)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
-    for block in _field_sweep(plan, np.eye(n), *_field_factors(kernel_spec, obs, tgrid),
-                              samples, np.random.default_rng(seed)):
-        u = block.transpose(1, 0, 2)  # u[s] is U_xi of sample s
-        moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0)
-    return moments.mean(), moments.stderr()
+    for block, exponent in _field_sweep(plan, np.eye(n), *_field_factors(kernel_spec, obs, tgrid),
+                                        samples, np.random.default_rng(seed)):
+        u = block.transpose(1, 0, 2)  # u[s] is 2^-exponent U_xi of sample s
+        moments.add(u @ rho0 @ u.conj().transpose(0, 2, 1), axis=0, exponent=2 * exponent)
+    return _ldexp(moments.mean(), moments.exponent), _ldexp(moments.stderr(), moments.exponent)
 
 
 def conjugate_per_step(plan, rho):

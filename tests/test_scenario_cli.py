@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from corridors import nonselective, selective
 from corridors.cli import main
 from corridors.grids import _StepPlan
@@ -16,6 +17,7 @@ from corridors.scenario import (
     ConfigError,
     RunManifest,
     _TASKS,
+    _density_stats,
     _resolve_readout,
     emit_plot_data,
     file_sha256,
@@ -859,18 +861,61 @@ def test_evolve_fails_the_density_check_when_c_to_the_n_underflows(tmp_path):
                                                 ("coarse", "kind = gaussian\ntau = 0.00005")])
 def test_evolve_fails_the_density_check_when_the_norm_underflows(tmp_path, engine, resolution):
     # a record drawn around the packet's mean (--readout sample): norm_sq
-    # itself rounds to 0.0, so the log is -inf as for a true zero, which the
-    # exact engines cannot give from a normalized start
+    # itself rounds to 0.0.  The ideal sweep rescales and carries the
+    # exponent, so its log is finite; the exact windowed engine does not, so
+    # its log is -inf as for a true zero, which it cannot give from a
+    # normalized start
     cfg = load_config(write_scenario(tmp_path, LONG_IDEAL.replace("kind = delta", resolution)))
     out = tmp_path / "sampled"
-    with pytest.raises(CheckFailure, match="readout_probability_density = 0 .*norm_sq"):
+    note = "below the smallest float" if engine == "ideal" else "norm_sq"
+    with pytest.raises(CheckFailure, match=f"readout_probability_density = 0 .*{note}"):
         run_scenario(cfg, task="evolve", outdir=out, readout="sample")
     checks = json.loads((out / "manifest.json").read_text())["checks"]
     density = next(c for c in checks if c["name"] == "readout_probability_density")
     assert density["value"] == 0.0 and not density["passed"] and "underflow" in density["note"]
     header = (out / "state_final.txt").read_text()
     assert header.startswith(f"# conditioned final state, engine {engine}\n# norm_sq = 0\n")
-    assert "# log_readout_probability_density = -inf\n" in header
+    log_density = float(header.split("# log_readout_probability_density = ")[1].split()[0])
+    assert math.isfinite(log_density) if engine == "ideal" else log_density == -math.inf
+
+
+def test_evolve_keeps_the_log_of_a_long_record_read_from_a_file(tmp_path, capsys):
+    # the long ideal lattice's record drawn as N(0, 1/(4 kappa dt)), through
+    # file: and the CLI, which always observes the ideal sweep: the state
+    # leaves the double range, the sweep rescales, and the header states the
+    # finite log density of the segment-chained reference; the observer sees
+    # the unscaled per-step loop's states, bit for bit while that loop's
+    # products stay clear of the subnormals (largest entry above 1e-250), and
+    # the series columns, bit for bit at every step
+    scene = write_scenario(tmp_path, LONG_IDEAL)
+    cfg = load_config(scene)
+    kappa, dt, n_steps = cfg.meas.kappa, cfg.tgrid.dt, cfg.tgrid.n_steps
+    record = np.random.default_rng(1).standard_normal(n_steps) / math.sqrt(4.0 * kappa * dt)
+    np.savetxt(tmp_path / "record.txt", record, fmt="%.17g")
+    out = tmp_path / "run"
+    assert main(["evolve", str(scene), "--readout", f"file:{tmp_path / 'record.txt'}",
+                 "--outdir", str(out)]) == 2  # the linear density still underflows
+    assert "below the smallest float" in capsys.readouterr().err
+    header = (out / "state_final.txt").read_text()
+    log_density = float(header.split("# log_readout_probability_density = ")[1].split()[0])
+    psi0 = cfg.initial_packet()
+    ref = oracles.log_density_in_segments(psi0, record, kappa, cfg.ham, cfg.obs, cfg.sgrid, dt)
+    assert abs(log_density - ref) <= 1e-12 * abs(ref)
+
+    matrix, states, psi = _StepPlan(cfg.ham, cfg.sgrid, dt).matrix, [], psi0
+    for a in record:  # the unscaled sweep, one step at a time
+        x = psi * np.exp(-kappa * dt * (cfg.obs.values - a) ** 2)
+        psi = (matrix @ x.reshape(-1, 1)).reshape(-1)
+        states.append(psi)
+    seen = []
+    selective.evolve_selective_ideal(psi0, record, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
+                                     observer=lambda i, state: seen.append(state))
+    clear = [np.abs(state).max() > 1e-250 for state in states]
+    assert sum(clear) > n_steps // 2 and not clear[-1]
+    assert all(np.array_equal(a, b) for a, b, c in zip(seen, states, clear) if c)
+    series = np.loadtxt(out / "series.txt")
+    stats = np.array([_density_stats(state, cfg.sgrid) for state in states])
+    assert np.array_equal(series[:, 1:], stats)
 
 
 def test_evolve_states_the_log_density_and_passes_a_representable_one(tmp_path):

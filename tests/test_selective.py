@@ -485,3 +485,92 @@ def test_log_density_is_the_log_of_the_density():
     assert_allclose(res.log_probability_density, math.log(res.probability_density), rtol=1e-14)
     assert evolve_selective_ideal(psi0, readout, 0.0, ham, obs, g, tg).log_probability_density \
         == -math.inf  # c = 0 at kappa = 0
+
+
+def test_log_density_of_a_born_scale_record_past_the_double_range():
+    # the long ideal lattice at N = 4096 with a record drawn as
+    # N(0, 1/(4 kappa dt)): the state itself leaves the double range, so
+    # norm_sq reads exactly 0.0, and the sweep's exponent keeps its log, with
+    # or without an observer
+    kappa = 1.0
+    sgrid, tgrid = build_grids(8.0, 16, 1.0, 4096)
+    ham, obs = HamiltonianSpec.free(sgrid), ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.0, 1.2, 0.4)
+    record = np.random.default_rng(1).standard_normal(tgrid.n_steps) / math.sqrt(
+        4.0 * kappa * tgrid.dt)
+    res = evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid)
+    assert res.norm_sq == 0.0 and res.probability_density == 0.0
+    assert not np.any(res.final_state)  # the true state, rounded into doubles
+    ref = oracles.log_density_in_segments(psi0, record, kappa, ham, obs, sgrid, tgrid.dt)
+    assert abs(res.log_probability_density - ref) <= 1e-12 * abs(ref)
+    log_c = math.log(readout_measure_factor(kappa, tgrid.dt))
+    assert res.log_probability_density == res.log_norm_sq + tgrid.n_steps * log_c
+    steps = []
+    watched = evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid,
+                                     observer=lambda i, psi: steps.append(i))
+    assert steps == list(range(tgrid.n_steps))
+    assert watched.log_norm_sq == res.log_norm_sq
+    assert watched.log_probability_density == res.log_probability_density
+
+
+def test_measure_factor_saturates_where_c_exceeds_one():
+    # kappa dt = 2 > pi/2 puts c above 1, and c^N at N = 8192 above the
+    # largest float: it raised OverflowError; the linear fields now saturate
+    # and the log density matches the segment-chained reference
+    kappa = 20.0
+    sgrid, tgrid = build_grids(8.0, 16, 819.2, 8192)
+    ham, obs = HamiltonianSpec.harmonic(sgrid, 0.9), ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.0, 1.2, 0.4)
+    record = np.random.default_rng(2).standard_normal(tgrid.n_steps) / math.sqrt(
+        4.0 * kappa * tgrid.dt)
+    assert readout_measure_factor(kappa, tgrid.dt) > 1.0
+    res = evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid)
+    assert res.measure_factor == math.inf and res.norm_sq == 0.0
+    ref = oracles.log_density_in_segments(psi0, record, kappa, ham, obs, sgrid, tgrid.dt)
+    assert abs(res.log_probability_density - ref) <= 1e-12 * abs(ref)
+    assert res.probability_density == 0.0 and ref < -745.0  # below the smallest float
+
+
+@pytest.mark.parametrize("a, kappa", [(5.0, 5.0), (15.0, 20.0)])
+def test_field_sampler_keeps_its_log_past_the_double_range(a, kappa):
+    # a constant record far out on a 40-wide, 32-point free lattice, N = 25,
+    # tau = 0.04: the aux-field samples overflowed to a NaN norm at a = 5,
+    # kappa = 5, and exp(-kappa dt ||a||^2) at slice 0 underflowed the state
+    # to 0.0 at a = 15, kappa = 20 (tier-1 raised on either warning); the
+    # slice shifts, the sweep's exponents and the moments' common exponent
+    # keep the log of the sample mean
+    g, tg = SpatialGrid(40.0, 32), TimeGrid(1.0, 25)
+    ham, obs = HamiltonianSpec.free(g), ObservableSpec.position(g)
+    psi0, ff, record = gaussian_packet(g, width=1.0), FormFactor.gaussian(0.04), np.full(25, a)
+    res = evolve_selective_coarse_mc(psi0, record, ff, kappa, ham, obs, g, tg, samples=200,
+                                     seed=3)
+    xi = np.random.default_rng(3).standard_normal((200, tg.n_steps))  # the engine's stream
+    ref = oracles.aux_field_log_norm_sq(psi0, selective._StepPlan(ham, g, tg.dt).matrix,
+                                        obs.values, record, kappa, tg.dt,
+                                        ff.window_matrix(tg.n_steps, tg.dt), xi, g.spacing)
+    assert abs(res.log_norm_sq - ref) <= 1e-12 * abs(ref)
+    log_c = math.log(readout_measure_factor(kappa, tg.dt))
+    assert res.log_probability_density == res.log_norm_sq + tg.n_steps * log_c
+    # the sample mean is far above the double range: its linear fields saturate
+    assert res.norm_sq == math.inf and res.log_norm_sq > 1000.0
+    fields = [res.final_state, res.state_stderr, res.norm_sq, res.probability_density,
+              res.probability_stderr]
+    assert not any(np.isnan(f).any() for f in fields)
+
+
+def test_moments_on_a_common_exponent_match_the_unscaled_sums():
+    # batches handed in as 2^-e of their values, e per batch, sum bit for bit
+    # as the unscaled batches do, on the largest exponent
+    rng = np.random.default_rng(4)
+    batches = [rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)) for _ in range(4)]
+    exponents = [0, 40, -30, 90]
+    plain = selective._Moments(3, 20, parts=(np.real, np.imag))
+    scaled = selective._Moments(3, 20, parts=(np.real, np.imag))
+    for batch, e in zip(batches, exponents):
+        plain.add(batch * 2.0**e)
+        scaled.add(batch, exponent=e)
+    assert scaled.exponent == 90
+    assert np.array_equal(scaled.mean() * 2.0**90, plain.mean())
+    assert all(np.array_equal(v * 4.0**90, w)
+               for v, w in zip(scaled.variances(), plain.variances()))
+    assert np.array_equal(scaled.stderr() * 2.0**90, plain.stderr())

@@ -8,6 +8,7 @@ must not depend on which branch ran.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,8 +72,8 @@ def test_dense_and_fft_branches_agree(n, mass, dt, extent, seed):
     out = {}
     for dense in (True, False):
         plan.dense = back.dense = dense
-        out[dense] = (plan.apply(block, [None, None]), plan.apply(block[:, 0], [None, None]),
-                      plan.sweep(rho, None, 1))
+        out[dense] = (plan.apply(block, [None, None], 0.0)[0],
+                      plan.apply(block[:, 0], [None, None], 0.0)[0], plan.sweep(rho, None, 1))
         assert rel_gap(back.sweep(x, None, 1), adjoint) <= 1e-12
     for dense_out, fft_out in zip(out[True], out[False]):
         assert rel_gap(dense_out, fft_out) <= 1e-12
@@ -104,8 +105,10 @@ def test_apply_matches_per_step_loops(n, shape):
     gain_shape = (n,) + shape[:1] + (1,) * len(shape[1:])
     gains = [np.exp(rng.standard_normal(gain_shape) + 1j * rng.standard_normal(gain_shape))
              for _ in range(6)]
+    bits = max(float(np.max(np.abs(np.log2(np.abs(g))))) for g in gains)
     for chosen in (gains, [None] * 6, [gains[0], None, gains[2], None, None, gains[5]]):
-        got = plan.apply(x, (g for g in chosen))  # gains from a generator
+        got, exponent = plan.apply(x, (g for g in chosen), bits)  # gains from a generator
+        assert exponent == 0  # a block of order 1 is never rescaled
         assert np.array_equal(got, plan_step_loop(plan, x, chosen))
         assert got.shape == x.shape
         want = x if chosen[0] is None else x * chosen[0]
@@ -114,8 +117,56 @@ def test_apply_matches_per_step_loops(n, shape):
             want = want if g is None else want * g
         assert rel_gap(got, want) <= 1e-12
     x_before = x.copy()
-    plan.apply(x, [None, None])
+    plan.apply(x, [None, None], 0.0)
     assert np.array_equal(x, x_before)  # never written
+
+
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("shape", [(), (3,)])
+@pytest.mark.parametrize("shift", [-600, -10, 10, 600])
+def test_apply_rescales_by_powers_of_two_bit_for_bit(n, shape, shift):
+    # gains times 2^shift move the product 300 shift bits out of the double
+    # range; apply carries it as (y, k) with y 2^k the product, and y is the
+    # unscaled sweep's block up to a power of two, bit for bit, however often
+    # it rescaled (every step when one gain alone moves 600 bits)
+    rng = np.random.default_rng(n + len(shape))
+    grid = SpatialGrid(9.0, n)
+    plan = grids._StepPlan(HamiltonianSpec.harmonic(grid, 0.8), grid, 0.05)
+    x = rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
+    gains = [np.exp(rng.uniform(-1.0, 1.0, (n,) + (1,) * len(shape))) for _ in range(300)]
+    bits = 1.0 / math.log(2.0)
+    plain, k = plan.apply(x, gains, bits)
+    assert k == 0
+    scaled, k = plan.apply(x, [g * 2.0**shift for g in gains], bits + abs(shift))
+    assert k != 0
+    back = k - shift * len(gains)  # scaled 2^back is plain
+    assert np.array_equal(np.ldexp(scaled.view(float), back).view(complex), plain)
+
+
+def test_ideal_sweep_steps_in_two_buffers():
+    # an 8192-step ideal sweep at n = 16 steps between two buffers, and at
+    # its peak holds a few state vectors and one chunk of gains, never the
+    # gains of all N steps
+    kappa = 1.0
+    sgrid, tgrid, ham, obs, psi0 = harmonic_shape(16, 8192)
+    record = np.random.default_rng(6).standard_normal(tgrid.n_steps) / math.sqrt(
+        4.0 * kappa * tgrid.dt)
+    tracemalloc.start()
+    try:
+        evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector, chunk = 16 * sgrid.n_points, 16 * selective._FIELD_BATCH_ELEMENTS  # bytes
+    # numpy's ufunc buffer (np.getbufsize() doubles) serves the chunk's strided
+    # exponent; 64 vectors cover the states and the plan's 16 x 16 matrix
+    assert peak <= chunk + 8 * np.getbufsize() + 64 * vector
+    buffers = []
+    plan = grids._StepPlan(ham, sgrid, tgrid.dt)
+    plan.apply(psi0, selective._corridor_gains(obs.values, record, kappa, tgrid.dt),
+               selective._corridor_bits(obs.values, record, kappa, tgrid.dt),
+               lambda block, k: buffers.append(block))  # kept: a new array gets a new id
+    assert len(buffers) == tgrid.n_steps and len({id(b) for b in buffers}) == 2
 
 
 def test_apply_steps_once_per_call_or_batch(monkeypatch):
@@ -124,9 +175,9 @@ def test_apply_steps_once_per_call_or_batch(monkeypatch):
     calls = []
     apply = grids._StepPlan.apply
 
-    def counted(plan, x, gains):
+    def counted(plan, x, gains, bits, observe=None):
         calls.append(np.shape(x))
-        return apply(plan, x, gains)
+        return apply(plan, x, gains, bits, observe)
 
     monkeypatch.setattr(grids._StepPlan, "apply", counted)
     kappa = 1.0

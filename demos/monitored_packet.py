@@ -59,9 +59,9 @@ def main():
     kappa = 0.25
     rows = []
 
-    def watch(i, psi):
-        rows.append((tgrid.times[i + 1], float(np.sum(np.abs(psi) ** 2) * sgrid.spacing),
-                     spread(psi, sgrid)))
+    def watch(i, psi, k):  # the state is 2^k psi
+        norm = np.ldexp(np.sum(np.abs(psi) ** 2) * sgrid.spacing, 2 * k)
+        rows.append((tgrid.times[i + 1], float(norm), spread(psi, sgrid)))
 
     evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid, observer=watch)
     t, norms, widths = map(np.asarray, zip(*rows))

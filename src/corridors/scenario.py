@@ -46,6 +46,7 @@ from .grids import (
     ObservableSpec,
     SpatialGrid,
     TimeGrid,
+    _rescale,
     build_grids,
     check_density_matrix,
     density_trace,
@@ -64,6 +65,8 @@ from .nonselective import (
 )
 from .readout import FormFactor, MeasurementSpec
 from .selective import (
+    _LN2,
+    _AboveCap,
     evolve_selective_coarse,
     evolve_selective_coarse_mc,
     evolve_selective_ideal,
@@ -307,16 +310,18 @@ def _matrix_columns(axis, matrix, names):
 # tasks
 
 
-def _density_stats(psi, grid):
-    """(norm_sq, mean, variance) of the position density of psi."""
+def _density_stats(psi, exponent, grid):
+    """(log norm_sq, mean, variance) of the position density of 2^exponent psi;
+    psi, a new array, is scaled in place first, so they hold at any scale."""
+    exponent += _rescale(psi, -1)
     prob = np.abs(psi) ** 2
     total = prob.sum() * grid.spacing
     if total == 0.0:
-        return 0.0, 0.0, 0.0
+        return -math.inf, math.nan, math.nan
     prob = prob / total
     mean = float(prob @ grid.coords * grid.spacing)
     var = float(prob @ (grid.coords - mean) ** 2 * grid.spacing)
-    return float(total), mean, var
+    return math.log(total) + 2 * exponent * _LN2, mean, var
 
 
 def _resolve_readout(spec, cfg):
@@ -359,8 +364,8 @@ def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
         engine = "ideal"
     series = []
 
-    def watch(i, psi):
-        series.append((cfg.tgrid.times[i + 1],) + _density_stats(psi, cfg.sgrid))
+    def watch(i, psi, k):
+        series.append((cfg.tgrid.times[i + 1],) + _density_stats(psi, k, cfg.sgrid))
 
     if engine == "ideal":
         if not cfg.form.is_delta:
@@ -374,7 +379,7 @@ def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
                 psi0, record, cfg.form, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid
             )
             engine = "coarse"
-        except ValueError:
+        except _AboveCap:
             if engine == "coarse":
                 raise
             engine = "mc"  # the window's plan is above the cap: sample it
@@ -401,12 +406,12 @@ def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
          ["record values, one per step, left-aligned with the slices"]),
     ]
     if series:
-        t, norms, means, variances = map(np.asarray, zip(*series))
+        t, log_norms, means, variances = map(np.asarray, zip(*series))
         tables.append(
             ("series", "series.txt",
-             [("t[time]", t), ("norm_sq", norms), ("mean_q[pos]", means),
+             [("t[time]", t), ("log_norm_sq", log_norms), ("mean_q[pos]", means),
               ("var_q[pos^2]", variances)],
-             ["squared norm and position moments along the conditioned path"])
+             ["log squared norm and position moments along the conditioned path"])
         )
     density, log_density = result.probability_density, result.log_probability_density
     note = None
@@ -631,7 +636,7 @@ def _task_zeno(cfg, kappas=None):
         res = evolve_selective_ideal(
             psi0, record, k, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid
         )
-        variances.append(_density_stats(res.final_state, cfg.sgrid)[2])
+        variances.append(_density_stats(res.final_state.copy(), 0, cfg.sgrid)[2])
     variances = np.asarray(variances)
     slope = float(np.polyfit(np.log(kappas), np.log(variances), 1)[0])
     tables = [

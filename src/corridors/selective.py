@@ -18,38 +18,40 @@ the windowed decay and the medium weights.  Per slice it takes the weight
 and the sums first and the kernel after: the slice's rows make one real
 weight, the weight and the sum over the axes leaving the buffer are one
 real product, and the one-step kernel multiplies that product, a tensor
-n times smaller than the weight.  A slice whose weight would pass
-`_SWEEP_BLOCK_ELEMENTS` (512 KB) runs in blocks along one axis, each
-block's rows built on that axis's values for the block only, so no slice
-forms its full-size weight and each block's weight stays in the L2
-cache.  When the buffer would not fit in memory, `plan` refuses: its
-cap, `DEFAULT_WORK_CAP` read at every call, is the one exact-or-sample
-rule, and a caller that may sample falls back on that
-refusal to a Monte-Carlo unraveling (`evolve_selective_coarse_mc`), which
-decouples the window with an auxiliary Gaussian field: every sample is
-again a diagonal-factor sweep, unbiased for the exact result, with errors
-dropping as 1/sqrt(samples).  One field sweep, `_field_sweep`, runs both
-this sampler and the random-phase samplers of `nonselective`, and that
-module's Monte-Carlo unitarity check conditions its records through the
-exact cores here, in batches side by side: the ideal sweep or the
-contraction, on one plan per call.  Long records leave the double range:
-every column sweep rescales by powers of two and hands back the exponent,
-which the ideal engine carries into `SelectiveResult.log_norm_sq` and the
-field sampler, after shifting any slice whose real weight passes
-2^+-_WEIGHT_SHIFT_BITS, into each batch and the moments' common exponent;
-the linear fields of a result are then rounded from the logs and saturate
-instead of raising.  The sampler batches run on worker threads, one per
-usable core (`os.sched_getaffinity`), through one ordered batch map,
-`_batch_map`: the calling thread draws the random numbers in stream order
-and sums the results in batch order, so they are bit for bit those of one
-thread.  The workers are separate from BLAS's own threads
-(``OPENBLAS_NUM_THREADS``); with both above one they oversubscribe the
-cores.  Windowed unitarity records stay on the calling thread (their small
-contractions hold the GIL).  Every ideal sweep and every field
-sample steps through the plan's one column sweep, `_StepPlan.apply`, with
-the corridor factors (`_corridor_gains`) or the field's phases as gains.
-A window above the cap is refused there as here; no auxiliary-field
-estimate of U[a] replaces it.
+n times smaller than the weight.  Every slice is one loop of independent
+blocks along one axis, each block a function of its part of the state
+and of that axis's values; a slice whose weight would pass
+`_SWEEP_BLOCK_ELEMENTS` (512 KB) has several, so no slice forms its
+full-size weight and each block's weight stays in the L2 cache.  When
+the buffer would not fit in memory, `plan` refuses: its cap,
+`DEFAULT_WORK_CAP` read at every call, is the one exact-or-sample rule,
+and a caller that may sample falls back on that refusal alone
+(`_AboveCap`) to a Monte-Carlo unraveling (`evolve_selective_coarse_mc`),
+which decouples the window with an auxiliary Gaussian field: every
+sample is again a diagonal-factor sweep, unbiased for the exact result,
+with errors dropping as 1/sqrt(samples).
+One field sweep, `_field_sweep`, runs both this sampler and the
+random-phase samplers of `nonselective`, and that module's Monte-Carlo
+unitarity check conditions its records through the exact cores here, in
+batches side by side: the ideal sweep or the contraction, on one plan
+per call.  Long records leave the double range: every column sweep
+rescales by powers of two and hands back the exponent, which the ideal
+engine carries into `SelectiveResult.log_norm_sq` and the field sampler,
+after shifting any slice whose real weight passes
+2^+-_WEIGHT_SHIFT_BITS, into each batch and the moments' common
+exponent; the linear fields of a result are then rounded from the logs
+and saturate instead of raising.  The sampler batches run on worker
+threads, one per usable core (`os.sched_getaffinity`), through one
+ordered batch map, `_batch_map`: the calling thread draws the random
+numbers in stream order and sums the results in batch order, so they are
+bit for bit those of one thread.  The workers are separate from BLAS's
+own threads (``OPENBLAS_NUM_THREADS``); with both above one they
+oversubscribe the cores.  Windowed unitarity records stay on the calling
+thread (their small contractions hold the GIL).  Every ideal sweep and
+every field sample steps through the plan's one column sweep,
+`_StepPlan.apply`, with the corridor factors (`_corridor_gains`) or the
+field's phases as gains.  A window above the cap is refused there as
+here; no auxiliary-field estimate of U[a] replaces it.
 
 All engines use the left-rule weight pairing (the step-i factor
 multiplies the state before the step-i kernel); for that discretization
@@ -141,6 +143,10 @@ class SelectiveResult:
 # window bookkeeping
 
 
+class _AboveCap(ValueError):
+    """`WindowSpec.plan`'s refusal of a working tensor above the cap."""
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Resource plan and schedule of a windowed contraction.
@@ -203,7 +209,7 @@ class WindowSpec:
         peak = int(np.max(np.arange(1, n_steps + 2) - np.concatenate(([0], live[:-1]))))
         work = n_sites**peak
         if work > DEFAULT_WORK_CAP:
-            raise ValueError(
+            raise _AboveCap(
                 f"windowed contraction needs a working tensor of {n_sites}^{peak} "
                 f"= {work:.3g} elements, above the cap {DEFAULT_WORK_CAP:.3g}; reduce the window "
                 "width or use a Monte-Carlo engine: evolve_selective_coarse_mc, or "
@@ -232,48 +238,49 @@ def _contract_windowed(vec0, kernel, spec, log_row):
     its axis is left.  This is Makri & Makarov's augmented propagator
     (J. Chem. Phys. 102, 4600 (1995)).
 
-    Per slice j the rows it emits are added and exponentiated once, to a
-    real weight over the live axes and slice j.  When the slice also sums
-    axes older than x_{j-1}, weight and sum are one batched real product
-    on the (re, im) view of the state before slice j's axis exists, and
-    the kernel factor K[x_j, x_{j-1}] multiplies the result, n or more
-    times smaller than the weight.  A sum over x_{j-1} itself comes after
-    the kernel.  The tests' oracles keep the per-slice sweep (append
-    through the kernel, one exp and product per row, then the sums) as
-    the reference.
+    Per slice j the rows it emits are added, in place where the shapes
+    allow, and exponentiated once, to a real weight over the live axes and
+    slice j.  When the slice also sums axes older than x_{j-1}, weight and
+    sum are one batched real product on the (re, im) view of the state
+    before slice j's axis exists, and the kernel factor K[x_j, x_{j-1}]
+    multiplies the result, n or more times smaller than the weight.  A sum
+    over x_{j-1} itself comes after the kernel.  The per-slice sweep in
+    the tests' oracles is the reference.
 
-    A slice whose weight could pass `_SWEEP_BLOCK_ELEMENTS` (the state
-    times n elements) runs in blocks along the oldest axis it keeps: the
-    first batch axis of the weight-and-sum product, or without a product
-    the oldest live axis.  Each block is the slice on the state's part
-    along that axis, its rows built by a `place` that hands them only the
-    block's part of that slice's values, and its result goes into the new
-    state's part; blocks are independent, so the numbers are bit for bit
-    those of one block.  A slice that keeps no live axis (the last slice of
-    a time-reversed window) runs in blocks of one index of x_{j-1}, which
-    it sums after the kernel, and adds them in the order the one-block sum
-    does, again bit for bit.  A slice that fits is one block.
+    Every slice is one loop of blocks along the oldest axis it keeps, slice
+    `cut` (the product's first batch axis, or the oldest live axis); one
+    block if its weight fits `_SWEEP_BLOCK_ELEMENTS` (the state times n
+    elements).  A block is a function of its part of the state, its rows
+    of the kernel and its `part` of slice cut's values, which its own
+    `place` hands its rows, so blocks are independent and bit for bit one
+    block.  A slice that keeps no live axis (the last slice of a
+    time-reversed window) runs in blocks of one index of x_{j-1}, which it
+    sums after the kernel, added in the order of the one-block sum.
     """
     n = kernel.shape[0]
     kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
     state = np.array(vec0, dtype=complex, order="C")  # a new array: the (re, im) view is free
     lead = state.ndim - 1  # batch axes ahead of the live slice axes
     oldest = 0  # slice carried by axis `lead` of `state`
-    cut, part = -1, None  # the slice whose axis is blocked, and this block's part of it
 
-    def place(s, values):
-        if s == cut:
-            values = values[part]
-        shape = [1] * (lead + j + 1 - oldest)  # the live axes once slice j is in
-        shape[lead + s - oldest] = values.size
-        return values.reshape(shape)
+    def advance(state, kernel_t, part):
+        # slice j on one block; nothing it reads changes between blocks
+        def place(s, values):
+            if s == cut:
+                values = values[part]
+            shape = [1] * (lead + j + 1 - oldest)  # the live axes once slice j is in
+            shape[lead + s - oldest] = values.size
+            return values.reshape(shape)
 
-    def advance(state, kernel_t):
-        # slice j on `state`, or on one block of it with its rows of kernel_t
         weight = None
         for i in rows:
             term = log_row(i, place)
-            weight = term if weight is None else weight + term
+            if weight is None:
+                weight = term
+            elif weight.shape == np.broadcast_shapes(weight.shape, term.shape):
+                weight += term
+            else:
+                weight = weight + term
         if weight is not None:
             np.exp(weight, out=weight)
         if summed:
@@ -295,7 +302,7 @@ def _contract_windowed(vec0, kernel, spec, log_row):
                 state = state[..., None] * kernel_t
             if weight is not None:
                 state *= weight
-        if j and lo == j:
+        if sums_last:
             state = state.sum(axis=-2)
         return state
 
@@ -303,32 +310,25 @@ def _contract_windowed(vec0, kernel, spec, log_row):
         # axes older than x_{j-1} summed here; the plan sums them only where
         # the rows reaching back to them end, so only where there is a weight
         summed = max(0, min(lo, j - 1) - oldest)
-        # blocks along the oldest axis the slice keeps (the product's first
-        # batch axis, or the oldest axis), each index of it carrying at most
-        # state.size weight elements
-        axis, step = lead + summed, max(1, _SWEEP_BLOCK_ELEMENTS // state.size)
-        if rows and j and step < n:
-            cut, out = oldest + summed, None
-            # no kept axis: blocks of one index of x_{j-1}, which the slice
-            # sums, added in the order of the one-block sum
-            added = lo == j and cut == j - 1
-            step = 1 if added else step
-            for start in range(0, n, step):
-                part = slice(start, start + step)
-                piece = advance(state[(slice(None),) * axis + (part,)],
-                                kernel_t[part] if cut == j - 1 else kernel_t)
-                if added:
-                    out = piece if out is None else np.add(out, piece, out=out)
-                else:
-                    if out is None:  # the kept axis comes first after the batch axes
-                        out = np.empty(piece.shape[:lead] + (n,) + piece.shape[lead + 1:], complex)
-                    out[(slice(None),) * lead + (part,)] = piece
-            state, cut = out, -1
-        else:
-            state = advance(state, kernel_t)
-        oldest += summed
-        if j and lo == j:
-            oldest = j
+        # blocks along slice `cut`, each index of it carrying at most state.size
+        # weight elements; of one index where the slice sums x_{j-1}, its cut
+        cut, sums_last = oldest + summed, bool(j) and lo == j
+        step = max(1, _SWEEP_BLOCK_ELEMENTS // state.size)
+        step = n if step >= n or not (rows and j) else 1 if sums_last else step
+        out = None if sums_last or step == n else np.empty(
+            state.shape[:lead] + state.shape[lead + summed:] + (n,), complex)
+        for start in range(0, n, step):
+            part = slice(start, start + step)
+            piece = advance(state[(slice(None),) * (lead + summed) + (part,)],
+                            kernel_t[part] if cut == j - 1 else kernel_t, part)
+            if out is None:
+                out = piece
+            elif sums_last:  # in the order of the one-block sum
+                out += piece
+            else:  # the kept axis comes first after the batch axes
+                out[(slice(None),) * lead + (part,)] = piece
+        state = out
+        oldest = j if sums_last else oldest + summed
     return state
 
 
@@ -419,25 +419,19 @@ def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observe
     """Conditioned evolution at ideal time resolution.
 
     Applies exp(-kappa dt (A - a_i)^2) then the one-step unitary kernel,
-    for each of the N record values.  ``observer(i, psi)`` — if given —
-    sees the unnormalized working state after every step, at its true
-    scale, as a new array.  The sweep (`_StepPlan.apply`, with or without an
-    observer) rescales by powers of two and carries the exponent, so
-    `log_norm_sq` and `log_probability_density` stay finite on records whose
-    state leaves the double range.
+    for each of the N record values.  The sweep (`_StepPlan.apply`)
+    rescales by powers of two and carries the exponent, so `log_norm_sq`
+    and `log_probability_density` stay finite where the state leaves the
+    double range.  ``observer(i, psi, k)``, if given, sees the working
+    state after every step as 2^k psi, psi a copy of the sweep's block.
     """
     _check_kappa(kappa)
     readout = _check_readout(readout, tgrid.n_steps)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
     gains = _corridor_gains(obs.values, readout, kappa, tgrid.dt)
     bits = _corridor_bits(obs.values, readout, kappa, tgrid.dt)
-    watch = None
-    if observer is not None:
-        steps = iter(range(tgrid.n_steps))
-
-        def watch(block, k):
-            observer(next(steps), _ldexp(block, k) if k else block.copy())
-
+    steps = iter(range(tgrid.n_steps))
+    watch = None if observer is None else lambda block, k: observer(next(steps), block.copy(), k)
     psi, exponent = plan.apply(np.asarray(psi0, dtype=complex), gains, bits, watch)
     return _wrap_result(psi, exponent, kappa, sgrid, tgrid)
 

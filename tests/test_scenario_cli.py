@@ -24,7 +24,7 @@ from corridors.scenario import (
     load_config,
     run_scenario,
 )
-from corridors.selective import WindowSpec
+from corridors.selective import WindowSpec, _ldexp
 
 BASE = """
 [grid]
@@ -541,7 +541,7 @@ def test_cli_evolve_auto_picks_the_exact_windowed_engine(tmp_path, capsys, monke
         out = tmp_path / engine
         calls.clear()
         assert main(["evolve", str(SLOW_DETECTOR), "--engine", engine, "--outdir", str(out)]) == 0
-        assert len(calls) == 1  # auto planned twice: once to choose, once to contract
+        assert len(calls) == 1  # auto's choice is the contraction's own plan
         assert json.loads((out / "manifest.json").read_text())["options"]["engine"] == "coarse"
         tables[engine] = (out / "state_final.txt").read_bytes()
     assert tables["auto"] == tables["coarse"]
@@ -597,6 +597,21 @@ def test_cli_evolve_auto_samples_a_window_above_the_cap(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "invalid run" in err and "above the cap" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_cli_evolve_auto_reports_a_fault_of_the_exact_engine(tmp_path, capsys, monkeypatch):
+    # only the plan's cap refusal sends auto to the sampler: any other error
+    # of the exact engine is reported, not hidden behind a Monte-Carlo run
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(selective, "_contract_windowed", broken)
+    for engine in ("auto", "coarse"):
+        out = tmp_path / engine
+        assert main(["evolve", str(SLOW_DETECTOR), "--engine", engine, "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid run: operands could not be broadcast together" in err
+        assert not (out / "manifest.json").exists()
 
 
 def test_every_exact_engine_follows_the_one_work_cap(tmp_path, capsys, monkeypatch):
@@ -883,10 +898,10 @@ def test_evolve_keeps_the_log_of_a_long_record_read_from_a_file(tmp_path, capsys
     # the long ideal lattice's record drawn as N(0, 1/(4 kappa dt)), through
     # file: and the CLI, which always observes the ideal sweep: the state
     # leaves the double range, the sweep rescales, and the header states the
-    # finite log density of the segment-chained reference; the observer sees
-    # the unscaled per-step loop's states, bit for bit while that loop's
-    # products stay clear of the subnormals (largest entry above 1e-250), and
-    # the series columns, bit for bit at every step
+    # finite log density of the segment-chained reference; the observer's
+    # 2^k psi is the unscaled per-step loop's state, and the series row that
+    # loop's stats, bit for bit while that loop's products stay clear of the
+    # subnormals (largest entry above 1e-250)
     scene = write_scenario(tmp_path, LONG_IDEAL)
     cfg = load_config(scene)
     kappa, dt, n_steps = cfg.meas.kappa, cfg.tgrid.dt, cfg.tgrid.n_steps
@@ -909,13 +924,46 @@ def test_evolve_keeps_the_log_of_a_long_record_read_from_a_file(tmp_path, capsys
         states.append(psi)
     seen = []
     selective.evolve_selective_ideal(psi0, record, kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
-                                     observer=lambda i, state: seen.append(state))
+                                     observer=lambda i, state, k: seen.append(_ldexp(state, k)))
     clear = [np.abs(state).max() > 1e-250 for state in states]
     assert sum(clear) > n_steps // 2 and not clear[-1]
     assert all(np.array_equal(a, b) for a, b, c in zip(seen, states, clear) if c)
     series = np.loadtxt(out / "series.txt")
-    stats = np.array([_density_stats(state, cfg.sgrid) for state in states])
-    assert np.array_equal(series[:, 1:], stats)
+    stats = np.array([_density_stats(state.copy(), 0, cfg.sgrid) for state in states])
+    assert np.array_equal(series[clear, 1:], stats[clear])
+
+
+def test_evolve_series_holds_past_the_double_range(tmp_path):
+    # --readout sample on the long ideal lattice: |psi|^2 underflows on most
+    # steps, where the series wrote norm_sq, mean_q and var_q as 0 0 0.  Its
+    # rows now come from the sweep's rescaled state: the log of the norm is
+    # finite at every step and ends at the result's log_norm_sq, and the rows
+    # whose norm_sq is a normal double keep the moments of the true-scale
+    # state bit for bit
+    cfg = load_config(write_scenario(tmp_path, LONG_IDEAL))
+    out = tmp_path / "sampled"
+    with pytest.raises(CheckFailure, match="below the smallest float"):
+        run_scenario(cfg, task="evolve", outdir=out, readout="sample")
+    series = np.loadtxt(out / "series.txt")
+    assert series.shape == (cfg.tgrid.n_steps, 4)
+    assert np.all(np.isfinite(series)) and np.all(series[:, 1:] != 0.0)
+    record = np.loadtxt(out / "readout_used.txt")[:, 1]
+    states = []
+    res = selective.evolve_selective_ideal(
+        cfg.initial_packet(), record, cfg.meas.kappa, cfg.ham, cfg.obs, cfg.sgrid, cfg.tgrid,
+        observer=lambda i, psi, k: states.append(_ldexp(psi, k)))
+    assert res.norm_sq == 0.0 and series[-1, 1] == res.log_norm_sq
+    normal = 0
+    for row, state in zip(series, states):
+        prob = np.abs(state) ** 2
+        total = prob.sum() * cfg.sgrid.spacing
+        if total > 1e-300:
+            normal += 1
+            prob, q = prob / total, cfg.sgrid.coords
+            mean = prob @ q * cfg.sgrid.spacing
+            assert (row[2], row[3]) == (mean, prob @ (q - mean) ** 2 * cfg.sgrid.spacing)
+            assert abs(row[1] - math.log(total)) <= 1e-15 * abs(row[1])
+    assert 0 < normal < cfg.tgrid.n_steps // 2
 
 
 def test_evolve_states_the_log_density_and_passes_a_representable_one(tmp_path):

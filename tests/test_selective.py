@@ -1,7 +1,9 @@
 import math
 import re
+import sys
 import tracemalloc
-from types import SimpleNamespace
+from itertools import groupby
+from types import CellType, FunctionType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,7 +100,8 @@ def test_ideal_engine_norm_never_grows():
     g, tg, ham, obs, psi0, readout, kappa = _setup_a()
     seen = []
     evolve_selective_ideal(
-        psi0, readout, kappa, ham, obs, g, tg, observer=lambda i, psi: seen.append(norm_sq(psi, g))
+        psi0, readout, kappa, ham, obs, g, tg,
+        observer=lambda i, psi, k: seen.append(math.ldexp(norm_sq(psi, g), 2 * k))
     )
     assert len(seen) == tg.n_steps
     assert seen[0] <= 1.0 + 1e-12
@@ -361,6 +364,69 @@ def test_blocked_sweep_is_bit_identical_to_one_block(monkeypatch):
         assert np.array_equal(got, one_block)
 
 
+def record_sweep_blocks(run):
+    """Every block `_contract_windowed` evaluates while run() runs, in order:
+    (advance, the variables it reads from the sweep, the slice's whole
+    state and kernel, its own arguments (state, kernel_t, part), its result)."""
+    calls, open_calls = [], []
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_name != "advance" or frame.f_globals is not vars(selective):
+            return
+        if event == "call":
+            sweep = frame.f_back.f_locals
+            fn = sweep["advance"]
+            free = {name: frame.f_locals[name] for name in fn.__code__.co_freevars}
+            args = tuple(frame.f_locals[name] for name in ("state", "kernel_t", "part"))
+            open_calls.append((fn, free, (sweep["state"], sweep["kernel_t"]), args))
+        elif event == "return":
+            calls.append(open_calls.pop() + (arg,))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_blocks_of_a_slice_run_alone_in_any_order(monkeypatch):
+    # a block is a function of its part of the state, its rows of the kernel
+    # and its part of the blocked slice's values, and nothing it reads from
+    # the sweep changes between the blocks of a slice: rebuilt after the
+    # sweep on the first block's variables, every block of a kept-axis slice
+    # run alone, last block first, gives its bits of the sweep, and together
+    # the bits of the slice as one block.  A conditioned sweep (no batch
+    # axis) and a sampled unitarity record's (records and identity columns
+    # on two batch axes), in blocks of 1 and 2 indices
+    psi8, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(8)
+    lattice4 = slow_detector_inputs(4)[4:]
+    monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", 1 << 10)
+    calls = record_sweep_blocks(lambda: (
+        evolve_selective_coarse(psi8, record, ff, kappa, ham, obs, sgrid, tgrid),
+        check_generalized_unitarity(kappa, *lattice4, form_factor=ff, mode="mc", samples=2,
+                                    seed=1)))
+    steps, leads = set(), set()
+    for _, group in groupby(calls, key=lambda call: call[1]["j"]):
+        (fn, free, (state, kernel_t), _, _), *rest = group = list(group)
+        if len(group) == 1 or free["sums_last"]:
+            continue
+        assert all(call[1] == free for call in rest)
+        cells = tuple(CellType(free[name]) for name in fn.__code__.co_freevars)
+        block = FunctionType(fn.__code__, fn.__globals__, fn.__name__, None, cells)
+        whole = block(state, kernel_t, slice(0, kernel_t.shape[0]))
+        got = np.empty_like(whole)
+        for *_, args, piece in reversed(group):
+            alone = block(*args)
+            assert np.array_equal(alone, piece)
+            got[(slice(None),) * free["lead"] + (args[2],)] = alone
+        assert np.array_equal(got, whole)
+        first = group[0][3][2]  # the first block's part of slice cut
+        steps.add(first.stop - first.start)
+        leads.add(free["lead"])
+    assert steps == {1, 2} and leads == {0, 2}
+
+
 def test_window_spec_fits_is_the_plan_cap(monkeypatch):
     window = FormFactor.gaussian(0.08).window_matrix(20, 0.2)
     work = WindowSpec.plan(window, n_sites=4).work_elements
@@ -507,7 +573,7 @@ def test_log_density_of_a_born_scale_record_past_the_double_range():
     assert res.log_probability_density == res.log_norm_sq + tgrid.n_steps * log_c
     steps = []
     watched = evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid,
-                                     observer=lambda i, psi: steps.append(i))
+                                     observer=lambda i, psi, k: steps.append(i))
     assert steps == list(range(tgrid.n_steps))
     assert watched.log_norm_sq == res.log_norm_sq
     assert watched.log_probability_density == res.log_probability_density

@@ -307,20 +307,20 @@ class _StepPlan(_SplitStep):
     -dt has exactly the conjugate phases, so it is M^dagger.
 
     `sweep` is the one stepping kernel of the averaged engines: N identical
-    steps X -> g . (W X W^dagger), W = M or, ``twice``, W = M M.  On the FFT
-    it runs in the shifted frame s = V2 . x: between two transform pairs
-    the closing V2 of one conjugation, the gain and the opening V2 of the
-    next fold into one product V2 . g . V2, formed once per call if a step
-    uses it (no gain, or inside W = M M: V2 . V2 by its column and row
-    factors), and V2 then g close the last pair.  A pair is fft2, times K2,
-    ifft2, in the array's own memory (``overwrite_x``), and the products
-    are in place, so no step allocates.  Dense, a step is W x, then
-    (W x) W^dagger, then the gain, into two buffers per call, with the
-    cached M M (`squared`) as W when ``twice``.
+    steps X -> g . (W X W^dagger), W = M or, ``twice``, W = M M (the engines
+    sweep with no gain for one step only).  On the FFT it runs in the frame
+    s = V2 . x: between two transform pairs the closing V2 of one
+    conjugation, the gain and the opening V2 of the next fold into one
+    product V2 . g . V2, formed once per call if a step uses it (inside
+    W = M M: V2 . V2 by its column and row factors), and V2 then g close the
+    last pair.  A pair is fft2, times K2, ifft2, in the array's own memory
+    (``overwrite_x``), and the products are in place, so no step allocates.
+    Dense, a step is W x, then (W x) W^dagger, then the gain, into two
+    buffers per call, with the cached M M (`squared`) as W when ``twice``.
 
     N dense steps are one power when n <= ``_POWER_MAX_POINTS``, N >= n^3
-    and the gain is real and symmetric or None (`_takes_power`): the ideal
-    sweeps at fine dt.  On the Hermitian coordinates h = vec(Re X + Im X),
+    and the gain is real and symmetric (`_takes_power`): the ideal sweeps
+    at fine dt.  On the Hermitian coordinates h = vec(Re X + Im X),
     one-to-one between Hermitian and real n x n matrices, the step
     X -> g . (W X W^dagger) is the real n^2 x n^2 matrix
     Q = g[:, None] . (Re K + (Im K) Pi), with K = W (x) conj(W) on the
@@ -474,13 +474,10 @@ class _StepPlan(_SplitStep):
             s = self._transform_pair(s, scipy.fft)
             if i + 1 == n_steps:
                 break
-            if gain is None:
-                s *= v_sq
-                s *= v_h_sq
-                continue
             if folded is None:
                 folded = v_sq * v_h_sq
-                folded *= gain
+                if gain is not None:
+                    folded *= gain
             s *= folded
         s *= v
         s *= v_h
@@ -497,11 +494,11 @@ class _StepPlan(_SplitStep):
     def _takes_power(self, n_steps, g):
         """Whether n_steps identical dense steps, each followed by the gain g, are
         taken as one power: on lattices up to ``_POWER_MAX_POINTS``, for at least
-        n^3 steps, and for a real symmetric (n, n) gain or none, so that the step
-        maps Hermitian matrices to Hermitian matrices."""
+        n^3 steps, and for a real symmetric (n, n) gain, so that the step maps
+        Hermitian matrices to Hermitian matrices; a gainless sweep steps."""
         n = self.n
-        return n <= _POWER_MAX_POINTS and n_steps >= n**3 and (
-            g is None or (np.isrealobj(g) and np.shape(g) == (n, n) and np.array_equal(g, g.T)))
+        return n <= _POWER_MAX_POINTS and n_steps >= n**3 and np.isrealobj(g) \
+            and np.shape(g) == (n, n) and np.array_equal(g, g.T)
 
     def _power(self, m, g, k, x):
         """(X -> g . (m X m^dagger))^k applied to x, as a new array: the k-th
@@ -518,8 +515,7 @@ class _StepPlan(_SplitStep):
         q3 = q.reshape(nn, n, n)
         q3 += im_k.reshape(nn, n, n).transpose(0, 2, 1)  # + Im K . Pi, Pi the transpose
         del im_k  # before the squaring buffer: three n^4 arrays at most
-        if g is not None:
-            q *= g.reshape(nn, 1)
+        q *= g.reshape(nn, 1)
         parts = np.stack([x + x.conj().T, (x - x.conj().T) * -1j]) * 0.5
         h = (parts.real + parts.imag).reshape(2, nn).T
         buf = np.empty_like(q)

@@ -72,7 +72,8 @@ class SpectralDensity:
     @classmethod
     def gaussian_band(cls, nu_peak, sigma_omega, range_l, center=0.0):
         if not (nu_peak > 0 and sigma_omega > 0 and range_l > 0 and center >= 0):
-            raise ValueError("band parameters must be positive (center may be zero)")
+            raise ValueError("nu_peak, sigma_omega and range_l must be positive and center >= 0, "
+                             f"got {nu_peak!r}, {sigma_omega!r}, {range_l!r}, {center!r}")
 
         def nu(omega):
             return nu_peak * np.exp(-((omega - center) ** 2) / (2.0 * sigma_omega**2))

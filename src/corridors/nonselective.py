@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import _StepPlan, pure_density
-from .readout import FormFactor, _check_kappa, readout_measure_factor
+from .readout import FormFactor, _check_kappa
 from .selective import (
     _FIELD_BATCH_ELEMENTS,
     _LN2,
@@ -81,6 +81,7 @@ from .selective import (
     _corridor_rows,
     _field_sweep,
     _ldexp,
+    _log_measure_factor,
     _Moments,
 )
 
@@ -135,7 +136,6 @@ class AverageResult:
     """A readout-averaged density matrix, with errors when sampled."""
 
     rho: np.ndarray
-    mode: str
     stderr: np.ndarray | None = None
     n_samples: int | None = None
 
@@ -146,7 +146,6 @@ class UnitarityReport:
 
     matrix: np.ndarray
     deviation: float
-    mode: str
     stderr: float | None = None
     n_samples: int | None = None
 
@@ -297,14 +296,14 @@ def superpropagate(
             for i in range(tgrid.n_steps):
                 rho = plan.sweep(rho * decay, None, 1)
                 observer(i, rho)
-        return AverageResult(rho=rho, mode=mode)
+        return AverageResult(rho=rho)
 
     if kind == "coarse":
         rows = _coarse_rows(ff.window_matrix(tgrid.n_steps, tgrid.dt), obs, kappa, tgrid.dt)
     else:
         rows = _medium_rows(kernel_spec, obs, tgrid)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
-    return AverageResult(rho=_doubled_contraction(rho0, kernel, *rows), mode=mode)
+    return AverageResult(rho=_doubled_contraction(rho0, kernel, *rows))
 
 
 def _doubled_contraction(rho0, kernel, pattern, log_row):
@@ -315,8 +314,8 @@ def _doubled_contraction(rho0, kernel, pattern, log_row):
     """
     n = kernel.shape[0]
     spec = WindowSpec.plan(pattern, n * n)
-    vec = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), spec, log_row)
-    return vec.reshape(n, n)
+    vec, k = _contract_windowed(rho0.ravel(), np.kron(kernel, kernel.conj()), spec, log_row)
+    return _ldexp(vec, k).reshape(n, n)
 
 
 def _coarse_rows(window, obs, kappa, dt):
@@ -462,7 +461,7 @@ def _field_average(rho0, time_factor, space_factor, ham, sgrid, tgrid, samples, 
         a = block[:, :, :r].transpose(1, 0, 2)
         b = a if hermitian else block[:, :, r:].transpose(1, 0, 2)
         moments.add(a @ b.conj().transpose(0, 2, 1), axis=0, exponent=2 * exponent)
-    return AverageResult(rho=_ldexp(moments.mean(), moments.exponent), mode="mc",
+    return AverageResult(rho=_ldexp(moments.mean(), moments.exponent),
                          stderr=_ldexp(moments.stderr(), moments.exponent),
                          n_samples=int(samples))
 
@@ -519,7 +518,7 @@ def check_generalized_unitarity(
                                           _StepPlan(ham, sgrid, dt).matrix_h,  # M^dagger
                                           *_coarse_rows(window, obs, kappa, dt))
         deviation = float(np.max(np.abs(matrix - np.eye(n))))
-        return UnitarityReport(matrix=matrix, deviation=deviation, mode=mode)
+        return UnitarityReport(matrix=matrix, deviation=deviation)
     if mode != "mc":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if kappa <= 0:
@@ -541,7 +540,7 @@ def check_generalized_unitarity(
         cols, limit = min(n, spec.cap // work), min(_SWEEP_BLOCK_ELEMENTS, spec.cap)
     batch = max(1, limit // (cols * work))
 
-    log_c = math.log(readout_measure_factor(kappa, dt))
+    log_c = _log_measure_factor(kappa, dt)
 
     def records():
         for done in range(0, samples, batch):
@@ -550,16 +549,17 @@ def check_generalized_unitarity(
     def weighted_pairs(drawn):
         a, log_q = drawn
         starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
-        k = 0  # u is 2^-k times the batch's U[a]
-        if window is None:
+        if window is None:  # u is 2^-k times the batch's U[a]
             u, k = plan.apply(starts.transpose(1, 0, 2), _corridor_gains(vals, a, kappa, dt),
                               _corridor_bits(vals, a, kappa, dt))
             u = u.transpose(1, 0, 2)
         else:
             # the records and the identity columns ride as two leading batch axes
             rows = _corridor_rows(window, vals, a, kappa, dt)
-            u = np.concatenate([_contract_windowed(starts[:, c:c + cols], plan.matrix, spec, rows)
-                                for c in range(0, n, cols)], axis=1).transpose(0, 2, 1)
+            chunks = [_contract_windowed(starts[:, c:c + cols], plan.matrix, spec, rows)
+                      for c in range(0, n, cols)]
+            k = max(e for _, e in chunks)  # the column chunks on their largest exponent
+            u = np.concatenate([_ldexp(v, e - k) for v, e in chunks], axis=1).transpose(0, 2, 1)
         pairs = u.conj().transpose(0, 2, 1) @ u
         # libm's exp per record (numpy's vectorized exp can differ in the last bit),
         # so a record weighs what it weighs alone; 4^k puts the exponent back
@@ -574,7 +574,6 @@ def check_generalized_unitarity(
     return UnitarityReport(
         matrix=mean,
         deviation=deviation,
-        mode=mode,
         stderr=float(moments.stderr().max()),
         n_samples=int(samples),
     )

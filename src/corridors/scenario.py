@@ -418,10 +418,9 @@ def _task_evolve(cfg, readout="const:0.0", engine="auto", samples=1000):
     if density == 0.0 and math.isfinite(log_density):
         # c^N rounds a long record's density to 0.0 while its log is finite
         note = f"underflow: below the smallest float, its log is {log_density:.17g}"
-    elif result.norm_sq == 0.0 and engine == "coarse":
-        # the exact windowed engine weighs paths by positive Gaussians: from a
-        # normalized start a finite record leaves a zero norm only by underflow,
-        # and unlike the ideal sweep it does not rescale, so its log is lost
+    elif result.norm_sq == 0.0:
+        # every engine rescales: from a normalized start a finite record leaves
+        # a zero norm only by a weight that underflows within one step
         note = "underflow: the conditioned state's norm_sq rounds to 0.0, so its log is -inf"
     checks = [
         _check("state_finite", finite, None, finite),

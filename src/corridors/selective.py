@@ -34,10 +34,10 @@ One field sweep, `_field_sweep`, runs both this sampler and the
 random-phase samplers of `nonselective`, and that module's Monte-Carlo
 unitarity check conditions its records through the exact cores here, in
 batches side by side: the ideal sweep or the contraction, on one plan
-per call.  Long records leave the double range: every column sweep
+per call.  Long records leave the double range: every conditioned sweep
 rescales by powers of two and hands back the exponent, which the ideal
-engine carries into `SelectiveResult.log_norm_sq` and the field sampler,
-after shifting any slice whose real weight passes
+and windowed engines carry into `SelectiveResult.log_norm_sq` and the
+field sampler, after shifting any slice whose real weight passes
 2^+-_WEIGHT_SHIFT_BITS, into each batch and the moments' common
 exponent; the linear fields of a result are then rounded from the logs
 and saturate instead of raising.  The sampler batches run on worker
@@ -70,7 +70,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .grids import _rescale, _StepPlan, norm_sq
+from .grids import _CHECK_BITS, _RANGE_BITS, _rescale, _StepPlan, norm_sq
 # unused here, kept as a module name: the benchmark's tracer self-test
 # checks that selective.unitary_step is rebound and restored
 from .grids import unitary_step  # noqa: F401
@@ -117,21 +117,17 @@ class SelectiveResult:
     measure factor c^N, one c = sqrt(2 kappa dt / pi) per step) is the
     record's probability density.  The logs are carried separately:
     log_norm_sq comes from the sweep's rescaled state and its exponent, and
-    log_probability_density = log_norm_sq + N log c.  Both stay finite
-    where a long record's state leaves the double range, for the ideal and
-    Monte-Carlo engines; the exact windowed engine does not rescale, and its
-    log_norm_sq is the log of its norm_sq (-inf for a zero norm).  The
-    linear fields final_state, norm_sq, measure_factor and
-    probability_density are the logs' values rounded into doubles, so they
-    may still underflow to 0.0 or overflow to inf.  The Monte-Carlo engine
-    also fills the stderr fields (per-component for the state, scalar for
-    the density).
+    log_probability_density = log_norm_sq + N log c.  Every engine rescales,
+    so both stay finite where a long record's state leaves the double range.
+    The linear fields final_state, norm_sq and probability_density are the
+    logs' values rounded into doubles, so they may still underflow to 0.0
+    or overflow to inf.  The Monte-Carlo engine also fills the stderr
+    fields (per-component for the state, scalar for the density).
     """
 
     final_state: np.ndarray
     norm_sq: float
     log_norm_sq: float
-    measure_factor: float
     probability_density: float
     log_probability_density: float
     state_stderr: np.ndarray | None = None
@@ -231,12 +227,17 @@ def _contract_windowed(vec0, kernel, spec, log_row):
               slice j on that slice's live axis; it broadcasts over the
               live axes and may vary along the batch axes
 
-    Returns the final vector over slice-N sites (after the batch axes).
-    Live slice axes are kept in chronological order; after slice j is
-    added and the rows spec.emit[j] applied, the axes older than
-    spec.live[j] are summed out; live[N] == N, so after the last slice only
-    its axis is left.  This is Makri & Makarov's augmented propagator
-    (J. Chem. Phys. 102, 4600 (1995)).
+    Returns (state, k), state 2^k the final vector over slice-N sites
+    (after the batch axes).  Live slice axes are kept in chronological
+    order; after slice j is added and the rows spec.emit[j] applied, the
+    axes older than spec.live[j] are summed out; live[N] == N, so after the
+    last slice only its axis is left.  This is Makri & Makarov's augmented
+    propagator (J. Chem. Phys. 102, 4600 (1995)).  As `_StepPlan.apply`
+    does, a state whose largest part leaves 2^+-(_RANGE_BITS - _CHECK_BITS)
+    after a slice is scaled into [1/2, 1) by a power of two, so the next
+    slice has 540 bits of headroom and a run inside that window is bit for
+    bit an unscaled one; a single slice that moves the state past its
+    headroom can still underflow.
 
     Per slice j the rows it emits are added, in place where the shapes
     allow, and exponentiated once, to a real weight over the live axes and
@@ -262,6 +263,7 @@ def _contract_windowed(vec0, kernel, spec, log_row):
     state = np.array(vec0, dtype=complex, order="C")  # a new array: the (re, im) view is free
     lead = state.ndim - 1  # batch axes ahead of the live slice axes
     oldest = 0  # slice carried by axis `lead` of `state`
+    k, limit = 0, _RANGE_BITS - _CHECK_BITS  # state 2^k is the sum so far
 
     def advance(state, kernel_t, part):
         # slice j on one block; nothing it reads changes between blocks
@@ -328,8 +330,9 @@ def _contract_windowed(vec0, kernel, spec, log_row):
             else:  # the kept axis comes first after the batch axes
                 out[(slice(None),) * lead + (part,)] = piece
         state = out
+        k += _rescale(state, limit)
         oldest = j if sums_last else oldest + summed
-    return state
+    return state, k
 
 
 def _corridor_rows(window, site_values, readout, kappa, dt):
@@ -452,9 +455,9 @@ def evolve_selective_coarse(psi0, readout, form_factor, kappa, ham, obs, sgrid, 
     window = form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
     spec = WindowSpec.plan(window, sgrid.n_points)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
-    psi = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, spec,
-                             _corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
-    return _wrap_result(psi, 0, kappa, sgrid, tgrid)
+    psi, k = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, spec,
+                                _corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
+    return _wrap_result(psi, k, kappa, sgrid, tgrid)
 
 
 def evolve_selective_coarse_mc(
@@ -677,7 +680,6 @@ def _wrap_result(psi, exponent, kappa, sgrid, tgrid):
         final_state=_ldexp(psi, exponent),
         norm_sq=float(_ldexp(np.float64(n2), 2 * exponent)),
         log_norm_sq=log_n2,
-        measure_factor=_exp(log_measure),
         probability_density=_exp(log_n2 + log_measure),
         log_probability_density=log_n2 + log_measure,
     )

@@ -620,8 +620,9 @@ def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, sam
                                  ham, sgrid, dt)
             return u
         rows = _corridor_rows(window, vals, a, kappa, dt)
-        return np.concatenate([_contract_windowed(eye[c:c + batch], plan.matrix, spec, rows)
-                               for c in range(0, n, batch)]).T
+        chunks = [_contract_windowed(eye[c:c + batch], plan.matrix, spec, rows)
+                  for c in range(0, n, batch)]
+        return np.concatenate([part * math.ldexp(1.0, k) for part, k in chunks]).T
 
     log_c = math.log(readout_measure_factor(kappa, dt))
     total = np.zeros((n, n), dtype=complex)

@@ -417,7 +417,7 @@ def test_mc_averages_are_valid_states_for_every_kind(kind_index):
     g, tg, ham, obs, rho0, ff = _medium_setup()
     spec = _all_kind_specs(ff)[kind_index]
     res = superpropagate(rho0, spec, ham, obs, g, tg, mode="mc", samples=50, seed=2)
-    assert res.mode == "mc" and res.n_samples == 50
+    assert res.n_samples == 50 and res.stderr is not None
     assert abs(density_trace(res.rho, g) - 1.0) < 1e-12
     rep = check_density_matrix(res.rho, g)
     assert max(rep["herm_error"], rep["trace_error"], -rep["min_eigenvalue"]) <= 1e-8, rep
@@ -533,7 +533,7 @@ def test_superpropagate_medium_cap(monkeypatch):
 def test_unitarity_ideal_is_machine_exact():
     g, tg, ham, obs, _, kappa, _ = _coarse_setup()
     rep = check_generalized_unitarity(kappa, ham, obs, g, tg)
-    assert rep.mode == "exact" and rep.stderr is None
+    assert rep.stderr is None and rep.n_samples is None
     assert rep.deviation < 1e-12
     assert rep.passed(1e-12)
 

@@ -4,6 +4,7 @@ says (a negative strength made a "state" with eigenvalue -112.5 and a
 probability of 0.0 beside a norm of 210)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ import pytest
 from corridors.grids import (
     HamiltonianSpec,
     ObservableSpec,
+    SpatialGrid,
+    TimeGrid,
     build_grids,
     gaussian_packet,
     pure_density,
 )
-from corridors.medium import PathPair, firstorder_log_weights
+from corridors.medium import PathPair, SpectralDensity, firstorder_log_weights
 from corridors.nonselective import check_generalized_unitarity, lindblad_evolve
 from corridors.readout import FormFactor
 from corridors.selective import (
@@ -108,6 +111,45 @@ REFUSALS = {
     **{f"medium pair weight at ell {ell}": (
         lambda ell=ell: firstorder_log_weights(PAIR, WINDOWED, 0.9, ell, 0.1),
         "positive interaction range ell") for ell in (0.0, -2.0, math.nan)},
+    # the lattices, the dynamics and the observable
+    "grid extent": (lambda: SpatialGrid(-8.0, 16), "extent must be finite and positive, got -8.0"),
+    "time grid without steps": (lambda: TimeGrid(0.5, 0), "n_steps must be an integer >= 1, got 0"),
+    "potential of one site": (
+        lambda: HamiltonianSpec(1.0, np.zeros(1)), "potential must be a 1-D array"),
+    "hbar zero": (
+        lambda: HamiltonianSpec(1.0, np.zeros(16), hbar=0.0),
+        "hbar must be finite and positive, got 0.0"),
+    "potential table of three columns": (
+        lambda: HamiltonianSpec.from_table(SGRID, ["0 1 2", "1 2 3"]),
+        re.escape("['0 1 2', '1 2 3']: expected two columns (q, V)")),
+    "observable of one site": (
+        lambda: ObservableSpec(np.zeros(1)), "observable values must be a 1-D array"),
+    # a packet far narrower than a cell, centred between two cells
+    "packet that misses every cell": (
+        lambda: gaussian_packet(SGRID, 0.25, 1e-10), "cannot normalize a zero state"),
+    # the resolution profile
+    "form factor kind": (lambda: FormFactor("box"), "unknown form factor kind 'box'"),
+    "gaussian tau zero": (
+        lambda: FormFactor.gaussian(0.0), "gaussian form factor needs tau > 0, got 0.0"),
+    "tabulated lags and values of different lengths": (
+        lambda: FormFactor.from_arrays([0.0, 1.0, 2.0], [1.0, 1.0]),
+        "need matching 1-D lag and value arrays"),
+    "tabulated value nan": (
+        lambda: FormFactor.from_arrays([0.0, 1.0], [1.0, math.nan]),
+        "tabulated form factor contains non-finite entries"),
+    "profile table of three columns": (
+        lambda: FormFactor.from_table(["0 1 2", "1 2 3"]),
+        re.escape("['0 1 2', '1 2 3']: expected two columns (lag, value)")),
+    "density of the delta profile": (
+        lambda: FormFactor.delta().density(0.0), "delta form factor has no pointwise density"),
+    # a profile that is zero at every lag the lattice samples (0 and 10)
+    "window of a profile narrower than the step": (
+        lambda: FormFactor.from_arrays([1.0, 2.0], [1.0, 1.0]).window_matrix(3, 10.0),
+        "window_matrix: a window row has zero weight"),
+    "medium band width zero": (
+        lambda: SpectralDensity.gaussian_band(1.0, 0.0, 1.0),
+        re.escape("nu_peak, sigma_omega and range_l must be positive and center >= 0, "
+                  "got 1.0, 0.0, 1.0, 0.0")),
 }
 
 

@@ -478,9 +478,9 @@ def test_convergence_check_fails_unless_decreasing_to_the_floor(tmp_path, monkey
 
     def synthetic(rho0, spec, *args, **kwargs):
         if spec.kind == "ideal":
-            return AverageResult(rho=rho0, mode="exact")
+            return AverageResult(rho=rho0)
         level = round(math.log2(0.04 / spec.form_factor.tau))
-        return AverageResult(rho=rho0 + distances[level], mode="exact")
+        return AverageResult(rho=rho0 + distances[level])
 
     monkeypatch.setattr(scenario, "superpropagate", synthetic)
     with pytest.raises(CheckFailure, match="distances_strictly_decreasing"):
@@ -876,14 +876,14 @@ def test_evolve_fails_the_density_check_when_c_to_the_n_underflows(tmp_path):
                                                 ("coarse", "kind = gaussian\ntau = 0.00005")])
 def test_evolve_fails_the_density_check_when_the_norm_underflows(tmp_path, engine, resolution):
     # a record drawn around the packet's mean (--readout sample): norm_sq
-    # itself rounds to 0.0.  The ideal sweep rescales and carries the
-    # exponent, so its log is finite; the exact windowed engine does not, so
-    # its log is -inf as for a true zero, which it cannot give from a
-    # normalized start
+    # itself rounds to 0.0.  The ideal sweep and the exact windowed
+    # contraction both rescale and carry the exponent, so for either engine
+    # the log is finite and the note says the density is below the smallest
+    # float
     cfg = load_config(write_scenario(tmp_path, LONG_IDEAL.replace("kind = delta", resolution)))
     out = tmp_path / "sampled"
-    note = "below the smallest float" if engine == "ideal" else "norm_sq"
-    with pytest.raises(CheckFailure, match=f"readout_probability_density = 0 .*{note}"):
+    with pytest.raises(CheckFailure,
+                       match="readout_probability_density = 0 .*below the smallest float"):
         run_scenario(cfg, task="evolve", outdir=out, readout="sample")
     checks = json.loads((out / "manifest.json").read_text())["checks"]
     density = next(c for c in checks if c["name"] == "readout_probability_density")
@@ -891,7 +891,21 @@ def test_evolve_fails_the_density_check_when_the_norm_underflows(tmp_path, engin
     header = (out / "state_final.txt").read_text()
     assert header.startswith(f"# conditioned final state, engine {engine}\n# norm_sq = 0\n")
     log_density = float(header.split("# log_readout_probability_density = ")[1].split()[0])
-    assert math.isfinite(log_density) if engine == "ideal" else log_density == -math.inf
+    assert math.isfinite(log_density)
+
+
+def test_evolve_fails_the_density_check_of_a_record_far_from_the_lattice(tmp_path, capsys):
+    # a record value of 1000 underflows every corridor gain of the free demo
+    # scenario to 0.0 within one step: the state is zero, its log -inf, and
+    # the density check must fail with the underflow note, not pass a 0
+    out = tmp_path / "far"
+    assert main(["evolve", str(SLOW_DETECTOR.with_name("free_monitored.ini")),
+                 "--readout", "const:1000", "--outdir", str(out)]) == 2
+    assert "readout_probability_density = 0 (underflow: the conditioned state's norm_sq " \
+        "rounds to 0.0" in capsys.readouterr().err
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    density = next(c for c in checks if c["name"] == "readout_probability_density")
+    assert density["value"] == 0.0 and not density["passed"]
 
 
 def test_evolve_keeps_the_log_of_a_long_record_read_from_a_file(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_ideal_engine_matches_path_enumeration():
     # frozen reference, guards engine and oracle against drifting together
     assert_allclose(res.norm_sq, 0.47001227286383446, rtol=1e-12)
     c = readout_measure_factor(kappa, tg.dt)
-    assert_allclose(res.measure_factor, c**5, rtol=1e-15)
+    assert_allclose(res.log_probability_density - res.log_norm_sq, 5 * math.log(c), rtol=1e-15)
     assert_allclose(res.probability_density, res.norm_sq * c**5, rtol=1e-15)
 
 
@@ -155,10 +155,11 @@ def test_contraction_handles_shifted_bands():
     g, tg, ham, obs, psi0, readout, kappa = _setup_b()
     window = FormFactor.gaussian(0.4 * tg.dt).window_matrix(tg.n_steps, tg.dt)[::-1, ::-1].copy()
     kernel = short_time_kernel_matrix(ham, g, tg.dt)
-    got = _contract_windowed(
+    got, k = _contract_windowed(
         psi0.astype(complex), kernel, WindowSpec.plan(window, g.n_points),
         _corridor_rows(window, obs.values, readout, kappa, tg.dt),
     )
+    assert k == 0
     ref = oracles.brute_conditioned_state(
         psi0, kernel, obs.values, readout, kappa, tg.dt, window
     )
@@ -275,7 +276,8 @@ def check_fused_sweep():
 
         kernel = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
         vec0 = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
-        got = _contract_windowed(vec0, kernel, spec, log_row)
+        got, k = _contract_windowed(vec0, kernel, spec, log_row)
+        assert k == 0  # in range: the sweep never rescales
         expect = oracles.contract_windowed_per_slice(vec0, kernel, spec, log_row)
         assert got.shape == expect.shape == batch + (n,)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -540,7 +542,8 @@ def test_log_density_survives_the_underflow_of_c_to_the_n():
     psi0 = gaussian_packet(sgrid, 0.0, 1.2, 0.4)
     record = np.random.default_rng(1).uniform(-1.0, 1.0, tgrid.n_steps)
     res = evolve_selective_ideal(psi0, record, 1.0, ham, obs, sgrid, tgrid)
-    assert res.probability_density == 0.0 and res.measure_factor == 0.0 and res.norm_sq > 0.1
+    assert res.probability_density == 0.0 and res.norm_sq > 0.1
+    assert readout_measure_factor(1.0, tgrid.dt) ** tgrid.n_steps == 0.0
     ref = oracles.log_density_in_segments(psi0, record, 1.0, ham, obs, sgrid, tgrid.dt)
     assert abs(res.log_probability_density - ref) <= 1e-9 * abs(ref)
 
@@ -579,10 +582,33 @@ def test_log_density_of_a_born_scale_record_past_the_double_range():
     assert watched.log_probability_density == res.log_probability_density
 
 
+def test_windowed_log_norm_survives_a_long_record():
+    # the slow detector's lattice (n = 4, tau = 0.4 dt) at N = 2400, a record
+    # drawn as 0.3 + N(0, 1/(4 kappa dt)): the state leaves the double range,
+    # so norm_sq reads 0.0, and the contraction's exponent keeps its log.  The
+    # per-slice reference stays in range from a start scaled by 2^s
+    kappa, n_steps, dt, s = 1.0 / (0.6 * 1.3**2), 2400, 0.1, 1000
+    sgrid, tgrid = build_grids(6.0, 4, dt * n_steps, n_steps)
+    ham, obs = HamiltonianSpec.harmonic(sgrid, 0.9), ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.3, 1.0, 0.0)
+    ff = FormFactor.gaussian(0.04)
+    record = 0.3 + np.random.default_rng(5).standard_normal(n_steps) / math.sqrt(4.0 * kappa * dt)
+    res = evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+    assert res.norm_sq == 0.0 and math.isfinite(res.log_norm_sq)
+    window = ff.window_matrix(n_steps, dt)
+    ref = oracles.contract_windowed_per_slice(
+        psi0 * math.ldexp(1.0, s), short_time_kernel_matrix(ham, sgrid, dt),
+        WindowSpec.plan(window, sgrid.n_points),
+        _corridor_rows(window, obs.values, record, kappa, dt))
+    log_ref = math.log(norm_sq(ref, sgrid)) - 2 * s * math.log(2.0)
+    assert abs(res.log_norm_sq - log_ref) <= 1e-12 * abs(log_ref)
+
+
 def test_measure_factor_saturates_where_c_exceeds_one():
     # kappa dt = 2 > pi/2 puts c above 1, and c^N at N = 8192 above the
-    # largest float: it raised OverflowError; the linear fields now saturate
-    # and the log density matches the segment-chained reference
+    # largest float: it raised OverflowError; the call now returns, the
+    # linear density saturates, and the finite logs match the segment-chained
+    # reference
     kappa = 20.0
     sgrid, tgrid = build_grids(8.0, 16, 819.2, 8192)
     ham, obs = HamiltonianSpec.harmonic(sgrid, 0.9), ObservableSpec.position(sgrid)
@@ -591,7 +617,9 @@ def test_measure_factor_saturates_where_c_exceeds_one():
         4.0 * kappa * tgrid.dt)
     assert readout_measure_factor(kappa, tgrid.dt) > 1.0
     res = evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid)
-    assert res.measure_factor == math.inf and res.norm_sq == 0.0
+    log_measure = res.log_probability_density - res.log_norm_sq
+    assert math.isfinite(res.log_norm_sq) and log_measure > math.log(sys.float_info.max)
+    assert res.norm_sq == 0.0
     ref = oracles.log_density_in_segments(psi0, record, kappa, ham, obs, sgrid, tgrid.dt)
     assert abs(res.log_probability_density - ref) <= 1e-12 * abs(ref)
     assert res.probability_density == 0.0 and ref < -745.0  # below the smallest float

@@ -269,8 +269,9 @@ def test_windowed_contraction_is_bit_identical_to_a_column_built_kernel():
     ff = FormFactor.gaussian(0.2 * dt)
     kernel = np.stack([unitary_step(e, ham, sgrid, dt) for e in np.eye(n, dtype=complex)], axis=1)
     window = ff.window_matrix(tgrid.n_steps, dt)
-    expect = _contract_windowed(psi0, kernel, WindowSpec.plan(window, n),
-                                _corridor_rows(window, obs.values, record, kappa, dt))
+    expect, k = _contract_windowed(psi0, kernel, WindowSpec.plan(window, n),
+                                   _corridor_rows(window, obs.values, record, kappa, dt))
+    assert k == 0
     got = evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid).final_state
     assert np.array_equal(got, expect)
 

@@ -26,9 +26,10 @@ into one precomputed product and transforms in place, so a step allocates
 no array; on a small dense lattice a long sweep is one power of the step's
 real superoperator instead.  Every vector or column block, conditioned or
 field-sampled, steps through the plan's one column sweep, `apply`, with a
-diagonal gain between steps: it steps between two buffers allocated once per
-call and keeps the block inside the double range by exact power-of-two
-rescalings, returning the base-2 exponent it took out for the caller to carry.
+diagonal gain between steps that it forms from the caller's log gains: it
+steps between two buffers allocated once per call, keeps gains and block
+inside the double range by exact power-of-two shifts and rescalings, and
+returns the base-2 exponent it took out for the caller to carry.
 """
 
 from __future__ import annotations
@@ -67,9 +68,12 @@ _DENSE_STEP_MAX_POINTS = 128
 _POWER_MAX_POINTS = 32
 # Rescaling of a column sweep (`_StepPlan.apply`): a check every _CHECK_BITS
 # of worst-case movement of the block's largest entry keeps it within
-# 2^+-_RANGE_BITS, clear of the subnormals below 2^-1022 and of overflow
+# 2^+-_RANGE_BITS, clear of the subnormals below 2^-1022 and of overflow; a
+# slice of gains past 2^+-_SHIFT_BITS (log +-177) is shifted by whole bits
 _CHECK_BITS = 480
 _RANGE_BITS = 960
+_SHIFT_BITS = 256
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -344,15 +348,16 @@ class _StepPlan(_SplitStep):
     `apply` is the one stepping kernel of vectors and column blocks, the
     gains unfolded: a fold pays only against (n, n) passes.  It steps
     between two buffers, M by one BLAS call with ``out=`` and the gain in
-    place, so no step allocates on the dense branch.  The caller bounds the
-    gains' |log2 g|; from it `apply` knows how many steps may pass before
-    the block's largest entry could move ``_CHECK_BITS``, checks that entry
-    that often (never per step, unless one step alone may move that far),
-    and rescales by a power of two only when it has left a window that
-    keeps the next stretch inside 2^+-``_RANGE_BITS``.  It returns the
-    exponent, which the callers carry: into ``log_norm_sq`` (the ideal
-    selective sweep), a batch's exponent (the field samples) or a record's
-    weight (the ideal Monte-Carlo unitarity check).
+    place, so no step allocates on the dense branch.  It forms the gains
+    from log gains, shifting a slice past 2^+-``_SHIFT_BITS`` by whole bits;
+    from a chunk's largest log modulus it knows how many steps may pass
+    before the block's largest entry could move ``_CHECK_BITS``, checks
+    that entry that often (never per step, unless one step alone may move
+    that far), and rescales by a power of two only when it has left a
+    window that keeps the next stretch inside 2^+-``_RANGE_BITS``.  It
+    returns one exponent, which the callers carry: into ``log_norm_sq``
+    (the ideal selective sweep), a batch's exponent (the field samples) or
+    a record's weight (the ideal Monte-Carlo unitarity check).
     """
 
     def __init__(self, ham, grid, dt):
@@ -371,60 +376,81 @@ class _StepPlan(_SplitStep):
     def matrix_h(self):  # M^dagger, contiguous
         return np.ascontiguousarray(self.matrix.conj().T)
 
-    def apply(self, x, gains, bits, observe=None):
+    def apply(self, x, log_gains, observe=None):
         """g_N . M (... g_1 . M (g_0 . x)) over the columns of an (n, ...) x, for
-        the gains g_0 .. g_N (an iterable; None: no gain), each broadcasting
-        against x, whose entries all have |log2 |g|| <= ``bits``.  Returns
-        (y, k), y a new array and y 2^k the product: k is the base-2 exponent
-        the rescaling took out (0 if it never triggered); x is never written.
+        the gains g_j = exp(r_j + i p_j) of slices 0 .. N, each broadcasting
+        against x.  ``log_gains`` yields chunks of consecutive slices as pairs
+        (r, p) of (L, ...) arrays, the log moduli and the phases, one of them
+        possibly None (zero).  Returns (y, k), y a new array and y 2^k the
+        product, k the base-2 exponent the shifts and rescalings took out (y's
+        largest part then in [1/2, 1)); x and the chunks are never written.
         ``observe(y, k)``, if given, sees the block after each product with M,
         before its gain, as y 2^k with y the working buffer (read it, do not
         keep it).
 
-        The block steps between two buffers, M by `np.dot` (a vector) or
-        `np.matmul` (a block) into the other buffer, the gain multiplied in
-        place; the FFT branch steps by `fft_step`.  Every column of M x keeps
-        its 2-norm, so a step moves the block's largest entry by at most
-        ``bits`` + log2(n)/2 bits either way.  Before the first step, after
-        every ``_CHECK_BITS`` of that worst case and after the last step, one
-        check reads the largest entry and, when it lies outside
-        2^+-(``_RANGE_BITS`` - the worst case to the next check), scales the
-        block by the power of two that brings it into [1/2, 1): exact, so a
-        run that never rescales is bit for bit that of an unscaled sweep, and
-        no underflow or overflow hides between two checks.  One exponent
-        serves the whole block: a column far below the block's largest can
-        still underflow.
+        A slice whose largest r passes 2^+-``_SHIFT_BITS`` is first shifted by
+        it, in whole bits.  A chunk's gains fill one reused complex buffer: a
+        real exp into its real part without phases (numpy would cast a real
+        gain at every step), else one complex exp of i p + r.  The block steps
+        between two buffers, M by `np.dot` (a vector) or `np.matmul` (a block)
+        into the other, the gain multiplied in place; the FFT branch steps by
+        `fft_step`.  Every column of M x keeps its 2-norm, so a step moves the
+        block's largest entry by at most b + log2(n)/2 bits either way, b the
+        chunk's largest |r| in bits.  Before the first step, after every
+        ``_CHECK_BITS`` of that worst case and after the last step, one check
+        reads the largest entry and, when it lies outside 2^+-(``_RANGE_BITS``
+        - the worst case to the next check), scales the block by the power of
+        two that brings it into [1/2, 1): exact, so a run that never shifts or
+        rescales is bit for bit that of an unscaled sweep, and no underflow or
+        overflow hides between two checks.  One exponent serves the whole
+        block: a column far below the block's largest can still underflow.
         """
-        gains, x = iter(gains), np.asarray(x, dtype=complex)
-        first = next(gains)
-        shape = x.shape if first is None else np.broadcast_shapes(x.shape, np.shape(first))
-        cur, nxt = np.empty(shape, complex), np.empty(shape, complex)
-        if first is None:
-            cur[...] = x
-        else:  # x first: numpy rounds a complex product by the order of its operands
-            np.multiply(x, first, out=cur)
-        move = bits + 0.5 * math.log2(self.n)  # worst-case bits a step moves the block
-        stride = max(1, int(_CHECK_BITS // move))
-        limit = _RANGE_BITS - max(_CHECK_BITS, move)
-        # the buffers as the product's operands: vectors, or (n, columns) views
-        dot, cur_2d, nxt_2d = (np.dot, cur, nxt) if cur.ndim == 1 else \
-            (np.matmul, cur.reshape(self.n, -1), nxt.reshape(self.n, -1))
-        k, count = _rescale(cur, limit), 0
-        for g in gains:
-            if count == stride:
-                k += _rescale(cur, limit)
-                count = 0
-            count += 1
-            if self.dense:
-                dot(self.matrix, cur_2d, out=nxt_2d)
-                cur, nxt, cur_2d, nxt_2d = nxt, cur, nxt_2d, cur_2d
+        x, cur, buffer = np.asarray(x, dtype=complex), None, None
+        k, room = 0, -math.inf  # room: the worst-case bits left to the next check
+        for r, p in log_gains:
+            bits = 0.0 if r is None else max(r.max(), -r.min()) / _LN2  # the largest |r|
+            top = np.zeros(1)  # each slice's shift, in bits
+            if bits > _SHIFT_BITS:  # then each slice's largest may pass: shift by it
+                top = np.round(r.reshape(len(r), -1).max(axis=1) / _LN2)
+                top[np.abs(top) <= _SHIFT_BITS] = 0.0
+                r, k = r - (top * _LN2).reshape((-1,) + (1,) * (r.ndim - 1)), k + int(top.sum())
+                bits = max(r.max(), -r.min()) / _LN2
+            shape = np.broadcast_shapes(np.shape(r), np.shape(p))
+            if buffer is None or buffer.shape[1:] != shape[1:] or len(buffer) < shape[0]:
+                buffer = np.zeros(shape, complex)
+            gains = buffer[:shape[0]]
+            if p is None:
+                gains.imag = 0.0
+                np.exp(r, out=gains.real)
             else:
-                cur = self.fft_step(cur)
-            if observe is not None:
-                observe(cur, k)
-            if g is not None:
+                np.multiply(p, 1j, out=gains)
+                gains += 0.0 if r is None else r
+                np.exp(gains, out=gains)
+            move = bits + 0.5 * math.log2(self.n)  # worst-case bits a step moves the block
+            limit = _RANGE_BITS - max(_CHECK_BITS, move)
+            if cur is None:  # slice 0, x first: numpy rounds a complex product by operand order
+                cur, nxt = np.empty((2,) + np.broadcast_shapes(x.shape, gains[0].shape), complex)
+                np.multiply(x, gains[0], out=cur)
+                # the buffers as the product's operands: vectors, or (n, columns) views
+                dot, cur_2d, nxt_2d = (np.dot, cur, nxt) if cur.ndim == 1 else \
+                    (np.matmul, cur.reshape(self.n, -1), nxt.reshape(self.n, -1))
+                gains = gains[1:]
+            if observe is not None:  # at each step, the shifts of the gains the block lacks
+                owed = np.cumsum(np.broadcast_to(top, shape[:1])[::-1])[::-1]
+                owed = iter(owed[shape[0] - len(gains):].astype(int).tolist())
+            for g in gains:
+                room -= move
+                if room < 0:
+                    k, room = k + _rescale(cur, limit), _CHECK_BITS - move
+                if self.dense:
+                    dot(self.matrix, cur_2d, out=nxt_2d)
+                    cur, nxt, cur_2d, nxt_2d = nxt, cur, nxt_2d, cur_2d
+                else:
+                    cur = self.fft_step(cur)
+                if observe is not None:
+                    observe(cur, k - next(owed))
                 cur *= g
-        return cur, k + _rescale(cur, limit)
+        return cur, k + _rescale(cur, -1 if k else limit)
 
     @cached_property
     def kinetic_2d(self):  # K2 = k k^dagger of the 2-D conjugation

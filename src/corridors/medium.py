@@ -232,9 +232,6 @@ class ReductionResult:
     w_corridor: float  # Gaussian corridor weight of the window-smoothed paths
     gap: float
     rel_gap: float
-    kappa: float
-    window: np.ndarray
-    kernel: np.ndarray
 
 
 def reduce_to_phenomenological(pair: PathPair, form_factor: FormFactor, kappa, dt):
@@ -265,7 +262,4 @@ def reduce_to_phenomenological(pair: PathPair, form_factor: FormFactor, kappa, d
         w_corridor=w_corr,
         gap=gap,
         rel_gap=gap / max(w_corr, 1e-300),
-        kappa=float(kappa),
-        window=window,
-        kernel=kernel,
     )

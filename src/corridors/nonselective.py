@@ -67,16 +67,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _StepPlan, pure_density
+from .grids import _LN2, _StepPlan, pure_density
 from .readout import FormFactor, _check_kappa
 from .selective import (
     _FIELD_BATCH_ELEMENTS,
-    _LN2,
     _SWEEP_BLOCK_ELEMENTS,
     WindowSpec,
     _batch_map,
     _contract_windowed,
-    _corridor_bits,
     _corridor_gains,
     _corridor_rows,
     _field_sweep,
@@ -320,9 +318,11 @@ def _doubled_contraction(rho0, kernel, pattern, log_row):
 
 def _coarse_rows(window, obs, kappa, dt):
     """(pattern, log_row) of the record-averaged windowed corridor weight on
-    the doubled chain: exp(-(kappa/2) dt (P (x - y))_i^2) for step i."""
+    the doubled chain: exp(-(kappa/2) dt (P (x - y))_i^2) for step i.  Its
+    rows never shift: (P (x - y))_i takes the record's 0 at x = y."""
     vals_diff = (obs.values[:, None] - obs.values[None, :]).ravel()
-    return window, _corridor_rows(window, vals_diff, np.zeros(window.shape[0]), 0.5 * kappa, dt)
+    log_row, _ = _corridor_rows(window, vals_diff, np.zeros(window.shape[0]), 0.5 * kappa, dt)
+    return window, log_row
 
 
 def _medium_rows(kernel_spec, obs, tgrid):
@@ -550,16 +550,16 @@ def check_generalized_unitarity(
         a, log_q = drawn
         starts = np.broadcast_to(eye, (len(a), n, n))  # per record, the identity
         if window is None:  # u is 2^-k times the batch's U[a]
-            u, k = plan.apply(starts.transpose(1, 0, 2), _corridor_gains(vals, a, kappa, dt),
-                              _corridor_bits(vals, a, kappa, dt))
+            u, k = plan.apply(starts.transpose(1, 0, 2), _corridor_gains(vals, a, kappa, dt))
             u = u.transpose(1, 0, 2)
         else:
             # the records and the identity columns ride as two leading batch axes
-            rows = _corridor_rows(window, vals, a, kappa, dt)
+            rows, shift = _corridor_rows(window, vals, a, kappa, dt)
             chunks = [_contract_windowed(starts[:, c:c + cols], plan.matrix, spec, rows)
                       for c in range(0, n, cols)]
             k = max(e for _, e in chunks)  # the column chunks on their largest exponent
             u = np.concatenate([_ldexp(v, e - k) for v, e in chunks], axis=1).transpose(0, 2, 1)
+            k += shift
         pairs = u.conj().transpose(0, 2, 1) @ u
         # libm's exp per record (numpy's vectorized exp can differ in the last bit),
         # so a record weighs what it weighs alone; 4^k puts the exponent back

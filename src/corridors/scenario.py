@@ -46,6 +46,7 @@ from .grids import (
     ObservableSpec,
     SpatialGrid,
     TimeGrid,
+    _LN2,
     _rescale,
     build_grids,
     check_density_matrix,
@@ -65,7 +66,6 @@ from .nonselective import (
 )
 from .readout import FormFactor, MeasurementSpec
 from .selective import (
-    _LN2,
     _AboveCap,
     evolve_selective_coarse,
     evolve_selective_coarse_mc,

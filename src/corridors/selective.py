@@ -37,21 +37,22 @@ batches side by side: the ideal sweep or the contraction, on one plan
 per call.  Long records leave the double range: every conditioned sweep
 rescales by powers of two and hands back the exponent, which the ideal
 and windowed engines carry into `SelectiveResult.log_norm_sq` and the
-field sampler, after shifting any slice whose real weight passes
-2^+-_WEIGHT_SHIFT_BITS, into each batch and the moments' common
-exponent; the linear fields of a result are then rounded from the logs
-and saturate instead of raising.  The sampler batches run on worker
-threads, one per usable core (`os.sched_getaffinity`), through one
-ordered batch map, `_batch_map`: the calling thread draws the random
-numbers in stream order and sums the results in batch order, so they are
-bit for bit those of one thread.  The workers are separate from BLAS's
-own threads (``OPENBLAS_NUM_THREADS``); with both above one they
-oversubscribe the cores.  Windowed unitarity records stay on the calling
-thread (their small contractions hold the GIL).  Every ideal sweep and
-every field sample steps through the plan's one column sweep,
-`_StepPlan.apply`, with the corridor factors (`_corridor_gains`) or the
-field's phases as gains.  A window above the cap is refused there as
-here; no auxiliary-field estimate of U[a] replaces it.
+field sampler into each batch and the moments' common exponent, with the
+whole bits that shift a far record's weights back into range (in
+`_StepPlan.apply` and `_corridor_rows`, past 2^+-_SHIFT_BITS); the
+linear fields of a result are rounded from the logs and saturate.  The
+sampler batches run on worker threads, one per usable core
+(`os.sched_getaffinity`), through one ordered batch map, `_batch_map`:
+the calling thread draws the random numbers in stream order and sums the
+results in batch order, so they are bit for bit those of one thread.
+The workers are separate from BLAS's own threads
+(``OPENBLAS_NUM_THREADS``); with both above one they oversubscribe the
+cores.  Windowed unitarity records stay on the calling thread (their
+small contractions hold the GIL).  Every ideal sweep and every field
+sample steps through the plan's one column sweep, `_StepPlan.apply`, with
+the logs of the corridor factors (`_corridor_gains`) or of the field's
+factors as gains.  A window above the cap is refused there as here; no
+auxiliary-field estimate of U[a] replaces it.
 
 All engines use the left-rule weight pairing (the step-i factor
 multiplies the state before the step-i kernel); for that discretization
@@ -70,7 +71,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .grids import _CHECK_BITS, _RANGE_BITS, _rescale, _StepPlan, norm_sq
+from .grids import _CHECK_BITS, _LN2, _RANGE_BITS, _SHIFT_BITS, _rescale, _StepPlan, norm_sq
 # unused here, kept as a module name: the benchmark's tracer self-test
 # checks that selective.unitary_step is rebound and restored
 from .grids import unitary_step  # noqa: F401
@@ -103,10 +104,6 @@ _FIELD_BATCH_ELEMENTS = 1 << 14
 # this process may run on
 _BATCH_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
-# a field slice whose largest real weight passes 2^+-_WEIGHT_SHIFT_BITS (its
-# log +-177) is shifted by it (`_field_sweep`); below that it runs unshifted
-_WEIGHT_SHIFT_BITS = 256
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -336,18 +333,28 @@ def _contract_windowed(vec0, kernel, spec, log_row):
 
 
 def _corridor_rows(window, site_values, readout, kappa, dt):
-    """log_row of the windowed Gaussian corridor weight; its pattern is the window.
+    """(log_row, shift) of the windowed Gaussian corridor weight; its pattern
+    is the window.
 
-    Row i is -kappa dt ((P A)_i - readout_i)^2: the window-smoothed
-    observable of the live slices against record value i.  ``readout`` is
-    one (N,) record, or (m, N) for m records on the contraction's first
-    batch axis: a record `_check_readout` passed, sampled ones, or zeros.
+    Row i is -kappa dt ((P A)_i - readout_i)^2, the window-smoothed
+    observable of the live slices against record value i, less s_i log 2:
+    s_i is its largest value over the lattice in whole bits where that
+    passes 2^+-_SHIFT_BITS, else 0 (records side by side share the nearest
+    one's), and shift the sum of the s_i.  ``readout`` is one (N,) record,
+    or (m, N) for m records on the contraction's first batch axis: a record
+    `_check_readout` passed, sampled ones, or zeros.
     """
     window = np.asarray(window, dtype=float)
     readout = np.asarray(readout, dtype=float)
     cols = [np.flatnonzero(row) for row in window]
     site_values = np.asarray(site_values, dtype=float)
     records = readout.shape[:-1]
+    # (P A)_i spans mid_i +- half_i over the lattice, each weight at the end of A its sign picks
+    mid = window.sum(axis=1) * (np.max(site_values) + np.min(site_values)) / 2
+    half = np.abs(window).sum(axis=1) * np.ptp(site_values) / 2
+    far = np.maximum(np.abs(readout - mid) - half, 0.0).reshape(-1, len(window))
+    top = np.round(-kappa * dt * np.min(far, axis=0) ** 2 / _LN2)
+    top[np.abs(top) <= _SHIFT_BITS] = 0.0
 
     def log_row(i, place):
         # (P A)_i - a_i as a broadcast sum over the live axes it touches, from
@@ -360,9 +367,11 @@ def _corridor_rows(window, site_values, readout, kappa, dt):
             out = out + window[i, j] * place(j, site_values)
         np.square(out, out=out)
         out *= -kappa * dt
+        if top[i]:
+            out -= top[i] * _LN2
         return out
 
-    return log_row
+    return log_row, int(np.sum(top))
 
 
 # ----------------------------------------------------------------------
@@ -381,61 +390,48 @@ def _check_readout(readout, n_steps):
 
 
 def _corridor_gains(values, readout, kappa, dt):
-    """The gains of the left-rule conditioned sweep, for `_StepPlan.apply`:
-    exp(-kappa dt (A - a_i)^2) before each step i, and none after the last.
+    """The log gains of the left-rule conditioned sweep, for `_StepPlan.apply`:
+    -kappa dt (A - a_i)^2 before each step i, and a zero row after the last.
 
-    ``readout`` is one (N,) record, giving (n,) gains, or (m, N) for m
-    records side by side, giving (n, m, 1) gains that condition record r
-    on column block [:, r] of an (n, m, k) block.  One exp serves a chunk
-    of steps of at most _FIELD_BATCH_ELEMENTS elements, formed in the real
-    part of one complex array that every chunk reuses (numpy would cast a
-    real gain to complex to multiply it into the state, at every step): a
-    gain holds until the next one is drawn, as `apply` uses them.
+    ``readout`` is one (N,) record, giving (n,) rows, or (m, N) for m
+    records side by side, giving (n, m, 1) rows that condition record r on
+    column block [:, r] of an (n, m, k) block.  The chunks of steps reuse
+    one real buffer of _FIELD_BATCH_ELEMENTS / 2 elements, which with
+    `apply`'s complex gains fills one batch: a chunk holds until the next
+    one is drawn, as `apply` uses them.
     """
     lead = (1,) * (readout.ndim - 1)
     values = np.reshape(values, (-1,) + lead + lead)
     steps = readout.T.reshape(readout.shape[::-1] + lead)  # step i's values, on the record axis
-    chunk = max(1, _FIELD_BATCH_ELEMENTS // (values.size * steps[0].size))
-    buffer = np.zeros(np.broadcast_shapes(values.shape, steps[:chunk, None].shape), complex)
+    chunk = max(1, _FIELD_BATCH_ELEMENTS // (2 * values.size * steps[0].size))
+    buffer = np.empty(np.broadcast_shapes(values.shape, steps[:chunk, None].shape))
     for lo in range(0, len(steps), chunk):
         part = steps[lo:lo + chunk, None]
-        gains = buffer[:len(part)]
-        log_gain = gains.real
-        log_gain[...] = values  # then in place: numpy buffers a strided output
-        log_gain -= part
+        log_gain = np.subtract(values, part, out=buffer[:len(part)])
         np.square(log_gain, out=log_gain)
         log_gain *= -kappa * dt
-        np.exp(log_gain, out=log_gain)
-        yield from gains
-    yield None
-
-
-def _corridor_bits(values, readout, kappa, dt):
-    """The bound on |log2 g| over every corridor gain of ``readout`` (one or
-    more records) that `_StepPlan.apply` takes: kappa dt d^2 / log 2, d the
-    largest distance between a record value and a lattice value of A."""
-    far = max(np.max(values) - np.min(readout), np.max(readout) - np.min(values))
-    return kappa * dt * float(far) ** 2 / _LN2
+        yield log_gain, None
+    yield np.zeros((1,) + buffer.shape[1:]), None
 
 
 def evolve_selective_ideal(psi0, readout, kappa, ham, obs, sgrid, tgrid, observer=None):
     """Conditioned evolution at ideal time resolution.
 
     Applies exp(-kappa dt (A - a_i)^2) then the one-step unitary kernel,
-    for each of the N record values.  The sweep (`_StepPlan.apply`)
-    rescales by powers of two and carries the exponent, so `log_norm_sq`
-    and `log_probability_density` stay finite where the state leaves the
-    double range.  ``observer(i, psi, k)``, if given, sees the working
+    for each of the N record values.  The sweep (`_StepPlan.apply`) shifts
+    the gains and rescales the state by powers of two and carries the
+    exponent, so `log_norm_sq` and `log_probability_density` stay finite
+    where the state leaves the double range, a record far from the lattice
+    values included.  ``observer(i, psi, k)``, if given, sees the working
     state after every step as 2^k psi, psi a copy of the sweep's block.
     """
     _check_kappa(kappa)
     readout = _check_readout(readout, tgrid.n_steps)
     plan = _StepPlan(ham, sgrid, tgrid.dt)
-    gains = _corridor_gains(obs.values, readout, kappa, tgrid.dt)
-    bits = _corridor_bits(obs.values, readout, kappa, tgrid.dt)
     steps = iter(range(tgrid.n_steps))
     watch = None if observer is None else lambda block, k: observer(next(steps), block.copy(), k)
-    psi, exponent = plan.apply(np.asarray(psi0, dtype=complex), gains, bits, watch)
+    psi, exponent = plan.apply(np.asarray(psi0, dtype=complex),
+                               _corridor_gains(obs.values, readout, kappa, tgrid.dt), watch)
     return _wrap_result(psi, exponent, kappa, sgrid, tgrid)
 
 
@@ -455,9 +451,9 @@ def evolve_selective_coarse(psi0, readout, form_factor, kappa, ham, obs, sgrid, 
     window = form_factor.window_matrix(tgrid.n_steps, tgrid.dt)
     spec = WindowSpec.plan(window, sgrid.n_points)
     kernel = _StepPlan(ham, sgrid, tgrid.dt).matrix
-    psi, k = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, spec,
-                                _corridor_rows(window, obs.values, readout, kappa, tgrid.dt))
-    return _wrap_result(psi, k, kappa, sgrid, tgrid)
+    log_row, shift = _corridor_rows(window, obs.values, readout, kappa, tgrid.dt)
+    psi, k = _contract_windowed(np.asarray(psi0, dtype=complex), kernel, spec, log_row)
+    return _wrap_result(psi, k + shift, kappa, sgrid, tgrid)
 
 
 def evolve_selective_coarse_mc(
@@ -540,23 +536,13 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
     drawn here in stream order, and come back in that order, so the
     blocks do not depend on the worker count.
 
-    A slice whose largest weight passes 2^+-_WEIGHT_SHIFT_BITS is shifted
-    by its largest log weight, rounded to whole bits, so its exp neither
-    overflows nor underflows.  Every batch carries the shifts and
-    `_StepPlan.apply`'s exponent in e, and a block with e != 0 has its
-    largest entry in [1/2, 1).  Runs with no shift and no rescaling are bit
-    for bit those of the unshifted sweep, with e = 0.
+    The log weight and phases go to `_StepPlan.apply` as log gains, in chunks
+    of about _FIELD_BATCH_ELEMENTS elements, and e carries its shifts and
+    rescalings: a block with e != 0 has its largest entry in [1/2, 1), one
+    with e = 0 is bit for bit that of the unscaled sweep.
     """
     start = np.asarray(start, dtype=complex).reshape(plan.n, 1, -1)
     batch = max(1, _FIELD_BATCH_ELEMENTS // start.size)
-    shift, bits = 0, 0.0  # a phase has |log2 g| = 0
-    if log_weight is not None:
-        top = np.round(np.max(log_weight, axis=1) / _LN2)
-        top[np.abs(top) <= _WEIGHT_SHIFT_BITS] = 0.0
-        if top.any():
-            log_weight = log_weight - (top * _LN2)[:, None]
-            shift = int(np.sum(top))
-        bits = float(np.max(np.abs(log_weight))) / _LN2
 
     def draws():
         for done in range(0, samples, batch):
@@ -565,20 +551,14 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
 
     def sweep(xi):
         time_part = np.tensordot(time_factor, xi, axes=(1, 1))  # (N+1, m, S columns)
+        chunk = max(1, _FIELD_BATCH_ELEMENTS // (plan.n * len(xi)))
 
-        def gains():  # (n, m, 1) per slice
-            for j, part in enumerate(time_part):
-                # keep a vectorized ufunc between the BLAS product and the
-                # exp: numpy's scalar complex exp measured 10x slower right after one
-                exponent = 1j * (space_factor @ part.T)
-                if log_weight is not None:
-                    exponent += log_weight[j][:, None]
-                yield np.exp(exponent)[:, :, None]
+        def log_gains():  # (L, n, m, 1) phases per chunk of L slices
+            for lo in range(0, len(time_part), chunk):
+                rows = None if log_weight is None else log_weight[lo:lo + chunk, :, None, None]
+                yield rows, (space_factor @ time_part[lo:lo + chunk].transpose(0, 2, 1))[..., None]
 
-        block, k = plan.apply(start, gains(), bits)
-        if k + shift:
-            k += _rescale(block, -1)
-        return block, k + shift
+        return plan.apply(start, log_gains())
 
     return _batch_map(sweep, draws())
 

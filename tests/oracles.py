@@ -88,6 +88,21 @@ def brute_conditioned_state(psi0, kernel, site_values, readout, kappa, dt, windo
     return out
 
 
+def brute_log_norm_sq(psi0, kernel, site_values, readout, kappa, dt, window, spacing):
+    """log ||psi_N||^2 of `brute_conditioned_state`, summed in the log domain:
+    every path's log weight less the largest over the paths, whose value is
+    added apart, so no weight underflows however far the record lies."""
+    n = len(site_values)
+    paths = all_paths(n, window.shape[0] + 1)
+    amps = path_amplitudes(psi0, kernel, paths)
+    dev = smoothed_values(site_values, paths, window) - np.asarray(readout)[None, :]
+    log_weights = -kappa * dt * np.sum(dev**2, axis=1)
+    top = float(np.max(log_weights))
+    out = np.zeros(n, dtype=complex)
+    np.add.at(out, paths[:, -1], amps * np.exp(log_weights - top))
+    return math.log(float(np.sum(np.abs(out) ** 2)) * spacing) + 2.0 * top
+
+
 def dry_run_window_plan(window):
     """(bandwidth, buffer_len, live, emit) of a windowed contraction, slice by slice.
 
@@ -344,11 +359,15 @@ def effective_step(psi, a_value, kappa, ham, obs, grid, dt):
 
 def log_density_in_segments(psi0, record, kappa, ham, obs, grid, dt, segment=32):
     """log of a record's probability density, log ||psi_N||^2 + N log c, by
-    the left-rule loop on `unitary_step`, the state renormalized after every
-    ``segment`` steps and the logs of the norms summed: no factor underflows."""
+    the left-rule loop on `unitary_step`, each step's corridor factor divided
+    by its largest, the state renormalized after every ``segment`` steps, and
+    the logs of both summed: no factor underflows."""
     psi, log_norm = np.asarray(psi0, dtype=complex), 0.0
     for i, a in enumerate(record):
-        psi = unitary_step(np.exp(-kappa * dt * (obs.values - a) ** 2) * psi, ham, grid, dt)
+        log_gain = -kappa * dt * (obs.values - a) ** 2
+        top = float(np.max(log_gain))
+        log_norm += 2.0 * top  # of the squared norm
+        psi = unitary_step(np.exp(log_gain - top) * psi, ham, grid, dt)
         if (i + 1) % segment == 0 or i + 1 == len(record):
             norm2 = float(np.sum(np.abs(psi) ** 2) * grid.spacing)
             log_norm += math.log(norm2)
@@ -619,10 +638,10 @@ def unitarity_mc_per_record(kappa, ham, obs, sgrid, tgrid, form_factor=None, sam
                 u = unitary_step(np.exp(-kappa * dt * (vals - value) ** 2)[:, None] * u,
                                  ham, sgrid, dt)
             return u
-        rows = _corridor_rows(window, vals, a, kappa, dt)
+        rows, shift = _corridor_rows(window, vals, a, kappa, dt)
         chunks = [_contract_windowed(eye[c:c + batch], plan.matrix, spec, rows)
                   for c in range(0, n, batch)]
-        return np.concatenate([part * math.ldexp(1.0, k) for part, k in chunks]).T
+        return np.concatenate([part * math.ldexp(1.0, k + shift) for part, k in chunks]).T
 
     log_c = math.log(readout_measure_factor(kappa, dt))
     total = np.zeros((n, n), dtype=complex)

@@ -126,8 +126,8 @@ def test_column_sweep_with_phase_gains_keeps_every_norm(n, columns, n_steps, dt,
     sgrid = SpatialGrid(float(n), n)
     ham = HamiltonianSpec(mass=1.0, potential=rng.uniform(-5.0, 5.0, n))
     x = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
-    gains = (np.exp(1j * rng.uniform(-np.pi, np.pi, (n, columns))) for _ in range(n_steps + 1))
-    out, exponent = _StepPlan(ham, sgrid, dt).apply(x, gains, 0.0)
+    phases = ((None, rng.uniform(-np.pi, np.pi, (1, n, columns))) for _ in range(n_steps + 1))
+    out, exponent = _StepPlan(ham, sgrid, dt).apply(x, phases)
     assert exponent == 0
     before, after = np.linalg.norm(x, axis=0), np.linalg.norm(out, axis=0)
     assert np.max(np.abs(after - before) / before) <= 1e-12

@@ -895,17 +895,21 @@ def test_evolve_fails_the_density_check_when_the_norm_underflows(tmp_path, engin
 
 
 def test_evolve_fails_the_density_check_of_a_record_far_from_the_lattice(tmp_path, capsys):
-    # a record value of 1000 underflows every corridor gain of the free demo
-    # scenario to 0.0 within one step: the state is zero, its log -inf, and
-    # the density check must fail with the underflow note, not pass a 0
-    out = tmp_path / "far"
-    assert main(["evolve", str(SLOW_DETECTOR.with_name("free_monitored.ini")),
-                 "--readout", "const:1000", "--outdir", str(out)]) == 2
-    assert "readout_probability_density = 0 (underflow: the conditioned state's norm_sq " \
-        "rounds to 0.0" in capsys.readouterr().err
-    checks = json.loads((out / "manifest.json").read_text())["checks"]
-    density = next(c for c in checks if c["name"] == "readout_probability_density")
-    assert density["value"] == 0.0 and not density["passed"]
+    # a record value of 1000 puts every corridor weight of both demo
+    # scenarios (the ideal and the exact windowed engine) far below the
+    # smallest float: the linear density reads 0.0 and must fail its check
+    # with the underflow note, while the header keeps a finite log
+    for index, scene in enumerate((SLOW_DETECTOR.with_name("free_monitored.ini"), SLOW_DETECTOR)):
+        out = tmp_path / f"far{index}"
+        assert main(["evolve", str(scene), "--readout", "const:1000", "--outdir", str(out)]) == 2
+        assert "readout_probability_density = 0 (underflow: below the smallest float, its log " \
+            "is -" in capsys.readouterr().err
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        density = next(c for c in checks if c["name"] == "readout_probability_density")
+        assert density["value"] == 0.0 and not density["passed"]
+        header = (out / "state_final.txt").read_text()
+        log_density = float(header.split("# log_readout_probability_density = ")[1].split()[0])
+        assert -2.5e6 < log_density < -1e6
 
 
 def test_evolve_keeps_the_log_of_a_long_record_read_from_a_file(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_contraction_handles_shifted_bands():
     kernel = short_time_kernel_matrix(ham, g, tg.dt)
     got, k = _contract_windowed(
         psi0.astype(complex), kernel, WindowSpec.plan(window, g.n_points),
-        _corridor_rows(window, obs.values, readout, kappa, tg.dt),
+        _corridor_rows(window, obs.values, readout, kappa, tg.dt)[0],
     )
     assert k == 0
     ref = oracles.brute_conditioned_state(
@@ -248,7 +248,7 @@ def check_fused_sweep():
         if kind == "corridor":
             pattern = window
             readout = rng.uniform(-1.0, 1.0, batch[:1] + (n_steps,))
-            rows = _corridor_rows(window, rng.uniform(-1.0, 1.0, n), readout, kappa, dt)
+            rows, _ = _corridor_rows(window, rng.uniform(-1.0, 1.0, n), readout, kappa, dt)
         else:
             # the doubled chain of 2 sites, its slice couplings the band made symmetric
             n = 4
@@ -599,9 +599,54 @@ def test_windowed_log_norm_survives_a_long_record():
     ref = oracles.contract_windowed_per_slice(
         psi0 * math.ldexp(1.0, s), short_time_kernel_matrix(ham, sgrid, dt),
         WindowSpec.plan(window, sgrid.n_points),
-        _corridor_rows(window, obs.values, record, kappa, dt))
+        _corridor_rows(window, obs.values, record, kappa, dt)[0])
     log_ref = math.log(norm_sq(ref, sgrid)) - 2 * s * math.log(2.0)
     assert abs(res.log_norm_sq - log_ref) <= 1e-12 * abs(log_ref)
+
+
+def test_ideal_log_norm_of_a_record_far_from_the_lattice():
+    # the free demo's lattice read out at a constant 1000: every corridor
+    # gain, about e^-4900, underflowed to 0.0 and the log read -inf; apply
+    # shifts each slice by whole bits, and the log matches the loop that
+    # divides every step's gain by its largest and renormalizes every step.
+    # The observer's 2^k psi after step i carries the shifts of the gains
+    # applied so far only: its log is that of the record's first i + 1
+    # values, within and across apply's chunks of 128 slices
+    kappa = 0.5
+    sgrid, tgrid = build_grids(16.0, 64, 2.0, 200)
+    ham, obs = HamiltonianSpec.free(sgrid), ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, -1.0, 1.5, 0.6)
+    record = np.full(tgrid.n_steps, 1000.0)
+    seen = []
+    res = evolve_selective_ideal(psi0, record, kappa, ham, obs, sgrid, tgrid,
+                                 observer=lambda i, psi, k: seen.append(
+                                     math.log(norm_sq(psi, sgrid)) + 2 * k * math.log(2.0)))
+    ref = oracles.log_density_in_segments(psi0, record, kappa, ham, obs, sgrid, tgrid.dt,
+                                          segment=1)
+    assert res.norm_sq == 0.0
+    assert abs(res.log_probability_density - ref) <= 1e-12 * abs(ref)
+    for i in (0, 1, 126, 127, 128, 199):
+        part = evolve_selective_ideal(psi0, record[:i + 1], kappa, ham, obs, sgrid,
+                                      TimeGrid(tgrid.dt * (i + 1), i + 1))
+        assert abs(seen[i] - part.log_norm_sq) <= 1e-12 * abs(part.log_norm_sq)
+
+
+def test_windowed_log_norm_of_a_record_far_from_the_lattice():
+    # the slow detector's lattice (n = 4, N = 6) at a constant record of 1000:
+    # each row shifts by its largest possible log weight, and the log matches
+    # the log-domain sum over all 4^7 paths
+    kappa, dt = 1.0 / (0.6 * 1.3**2), 0.1
+    sgrid, tgrid = build_grids(6.0, 4, 0.6, 6)
+    ham, obs = HamiltonianSpec.harmonic(sgrid, 0.9), ObservableSpec.position(sgrid)
+    psi0 = gaussian_packet(sgrid, 0.3, 1.0, 0.0)
+    ff = FormFactor.gaussian(0.04)
+    record = np.full(tgrid.n_steps, 1000.0)
+    res = evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+    ref = oracles.brute_log_norm_sq(psi0, short_time_kernel_matrix(ham, sgrid, dt), obs.values,
+                                    record, kappa, dt, ff.window_matrix(tgrid.n_steps, dt),
+                                    sgrid.spacing)
+    assert res.norm_sq == 0.0
+    assert abs(res.log_norm_sq - ref) <= 1e-12 * abs(ref)
 
 
 def test_measure_factor_saturates_where_c_exceeds_one():

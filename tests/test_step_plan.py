@@ -69,11 +69,12 @@ def test_dense_and_fft_branches_agree(n, mass, dt, extent, seed):
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = x @ x.conj().T
     adjoint = plan.matrix_h @ x @ plan.matrix  # M^dagger X M
+    unit = [(np.zeros((2, 1)), None)]  # two slices of unit gains: one step
     out = {}
     for dense in (True, False):
         plan.dense = back.dense = dense
-        out[dense] = (plan.apply(block, [None, None], 0.0)[0],
-                      plan.apply(block[:, 0], [None, None], 0.0)[0], plan.sweep(rho, None, 1))
+        out[dense] = (plan.apply(block, unit)[0], plan.apply(block[:, 0], unit)[0],
+                      plan.sweep(rho, None, 1))
         assert rel_gap(back.sweep(x, None, 1), adjoint) <= 1e-12
     for dense_out, fft_out in zip(out[True], out[False]):
         assert rel_gap(dense_out, fft_out) <= 1e-12
@@ -86,8 +87,7 @@ def plan_step_loop(plan, x, gains):
     for i, g in enumerate(gains):
         if i:
             x = np.tensordot(plan.matrix, x, axes=1) if plan.dense else plan.fft_step(x)
-        if g is not None:
-            x = x * g
+        x = x * g
     return x
 
 
@@ -95,52 +95,67 @@ def plan_step_loop(plan, x, gains):
 @pytest.mark.parametrize("shape", [(), (3,), (4, 2)])
 def test_apply_matches_per_step_loops(n, shape):
     # every vector sweep runs through apply: a vector, an (n, k) block and
-    # an (n, m, k) block with per-record gains, with and without gains
+    # an (n, m, k) block with per-record gains, from log moduli, phases or
+    # both, in one chunk or several
     rng = np.random.default_rng(n + len(shape))
     grid = SpatialGrid(9.0, n)
     ham = HamiltonianSpec.harmonic(grid, 0.8)
     dt = 0.05
     plan = grids._StepPlan(ham, grid, dt)
     x = rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
-    gain_shape = (n,) + shape[:1] + (1,) * len(shape[1:])
-    gains = [np.exp(rng.standard_normal(gain_shape) + 1j * rng.standard_normal(gain_shape))
-             for _ in range(6)]
-    bits = max(float(np.max(np.abs(np.log2(np.abs(g))))) for g in gains)
-    for chosen in (gains, [None] * 6, [gains[0], None, gains[2], None, None, gains[5]]):
-        got, exponent = plan.apply(x, (g for g in chosen), bits)  # gains from a generator
-        assert exponent == 0  # a block of order 1 is never rescaled
-        assert np.array_equal(got, plan_step_loop(plan, x, chosen))
-        assert got.shape == x.shape
-        want = x if chosen[0] is None else x * chosen[0]
-        for g in chosen[1:]:
-            want = unitary_step(want, ham, grid, dt)
-            want = want if g is None else want * g
+    gain_shape = (6, n) + shape[:1] + (1,) * len(shape[1:])
+    r, p = rng.standard_normal(gain_shape), rng.standard_normal(gain_shape)
+    for logs, gains in [((r, p), np.exp(1j * p + r)), ((r, None), np.exp(r)),
+                        ((None, p), np.exp(1j * p)), ((np.zeros((6, 1)), None), np.ones((6, 1)))]:
+        for cuts in ([0, 6], [0, 2, 5, 6]):  # one chunk, or three from a generator
+            chunks = ((None if a is None else a[lo:hi] for a in logs)
+                      for lo, hi in zip(cuts, cuts[1:]))
+            got, exponent = plan.apply(x, (tuple(c) for c in chunks))
+            assert exponent == 0  # a block of order 1 is never rescaled
+            assert np.array_equal(got, plan_step_loop(plan, x, gains))
+            assert got.shape == x.shape
+        want = x * gains[0]
+        for g in gains[1:]:
+            want = unitary_step(want, ham, grid, dt) * g
         assert rel_gap(got, want) <= 1e-12
-    x_before = x.copy()
-    plan.apply(x, [None, None], 0.0)
-    assert np.array_equal(x, x_before)  # never written
+    x_before, r_before, p_before = x.copy(), r.copy(), p.copy()
+    plan.apply(x, [(r, p)])
+    plan.apply(x, [(r + 600.0, None)])  # shifted
+    assert np.array_equal(x, x_before) and np.array_equal(r, r_before) \
+        and np.array_equal(p, p_before)  # never written
 
 
 @pytest.mark.parametrize("n", [16, 256])
 @pytest.mark.parametrize("shape", [(), (3,)])
 @pytest.mark.parametrize("shift", [-600, -10, 10, 600])
 def test_apply_rescales_by_powers_of_two_bit_for_bit(n, shape, shift):
-    # gains times 2^shift move the product 300 shift bits out of the double
-    # range; apply carries it as (y, k) with y 2^k the product, and y is the
-    # unscaled sweep's block up to a power of two, bit for bit, however often
-    # it rescaled (every step when one gain alone moves 600 bits)
+    # log moduli offset by ``shift`` bits at each of 300 slices put the
+    # product 300 shift bits out of the double range.  Past 2^+-_SHIFT_BITS
+    # apply shifts every slice back by whole bits, exactly on a grid of log
+    # moduli that the offset keeps exact; below it the block rescales, every
+    # step while one site's gain alone moves 700 bits.  Either way
+    # y 2^(k - 300 shift) is the unscaled per-step loop's block bit for bit,
+    # with the unshifted gains or with the gains times 2^-shift.  With and
+    # without phases
     rng = np.random.default_rng(n + len(shape))
     grid = SpatialGrid(9.0, n)
     plan = grids._StepPlan(HamiltonianSpec.harmonic(grid, 0.8), grid, 0.05)
     x = rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
-    gains = [np.exp(rng.uniform(-1.0, 1.0, (n,) + (1,) * len(shape))) for _ in range(300)]
-    bits = 1.0 / math.log(2.0)
-    plain, k = plan.apply(x, gains, bits)
-    assert k == 0
-    scaled, k = plan.apply(x, [g * 2.0**shift for g in gains], bits + abs(shift))
-    assert k != 0
-    back = k - shift * len(gains)  # scaled 2^back is plain
-    assert np.array_equal(np.ldexp(scaled.view(float), back).view(complex), plain)
+    gain_shape = (300, n) + (1,) * len(shape)
+    base = rng.integers(-2**38, 2**38, gain_shape) * 2.0**-40  # |r| < 1/4, on 2^-40
+    shifted = abs(shift) > grids._SHIFT_BITS
+    if not shifted:
+        base[:, 0] -= 700 * math.log(2.0)
+    r = base + shift * math.log(2.0)
+    for p in (None, rng.uniform(-np.pi, np.pi, gain_shape)):
+        got, k = plan.apply(x, [(r, p)])
+        assert k != 0
+        phase = 0.0 if p is None else 1j * p
+        gains = np.exp(phase + base) if shifted else \
+            np.ldexp(np.exp(phase + r).astype(complex).view(float), -shift).view(complex)
+        back = k - shift * len(r)  # got 2^back is the loop's block
+        assert np.array_equal(np.ldexp(got.view(float), back).view(complex),
+                              plan_step_loop(plan, x, gains))
 
 
 def test_ideal_sweep_steps_in_two_buffers():
@@ -164,7 +179,6 @@ def test_ideal_sweep_steps_in_two_buffers():
     buffers = []
     plan = grids._StepPlan(ham, sgrid, tgrid.dt)
     plan.apply(psi0, selective._corridor_gains(obs.values, record, kappa, tgrid.dt),
-               selective._corridor_bits(obs.values, record, kappa, tgrid.dt),
                lambda block, k: buffers.append(block))  # kept: a new array gets a new id
     assert len(buffers) == tgrid.n_steps and len({id(b) for b in buffers}) == 2
 
@@ -175,9 +189,9 @@ def test_apply_steps_once_per_call_or_batch(monkeypatch):
     calls = []
     apply = grids._StepPlan.apply
 
-    def counted(plan, x, gains, bits, observe=None):
+    def counted(plan, x, log_gains, observe=None):
         calls.append(np.shape(x))
-        return apply(plan, x, gains, bits, observe)
+        return apply(plan, x, log_gains, observe)
 
     monkeypatch.setattr(grids._StepPlan, "apply", counted)
     kappa = 1.0
@@ -269,9 +283,9 @@ def test_windowed_contraction_is_bit_identical_to_a_column_built_kernel():
     ff = FormFactor.gaussian(0.2 * dt)
     kernel = np.stack([unitary_step(e, ham, sgrid, dt) for e in np.eye(n, dtype=complex)], axis=1)
     window = ff.window_matrix(tgrid.n_steps, dt)
-    expect, k = _contract_windowed(psi0, kernel, WindowSpec.plan(window, n),
-                                   _corridor_rows(window, obs.values, record, kappa, dt))
-    assert k == 0
+    log_row, shift = _corridor_rows(window, obs.values, record, kappa, dt)
+    expect, k = _contract_windowed(psi0, kernel, WindowSpec.plan(window, n), log_row)
+    assert k == shift == 0
     got = evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid).final_state
     assert np.array_equal(got, expect)
 

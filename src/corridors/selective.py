@@ -22,7 +22,11 @@ n times smaller than the weight.  Every slice is one loop of independent
 blocks along one axis, each block a function of its part of the state
 and of that axis's values; a slice whose weight would pass
 `_SWEEP_BLOCK_ELEMENTS` (512 KB) has several, so no slice forms its
-full-size weight and each block's weight stays in the L2 cache.  When
+full-size weight and each block's weight stays in the L2 cache.  Such a
+slice's blocks run in contiguous runs, one on the calling thread and the
+others on a pool of `_BATCH_WORKERS` - 1 threads kept for the process,
+each into its own part of the slice, so the bits do not depend on the
+worker count.  When
 the buffer would not fit in memory, `plan` refuses: its cap,
 `DEFAULT_WORK_CAP` read at every call, is the one exact-or-sample rule,
 and a caller that may sample falls back on that refusal alone
@@ -89,7 +93,8 @@ __all__ = [
 # hard ceiling on the windowed-contraction working tensor, in complex
 # elements (1.6e9 bytes at complex128); beyond this `WindowSpec.plan` refuses
 # and callers should fall back to the Monte-Carlo unraveling.  A sweep's
-# traced peak is 0.18 such tensors at a 16^5 plan, so about 2.8e8 bytes here
+# traced peak is 0.18 such tensors at a 16^5 plan on one thread and 0.22 on
+# two, so about 3.5e8 bytes here
 DEFAULT_WORK_CAP = 100_000_000
 # real elements of one block of a windowed slice's weight (512 KB):
 # `_contract_windowed` evaluates a slice whose weight is larger in blocks of
@@ -100,8 +105,9 @@ _SWEEP_BLOCK_ELEMENTS = 1 << 16
 # propagators here, and the records the Monte-Carlo unitarity check
 # conditions together in one ideal sweep (records x columns x sites)
 _FIELD_BATCH_ELEMENTS = 1 << 14
-# threads that sweep sampler batches side by side (`_batch_map`): the cores
-# this process may run on
+# threads that sweep sampler batches side by side (`_batch_map`) and the blocks
+# of a wide windowed slice (`_contract_windowed`): the cores this process may
+# run on
 _BATCH_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 
@@ -146,11 +152,11 @@ class WindowSpec:
 
     buffer_len is the peak number of simultaneously live slice axes and
     work_elements = n_sites ** buffer_len the peak working-tensor size.
-    At its peak a sweep holds 0.18 complex tensors of that size
-    (0.18 x 16 work_elements bytes, traced by tracemalloc over one
-    `evolve_selective_coarse` call at n = 16, tau = 0.4 dt and 64 steps, a
-    16^5 plan): the live slices, at most 1/n of the work, and blocks of
-    the weight; a tier-1 test bounds it at 0.5.
+    At its peak a sweep holds 0.18 complex tensors of that size on one
+    thread and 0.22 on two (x 16 work_elements bytes, traced by tracemalloc
+    over one `evolve_selective_coarse` call at n = 16, tau = 0.4 dt and 64
+    steps, a 16^5 plan): the live slices, at most 1/n of the work, and
+    the blocks of the weight in flight; a tier-1 test bounds it at 0.5.
     live[j] is the oldest slice still live once slice j is added and its
     rows applied, and emit[j] the rows whose last slice is j: the schedule
     `_contract_windowed` replays.
@@ -254,6 +260,16 @@ def _contract_windowed(vec0, kernel, spec, log_row):
     block.  A slice that keeps no live axis (the last slice of a
     time-reversed window) runs in blocks of one index of x_{j-1}, which it
     sums after the kernel, added in the order of the one-block sum.
+
+    A slice of two or more kept-axis blocks splits them into
+    `_BATCH_WORKERS` contiguous runs: the calling thread runs the first,
+    `_sweep_pool`'s threads the others, each in a copy of the caller's
+    context (numpy's errstate is context-local) and each writing its
+    blocks' parts of the slice, and the caller waits for every run before
+    it rescales the slice.  numpy drops the GIL in the blocks' exp and
+    products.  One-block slices, the summed blocks of a slice that keeps
+    no axis and a single worker stay inline, so a plan whose weights all
+    fit one block never opens the pool.
     """
     n = kernel.shape[0]
     kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
@@ -305,6 +321,17 @@ def _contract_windowed(vec0, kernel, spec, log_row):
             state = state.sum(axis=-2)
         return state
 
+    def block(start):
+        # the block of slice j at `start` of slice cut
+        part = slice(start, start + step)
+        return advance(state[(slice(None),) * (lead + summed) + (part,)],
+                       kernel_t[part] if cut == j - 1 else kernel_t, part)
+
+    def fill(starts):
+        # a run of kept-axis blocks, each into its part of `out`
+        for start in starts:
+            out[(slice(None),) * lead + (slice(start, start + step),)] = block(start)
+
     for j, (lo, rows) in enumerate(zip(spec.live, spec.emit)):
         # axes older than x_{j-1} summed here; the plan sums them only where
         # the rows reaching back to them end, so only where there is a weight
@@ -314,22 +341,54 @@ def _contract_windowed(vec0, kernel, spec, log_row):
         cut, sums_last = oldest + summed, bool(j) and lo == j
         step = max(1, _SWEEP_BLOCK_ELEMENTS // state.size)
         step = n if step >= n or not (rows and j) else 1 if sums_last else step
-        out = None if sums_last or step == n else np.empty(
-            state.shape[:lead] + state.shape[lead + summed:] + (n,), complex)
-        for start in range(0, n, step):
-            part = slice(start, start + step)
-            piece = advance(state[(slice(None),) * (lead + summed) + (part,)],
-                            kernel_t[part] if cut == j - 1 else kernel_t, part)
-            if out is None:
-                out = piece
-            elif sums_last:  # in the order of the one-block sum
-                out += piece
-            else:  # the kept axis comes first after the batch axes
-                out[(slice(None),) * lead + (part,)] = piece
+        starts = range(0, n, step)
+        if sums_last or step == n:  # one block, or blocks added in the order of the one-block sum
+            out = block(0)
+            for start in starts[1:]:
+                out += block(start)
+        else:  # the kept axis comes first after the batch axes
+            out = np.empty(state.shape[:lead] + state.shape[lead + summed:] + (n,), complex)
+            runs = min(_BATCH_WORKERS, len(starts))
+            ends = [len(starts) * r // runs for r in range(1, runs + 1)]
+            futures = [_sweep_pool().submit(contextvars.copy_context().run, fill, starts[a:b])
+                       for a, b in zip(ends, ends[1:])]
+            try:
+                fill(starts[:ends[0]])
+            finally:  # every run is done before `out` is read, even past an error
+                for future in futures:
+                    future.exception()
+            for future in futures:
+                future.result()
         state = out
         k += _rescale(state, limit)
         oldest = j if sums_last else oldest + summed
     return state, k
+
+
+_kept_pool = None  # `_sweep_pool`'s threads, once a sweep has needed them
+
+
+def _sweep_pool():
+    """The `_BATCH_WORKERS` - 1 threads that run a wide slice's blocks beside
+    the caller's, opened on the first such slice and kept for the process
+    (opening a pool per call costs up to 2.4 ms)."""
+    global _kept_pool
+    if _kept_pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _kept_pool = ThreadPoolExecutor(_BATCH_WORKERS - 1)
+    return _kept_pool
+
+
+def _forget_sweep_pool():
+    """After a fork: the child has none of the parent's pool threads, so its
+    next wide slice opens a pool of its own."""
+    global _kept_pool
+    _kept_pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_sweep_pool)
 
 
 def _corridor_rows(window, site_values, readout, kappa, dt):

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import threading
 import tracemalloc
 from itertools import groupby
 from types import CellType, FunctionType, SimpleNamespace
@@ -331,39 +332,120 @@ def slow_detector_inputs(n):
     return psi0, record, FormFactor.gaussian(0.4 * tgrid.dt), kappa, ham, obs, sgrid, tgrid
 
 
-def test_coarse_engine_peak_memory_is_within_half_a_work_tensor():
+def test_coarse_engine_peak_memory_is_within_half_a_work_tensor(monkeypatch):
     # the cap's promise: a contraction allocates at most half a complex
     # working tensor (16 work_elements bytes) at its peak, here at the slow
-    # detector's shape, since no slice forms its full-size weight
+    # detector's shape, since no slice forms its full-size weight; with a
+    # second thread's blocks in flight too
     psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
     work = WindowSpec.plan(ff.window_matrix(tgrid.n_steps, tgrid.dt), sgrid.n_points).work_elements
     assert work == 16**5
-    tracemalloc.start()
-    try:
-        evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * 16 * work
+    for workers in (1, 2):
+        monkeypatch.setattr(selective, "_BATCH_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 16 * work
+
+
+def slow_detector_sweeps(n):
+    """run() -> the conditioned state at n sites, and on the doubled chain of
+    n // 4 sites, whose window plans the same work, the averaged state and
+    windowed exact unitarity's matrix."""
+    psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(n)
+    psi_d, _, _, _, *lattice_d = slow_detector_inputs(n // 4)  # ham, obs, sgrid, tgrid
+    coarse = InfluenceKernelSpec("coarse", kappa, form_factor=ff)
+    return lambda: (evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid).final_state,
+                    superpropagate(pure_density(psi_d), coarse, *lattice_d).rho,
+                    check_generalized_unitarity(kappa, *lattice_d, form_factor=ff).matrix)
 
 
 def test_blocked_sweep_is_bit_identical_to_one_block(monkeypatch):
     # the 16^5 slices run in blocks; with the block above the work each slice
     # is one block, and the conditioned and averaged states keep every bit,
     # as does the time-reversed window's last slice, which keeps no older axis
-    psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
-    psi4, _, _, _, *lattice4 = slow_detector_inputs(4)  # ham, obs, sgrid, tgrid at n = 4
-    coarse = InfluenceKernelSpec("coarse", kappa, form_factor=ff)
-
-    def run():
-        return (evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid).final_state,
-                superpropagate(pure_density(psi4), coarse, *lattice4).rho,
-                check_generalized_unitarity(kappa, *lattice4, form_factor=ff).matrix)
-
+    run = slow_detector_sweeps(16)
     blocked = run()
     monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", 16 * 16**5)
     for got, one_block in zip(blocked, run()):
         assert np.array_equal(got, one_block)
+
+
+@pytest.mark.parametrize("n, block, workers", [
+    (16, None, 2),  # the 16^5 plans: slices of 16 blocks, two runs of 8
+    (8, 1 << 10, 2),  # slices of 4 and 8 blocks
+    (8, 3 << 9, 2),  # slices of 3 blocks (3, 3 and 2 indices): runs of 1 and 2 blocks
+    (8, 1 << 10, 3),  # three runs: 1, 1 and 2 blocks, or 2, 3 and 3
+])
+def test_threaded_sweep_is_bit_identical_to_one_thread(monkeypatch, n, block, workers):
+    # a wide slice's blocks split into contiguous runs, the caller's and a
+    # kept pool's, each writing its own part of the slice: every bit is the
+    # one-thread sweep's
+    if block is not None:
+        monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", block)
+    run = slow_detector_sweeps(n)
+    monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
+    serial = run()
+    monkeypatch.setattr(selective, "_BATCH_WORKERS", workers)
+    for got, want in zip(run(), serial):
+        assert np.array_equal(got, want)
+
+
+def test_threaded_sweep_blocks_run_in_the_callers_errstate(monkeypatch):
+    # numpy's errstate is context-local, and the pool's runs see the
+    # caller's: a record 1000 off the lattice shifts each row to its largest
+    # log weight, and the far sites underflow in exp on both threads.  Under
+    # under="raise" the sweep raises; under a handler, both threads call it
+    # and the sweep keeps the one-thread bits
+    psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
+
+    def run():
+        return evolve_selective_coarse(psi0, record + 1000.0, ff, kappa, ham, obs, sgrid,
+                                       tgrid).final_state
+
+    monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
+    serial = run()
+    monkeypatch.setattr(selective, "_BATCH_WORKERS", 2)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        run()
+    threads = set()
+    with np.errstate(under="call", call=lambda *_: threads.add(threading.current_thread())):
+        got = run()
+    assert threading.main_thread() in threads and len(threads) == 2
+    assert np.array_equal(got, serial)
+
+
+def test_the_sweep_pool_opens_on_a_wide_slice_and_is_forgotten_after_a_fork(monkeypatch):
+    # no pool at one worker or where every slice is one block (an 8^5 plan,
+    # whose weights stay under 2^16 elements); the first wide slice opens
+    # one, later calls reuse it, and the at-fork hook (called here directly)
+    # makes the next call open another
+    monkeypatch.setattr(selective, "_kept_pool", None)
+    psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
+    psi8, _, _, _, *lattice8 = slow_detector_inputs(8)
+    opened = []
+    try:
+        monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
+        evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+        monkeypatch.setattr(selective, "_BATCH_WORKERS", 2)
+        evolve_selective_coarse(psi8, record, ff, kappa, *lattice8)
+        assert selective._kept_pool is None
+        for _ in range(2):
+            evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+            opened.append(selective._kept_pool)
+            evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+            assert selective._kept_pool is opened[-1]
+            selective._forget_sweep_pool()
+            assert selective._kept_pool is None
+        assert opened[0] is not None and opened[1] not in (None, opened[0])
+        assert opened[0]._max_workers == 1
+    finally:
+        for pool in opened:
+            if pool is not None:
+                pool.shutdown()
 
 
 def record_sweep_blocks(run):
@@ -404,6 +486,8 @@ def test_blocks_of_a_slice_run_alone_in_any_order(monkeypatch):
     psi8, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(8)
     lattice4 = slow_detector_inputs(4)[4:]
     monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", 1 << 10)
+    # the profiler sees the calling thread only: every block runs there
+    monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
     calls = record_sweep_blocks(lambda: (
         evolve_selective_coarse(psi8, record, ff, kappa, ham, obs, sgrid, tgrid),
         check_generalized_unitarity(kappa, *lattice4, form_factor=ff, mode="mc", samples=2,

@@ -414,7 +414,7 @@ def test_threaded_sweep_blocks_run_in_the_callers_errstate(monkeypatch):
     threads = set()
     with np.errstate(under="call", call=lambda *_: threads.add(threading.current_thread())):
         got = run()
-    assert threading.main_thread() in threads and len(threads) == 2
+    assert threading.main_thread() in threads and len(threads) > 1
     assert np.array_equal(got, serial)
 
 

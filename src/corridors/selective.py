@@ -69,6 +69,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
@@ -366,6 +367,7 @@ def _contract_windowed(vec0, kernel, spec, log_row):
 
 
 _kept_pool = None  # `_sweep_pool`'s threads, once a sweep has needed them
+_pool_lock = threading.Lock()  # two sweeps that open it at once open one pool
 
 
 def _sweep_pool():
@@ -373,18 +375,20 @@ def _sweep_pool():
     the caller's, opened on the first such slice and kept for the process
     (opening a pool per call costs up to 2.4 ms)."""
     global _kept_pool
-    if _kept_pool is None:
-        from concurrent.futures import ThreadPoolExecutor
+    with _pool_lock:
+        if _kept_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
 
-        _kept_pool = ThreadPoolExecutor(_BATCH_WORKERS - 1)
-    return _kept_pool
+            _kept_pool = ThreadPoolExecutor(_BATCH_WORKERS - 1)
+        return _kept_pool
 
 
 def _forget_sweep_pool():
-    """After a fork: the child has none of the parent's pool threads, so its
-    next wide slice opens a pool of its own."""
-    global _kept_pool
-    _kept_pool = None
+    """After a fork: the child has none of the parent's threads, so its next
+    wide slice opens a pool of its own (and a lock held by one of them is
+    never released)."""
+    global _kept_pool, _pool_lock
+    _kept_pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):

@@ -422,8 +422,10 @@ def test_the_sweep_pool_opens_on_a_wide_slice_and_is_forgotten_after_a_fork(monk
     # no pool at one worker or where every slice is one block (an 8^5 plan,
     # whose weights stay under 2^16 elements); the first wide slice opens
     # one, later calls reuse it, and the at-fork hook (called here directly)
-    # makes the next call open another
+    # makes the next call open another, also where the fork caught another
+    # thread holding the pool's lock
     monkeypatch.setattr(selective, "_kept_pool", None)
+    monkeypatch.setattr(selective, "_pool_lock", threading.Lock())
     psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
     psi8, _, _, _, *lattice8 = slow_detector_inputs(8)
     opened = []
@@ -438,8 +440,9 @@ def test_the_sweep_pool_opens_on_a_wide_slice_and_is_forgotten_after_a_fork(monk
             opened.append(selective._kept_pool)
             evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
             assert selective._kept_pool is opened[-1]
+            selective._pool_lock.acquire()
             selective._forget_sweep_pool()
-            assert selective._kept_pool is None
+            assert selective._kept_pool is None and not selective._pool_lock.locked()
         assert opened[0] is not None and opened[1] not in (None, opened[0])
         assert opened[0]._max_workers == 1
     finally:

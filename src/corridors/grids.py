@@ -18,7 +18,9 @@ Engines plan the step once per call and, up to a measured lattice size,
 step by products with its dense matrix, which is cheaper there than the FFT.
 Above it a density matrix is conjugated, M rho M^dagger, by one 2-D FFT pair
 with the phases applied as outer products; this relies on the kinetic phase
-being even in k, which k^2 on the FFT-ordered lattice is at every n.  An
+being even in k, which k^2 on the FFT-ordered lattice is at every n.  The
+pair's transforms run on every core the process may use (`_USABLE_CORES`,
+the package's one thread count), bit for bit the one-worker pair.  An
 averaged engine runs its steps as sweeps of the plan, each N identical steps
 with one gain.  A sweep folds the diagonal factors between two transform
 pairs (the closing potential phase, the gain and the next opening phase)
@@ -35,6 +37,7 @@ returns the base-2 exponent it took out for the caller to carry.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,6 +77,10 @@ _CHECK_BITS = 480
 _RANGE_BITS = 960
 _SHIFT_BITS = 256
 _LN2 = math.log(2.0)
+# the cores this process may run on, the package's one thread count: the FFT
+# sweep reads it at every call, and `selective._BATCH_WORKERS` is bound to it
+_USABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -319,6 +326,18 @@ class _StepPlan(_SplitStep):
     W = M M: V2 . V2 by its column and row factors), and V2 then g close the
     last pair.  A pair is fft2, times K2, ifft2, in the array's own memory
     (``overwrite_x``), and the products are in place, so no step allocates.
+    Both transforms take ``workers=_USABLE_CORES``, read at every call:
+    pocketfft splits their independent 1-D transforms between its own kept
+    threads, with no GIL or Python pool involved, and computes each as one
+    worker would, so the sweep is bit for bit that of one worker (0.94 ms a
+    step at n=256 on one core, 0.55 ms on two; at n=160 two read 0.27 ms
+    against 0.23, too little work per thread).  `fft_step`, the column
+    sweep's numpy.fft branch, stays on one worker: above the crossover it
+    runs inside `_batch_map`'s threads, and workers nested there would
+    oversubscribe the cores.  The crossover stays one rule at 128 for both
+    sweeps: the 2-D pair already beat dense there (0.19 against 0.31 ms a
+    step), two workers made it no faster (0.24 ms), and dense still wins on
+    vectors and column blocks.
     Dense, a step is W x, then (W x) W^dagger, then the gain, into two
     buffers per call, with the cached M M (`squared`) as W when ``twice``.
 
@@ -512,10 +531,11 @@ class _StepPlan(_SplitStep):
         return s
 
     def _transform_pair(self, s, fft):
-        """ifft2(K2 . fft2(s)) by the module ``fft`` (scipy.fft), in the memory of s."""
-        s = fft.fft2(s, overwrite_x=True)
+        """ifft2(K2 . fft2(s)) by the module ``fft`` (scipy.fft), in the memory of s,
+        on ``_USABLE_CORES`` workers (bit for bit one worker's)."""
+        s = fft.fft2(s, overwrite_x=True, workers=_USABLE_CORES)
         s *= self.kinetic_2d
-        return fft.ifft2(s, overwrite_x=True)
+        return fft.ifft2(s, overwrite_x=True, workers=_USABLE_CORES)
 
     def _takes_power(self, n_steps, g):
         """Whether n_steps identical dense steps, each followed by the gain g, are

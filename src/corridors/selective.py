@@ -46,7 +46,7 @@ whole bits that shift a far record's weights back into range (in
 `_StepPlan.apply` and `_corridor_rows`, past 2^+-_SHIFT_BITS); the
 linear fields of a result are rounded from the logs and saturate.  The
 sampler batches run on worker threads, one per usable core
-(`os.sched_getaffinity`), through one ordered batch map, `_batch_map`:
+(`grids._USABLE_CORES`), through one ordered batch map, `_batch_map`:
 the calling thread draws the random numbers in stream order and sums the
 results in batch order, so they are bit for bit those of one thread.
 The workers are separate from BLAS's own threads
@@ -76,7 +76,16 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .grids import _CHECK_BITS, _LN2, _RANGE_BITS, _SHIFT_BITS, _rescale, _StepPlan, norm_sq
+from .grids import (
+    _CHECK_BITS,
+    _LN2,
+    _RANGE_BITS,
+    _SHIFT_BITS,
+    _USABLE_CORES,
+    _rescale,
+    _StepPlan,
+    norm_sq,
+)
 # unused here, kept as a module name: the benchmark's tracer self-test
 # checks that selective.unitary_step is rebound and restored
 from .grids import unitary_step  # noqa: F401
@@ -106,11 +115,12 @@ _SWEEP_BLOCK_ELEMENTS = 1 << 16
 # propagators here, and the records the Monte-Carlo unitarity check
 # conditions together in one ideal sweep (records x columns x sites)
 _FIELD_BATCH_ELEMENTS = 1 << 14
-# threads that sweep sampler batches side by side (`_batch_map`) and the blocks
-# of a wide windowed slice (`_contract_windowed`): the cores this process may
-# run on
-_BATCH_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-    else os.cpu_count() or 1
+# the package's one thread count, the cores this process may run on
+# (`grids._USABLE_CORES`), has three users: `_batch_map`'s threads, which sweep
+# sampler batches side by side, `_sweep_pool`'s, which run a wide windowed
+# slice's blocks beside the caller, and the FFT sweep's transforms
+# (`_StepPlan.sweep`, which reads `grids`' name)
+_BATCH_WORKERS = _USABLE_CORES
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Engines step with the dense matrix M on lattices up to the crossover and
 with the split-operator FFT above it, where a conjugation M rho M^dagger is
 one 2-D transform pair.  Both branches are the same operator, so they must
 agree to roundoff on every lattice, odd or even, and the engines' outputs
-must not depend on which branch ran.
+must not depend on which branch ran.  The FFT sweep's transforms run on
+every usable core and must keep the one-worker bits, in a forked child too.
 """
 
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -466,3 +468,70 @@ def test_sweep_returns_a_new_array_and_never_writes_x(monkeypatch, path, n_steps
     for _ in range(n_steps):
         want = gain * (w @ want @ w.conj().T)
     assert rel_gap(got, want) <= 1e-12
+
+
+def fft_sweep_case(n, gain):
+    """An FFT-branch plan (the n = 4 one forced onto it), an (n, n) x and a
+    gain: None, a real decay or a complex gain."""
+    grid = SpatialGrid(5.0 if n == 4 else 32.0, n)
+    plan = grids._StepPlan(HamiltonianSpec.harmonic(grid, 0.8), grid, 0.05)
+    plan.dense = False
+    g = np.exp(-0.1 * np.subtract.outer(grid.coords, grid.coords) ** 2)
+    if gain == "complex":
+        g = g * np.exp(1j * np.random.default_rng(8).standard_normal((n, n)))
+    return plan, random_matrix(n, 9), None if gain == "none" else g
+
+
+def spy_fft_workers(monkeypatch):
+    """The ``workers`` of every scipy.fft.fft2 and ifft2 call, in order."""
+    import scipy.fft
+
+    seen = []
+    for name in ("fft2", "ifft2"):
+        def spy(*args, _transform=getattr(scipy.fft, name), _name=name, **kwargs):
+            seen.append((_name, kwargs.get("workers")))
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("gain", ["none", "decay", "complex"])
+@pytest.mark.parametrize("twice", [False, True], ids=["M", "MM"])
+@pytest.mark.parametrize("n", [4, 256])
+def test_fft_sweep_is_bit_identical_at_any_worker_count(monkeypatch, n, twice, gain):
+    # pocketfft computes each 1-D transform of a pair as one worker would, so
+    # the threaded sweep keeps the one-worker bits; every transform must be
+    # handed the package's count, or a fall back to one worker would pass
+    plan, x, g = fft_sweep_case(n, gain)
+    seen = spy_fft_workers(monkeypatch)
+    n_steps, runs = 3, []
+    for workers in (1, 2):
+        monkeypatch.setattr(grids, "_USABLE_CORES", workers)
+        seen.clear()
+        runs.append(plan.sweep(x, g, n_steps, twice))
+        assert seen == [("fft2", workers), ("ifft2", workers)] * n_steps * (1 + twice)
+    assert np.array_equal(*runs)
+
+
+def test_threaded_fft_sweep_gives_the_parent_bits_in_a_forked_child(monkeypatch):
+    # pocketfft keeps its threads for the process; a forked child has none of
+    # them, so its pool must come back for the child's sweep, bit for bit
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    monkeypatch.setattr(grids, "_USABLE_CORES", 2)
+    plan, x, g = fft_sweep_case(256, "complex")
+    want = plan.sweep(x, g, 3)  # starts the threads in this process
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(plan.sweep(x, g, 3)))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's sweep did not return"
+        got = recv.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(got, want)

@@ -80,6 +80,7 @@ from .selective import (
     _field_sweep,
     _ldexp,
     _log_measure_factor,
+    _logsumexp,
     _Moments,
 )
 
@@ -226,15 +227,14 @@ def readout_average(psi0, kappa, ham, obs, sgrid, tgrid):
 def _mixture_records(rng, values, kappa, dt, n_steps, count):
     """Draw ``count`` records, each from the per-step equal-weight mixture
     of normals centered on the observable's lattice values and in turn
-    from ``rng``; returns the (count, N) records a and their log q(a)."""
-    from scipy.special import logsumexp  # scipy loads only where it is used
-
+    from ``rng``; returns the (count, N) records a and their log q(a), each
+    step's mixture density summed by `_logsumexp` (scipy's steps in numpy)."""
     n = values.size
     sigma = 1.0 / math.sqrt(4.0 * kappa * dt)
     a = np.array([values[rng.integers(0, n, size=n_steps)] + sigma * rng.standard_normal(n_steps)
                   for _ in range(count)])
     z = -((a[:, :, None] - values) ** 2) / (2.0 * sigma**2)
-    log_q = np.sum(logsumexp(z, axis=2), axis=1) - n_steps * (
+    log_q = np.sum(_logsumexp(z, axis=2), axis=1) - n_steps * (
         math.log(n) + math.log(sigma * math.sqrt(2.0 * math.pi)))
     return a, log_q
 

@@ -757,6 +757,19 @@ def _exp(x):
         return math.inf
 
 
+def _logsumexp(z, axis):
+    """log sum e^z along axis for finite z, by scipy.special.logsumexp's steps
+    (Blanchard, Higham & Higham 2021): with the m ties at the maximum split
+    out, log1p(sum of the other e^(z - max) / m) + log m + max."""
+    top = np.max(z, axis=axis, keepdims=True)
+    at_top = z == top
+    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    terms = np.exp(z - top)
+    terms[at_top] = 0.0
+    s = np.sum(terms, axis=axis, keepdims=True) / m
+    return np.squeeze(np.log1p(s) + np.log(m) + top, axis=axis)
+
+
 def _ldexp(x, e):
     """2^e x for a real or complex array x, as a new array rounded once and
     saturating at 0 and inf; x itself when e = 0."""

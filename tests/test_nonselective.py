@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from corridors.nonselective import (
     superpropagate,
 )
 from corridors.readout import FormFactor
+from corridors.scenario import load_config
 from corridors.selective import _SWEEP_BLOCK_ELEMENTS, DEFAULT_WORK_CAP, WindowSpec
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def _free_pointer_setup():
@@ -627,6 +631,21 @@ def test_unitarity_mc_batches_match_the_per_record_loop(monkeypatch, case):
     rep = check_generalized_unitarity(kappa, ham, obs, g, tg, mode="mc", samples=100, seed=5, **kw)
     ref = oracles.unitarity_mc_per_record(kappa, ham, obs, g, tg, samples=100, seed=5, **kw)
     assert np.max(np.abs(rep.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("scenario", ["free_monitored.ini", "slow_detector.ini"])
+def test_mixture_records_are_the_per_record_draws_bit_for_bit(scenario, seed):
+    # the batched draws and weights of the ideal and the windowed demo are the
+    # scipy-weighted reference's, record by record
+    cfg = load_config(SCENARIOS / scenario)
+    vals, kappa, dt, n_steps = cfg.obs.values, cfg.meas.kappa, cfg.tgrid.dt, cfg.tgrid.n_steps
+    a, log_q = nonselective._mixture_records(np.random.default_rng(seed), vals, kappa, dt,
+                                             n_steps, 5)
+    rng = np.random.default_rng(seed)
+    for a_i, log_q_i in zip(a, log_q):
+        ref_a, ref_log_q = oracles.mixture_record(rng, vals, kappa, dt, n_steps)
+        assert np.array_equal(a_i, ref_a) and log_q_i == ref_log_q
 
 
 @pytest.mark.parametrize("samples", [0, 1])

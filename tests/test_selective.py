@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 import oracles
 from corridors import selective
@@ -800,3 +801,23 @@ def test_moments_on_a_common_exponent_match_the_unscaled_sums():
     assert all(np.array_equal(v * 4.0**90, w)
                for v, w in zip(scaled.variances(), plain.variances()))
     assert np.array_equal(scaled.stderr() * 2.0**90, plain.stderr())
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(11)
+    for _ in range(40):  # (count, N, n) records of the mixture sampler's spread
+        shape = tuple(int(k) for k in rng.integers(1, 40, size=3))
+        yield -rng.exponential(rng.choice([0.1, 10.0, 1e3]), size=shape)
+    ties = np.round(-rng.exponential(2.0, size=(3, 50, 16)), 1)
+    ties[..., :3] = ties.max(axis=2, keepdims=True)  # at least three maxima per row
+    yield ties
+    yield np.zeros((2, 5, 7))  # every element at the maximum
+    yield -rng.exponential(3.0, size=(4, 9, 1))  # a one-element axis
+    yield -1e5 + rng.standard_normal((3, 20, 64))  # deep in the tail
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    for z in _logsumexp_cases():
+        got = selective._logsumexp(z, axis=2)
+        assert got.shape == z.shape[:2]
+        assert np.array_equal(got, logsumexp(z, axis=2))

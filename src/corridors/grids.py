@@ -26,18 +26,25 @@ with one gain.  A sweep folds the diagonal factors between two transform
 pairs (the closing potential phase, the gain and the next opening phase)
 into one precomputed product and transforms in place, so a step allocates
 no array; on a small dense lattice a long sweep is one power of the step's
-real superoperator instead.  Every vector or column block, conditioned or
-field-sampled, steps through the plan's one column sweep, `apply`, with a
-diagonal gain between steps that it forms from the caller's log gains: it
-steps between two buffers allocated once per call, keeps gains and block
-inside the double range by exact power-of-two shifts and rescalings, and
-returns the base-2 exponent it took out for the caller to carry.
+real superoperator instead, squared only until a few dozen factors remain,
+which it applies to the state one product at a time.  A large squaring runs
+in fixed row bands that `_split` hands out to the calling thread and to the
+package's one kept pool (`_sweep_pool`, which the windowed sweep's wide
+slices share), so its bits do not depend on the thread count.  Every
+vector or column block, conditioned or field-sampled, steps through the
+plan's one column sweep, `apply`, with a diagonal gain between steps that
+it forms from the caller's log gains: it steps between two buffers
+allocated once per call, keeps gains and block inside the double range by
+exact power-of-two shifts and rescalings, and returns the base-2 exponent
+it took out for the caller to carry.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,6 +76,18 @@ _DENSE_STEP_MAX_POINTS = 128
 # Largest lattice on which a long run of identical dense steps is taken as one
 # power of the step's real n^2 x n^2 superoperator (8 MB a buffer at 32 points)
 _POWER_MAX_POINTS = 32
+# A power stops squaring once at most this many factors of the power so far
+# remain, or n^2/4 on a smaller lattice, and applies them to its two columns
+# one product at a time: one more squaring S saves r/2 products p of the r
+# left, so it pays while r > 2 S/p, which grows with n^2 until the product
+# leaves the cache.  Measured (one BLAS thread, 2-core VM; S on one core | on
+# two):
+#     n    S                      p         2 S/p      stop
+#     4    0.001 ms | inline      1.1 us    2          4
+#     8    0.010 ms | inline      2.0 us    10         16
+#     16   0.62 ms | 0.37-0.42    12 us     100 | 66   64
+#     32   36.6 ms | 18.5-20.5    0.75 ms   98 | 52   64
+_POWER_TAIL = 64
 # Rescaling of a column sweep (`_StepPlan.apply`): a check every _CHECK_BITS
 # of worst-case movement of the block's largest entry keeps it within
 # 2^+-_RANGE_BITS, clear of the subnormals below 2^-1022 and of overflow; a
@@ -78,7 +97,8 @@ _RANGE_BITS = 960
 _SHIFT_BITS = 256
 _LN2 = math.log(2.0)
 # the cores this process may run on, the package's one thread count: the FFT
-# sweep reads it at every call, and `selective._BATCH_WORKERS` is bound to it
+# sweep and the power's squarings read it at every call, and
+# `selective._BATCH_WORKERS` is bound to it
 _USABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 
@@ -348,16 +368,22 @@ class _StepPlan(_SplitStep):
     X -> g . (W X W^dagger) is the real n^2 x n^2 matrix
     Q = g[:, None] . (Re K + (Im K) Pi), with K = W (x) conj(W) on the
     row-major vec and Pi the transpose permutation; any other X runs as its
-    two Hermitian parts.  Q^N by repeated squaring is log2(N) real
-    n^2 x n^2 GEMMs, which BLAS runs near its peak, where a step's two
-    n x n complex GEMMs run at a small fraction of it.  Measured on the
-    adjoint sweep (power against stepping, one BLAS thread, 2-core VM):
+    two Hermitian parts.  Q^N takes about log2(N / ``_POWER_TAIL``)
+    squarings, real n^2 x n^2 GEMMs that BLAS runs near its peak, where a
+    step's two n x n complex GEMMs run at a small fraction of it, and at
+    most ``_POWER_TAIL`` products with h; from n = 16 each squaring runs in
+    row bands on every usable core.  Measured on the adjoint sweep (power
+    against stepping, one BLAS thread, both cores of a 2-core VM):
 
         n    power already faster at    stepping still faster at
-        4    N=64    (0.33 vs 0.45 ms)  -
-        8    N=64    (0.41 vs 0.48 ms)  -
-        16   N=4096  (10.9 vs 35.7 ms)  N=512   (8.0 vs 4.5 ms)
-        32   N=32768 (650 vs 775 ms)    N=16384 (683 vs 353 ms)
+        4    N=32    (0.22 vs 0.26 ms)  N=16   (0.25 vs 0.17 ms)
+        8    N=64    (0.32 vs 0.48 ms)  N=32   (0.30 vs 0.27 ms)
+        16   N=512   (3.9 vs 4.6 ms)    N=256  (3.9 vs 2.4 ms)
+        32   N=16384 (321 vs 367 ms)    N=8192 (282 vs 197 ms)
+
+    On one core power first wins at N=1024 for n=16 (5.4 vs 8.6 ms) and at
+    N=32768 for n=32 (462 vs 869 ms).  The rule stays N >= n^3, which two
+    cores now beat from n^3/8 at n=16 and from n^3/2 at n=32.
 
     Q is a 2-norm contraction (h keeps the Frobenius norm of X), so the
     squarings are stable, but their rounding is coherent: the power drifts
@@ -548,9 +574,15 @@ class _StepPlan(_SplitStep):
 
     def _power(self, m, g, k, x):
         """(X -> g . (m X m^dagger))^k applied to x, as a new array: the k-th
-        power of the step's real superoperator Q on Hermitian coordinates, by
-        repeated squaring into two buffers.  x is carried as its Hermitian
-        parts (x + x^dagger)/2 and (x - x^dagger)/2i, two columns of h."""
+        power of the step's real superoperator Q on Hermitian coordinates.  x
+        is carried as its Hermitian parts (x + x^dagger)/2 and
+        (x - x^dagger)/2i, two columns of h.  Q is squared into two buffers
+        while more than ``_POWER_TAIL`` (at most n^2/4) factors of the power
+        so far remain, and the rest are applied to h one product at a time.  A squaring runs
+        in row bands of at least 128 rows, each its own product, through
+        `_split` on ``_USABLE_CORES`` threads: the bands do not depend on the
+        thread count, so neither do the bits, and a squaring below 256 rows
+        (n < 16), where a second thread gains too little, is one product."""
         n = self.n
         nn = n * n
         re, im = m.real, m.imag
@@ -565,18 +597,85 @@ class _StepPlan(_SplitStep):
         parts = np.stack([x + x.conj().T, (x - x.conj().T) * -1j]) * 0.5
         h = (parts.real + parts.imag).reshape(2, nn).T
         buf = np.empty_like(q)
-        while True:
+        count = max(1, nn // 128)
+        bands = [slice(nn * b // count, nn * (b + 1) // count) for b in range(count)]
+
+        def square(rows):
+            np.matmul(q[rows], q, out=buf[rows])
+
+        while k > min(_POWER_TAIL, nn // 4):
             if k & 1:
                 h = q @ h
             k >>= 1
-            if not k:
-                break
-            np.matmul(q, q, out=buf)
+            _split(square, bands, _USABLE_CORES)
             q, buf = buf, q
+        for _ in range(k):
+            h = q @ h
         h = h.T.reshape(2, n, n)
         h_t = h.transpose(0, 2, 1)
         parts = 0.5 * ((h + h_t) + 1j * (h - h_t))  # Re X = sym(h), Im X = antisym(h)
         return parts[0] + 1j * parts[1]
+
+
+def _split(fn, parts, workers):
+    """fn(part) for every part, on up to ``workers`` threads: the parts split
+    into as many contiguous runs, the caller runs the first and
+    `_sweep_pool`'s threads the others, each in a copy of the caller's context
+    (numpy's errstate is context-local).  The caller returns once every run
+    is done, even past an error.  A single part or worker runs inline and
+    opens no pool.  Each fn(part) must write only its own part of the result,
+    so the bits do not depend on the thread count, and must not call
+    `_split`: a pool thread waiting on the pool could wait on itself."""
+    runs = min(workers, len(parts))
+    if runs < 2:
+        for part in parts:
+            fn(part)
+        return
+    ends = [len(parts) * r // runs for r in range(runs + 1)]
+
+    def run(chunk):
+        for part in chunk:
+            fn(part)
+
+    pool = _sweep_pool(workers - 1)
+    futures = [pool.submit(contextvars.copy_context().run, run, parts[a:b])
+               for a, b in zip(ends[1:], ends[2:])]
+    try:
+        run(parts[:ends[1]])
+    finally:  # every run is done before the caller reads the result
+        for future in futures:
+            future.exception()
+    for future in futures:
+        future.result()
+
+
+_kept_pool = None  # `_sweep_pool`'s threads, once a split has needed them
+_pool_lock = threading.Lock()  # two splits that open it at once open one pool
+
+
+def _sweep_pool(threads):
+    """The package's one kept pool: ``threads`` threads that run `_split`'s
+    parts beside the caller, opened on the first split that needs them and
+    kept for the process (opening a pool per call costs up to 2.4 ms)."""
+    global _kept_pool
+    with _pool_lock:
+        if _kept_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _kept_pool = ThreadPoolExecutor(threads, thread_name_prefix="corridors-split")
+        return _kept_pool
+
+
+def _forget_sweep_pool():
+    """After a fork: the child has none of the parent's threads, so its next
+    split opens a pool of its own (and a lock held by one of them is never
+    released)."""
+    global _kept_pool, _pool_lock
+    _kept_pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_sweep_pool)
 
 
 def _rescale(block, limit):

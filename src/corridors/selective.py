@@ -23,9 +23,9 @@ blocks along one axis, each block a function of its part of the state
 and of that axis's values; a slice whose weight would pass
 `_SWEEP_BLOCK_ELEMENTS` (512 KB) has several, so no slice forms its
 full-size weight and each block's weight stays in the L2 cache.  Such a
-slice's blocks run in contiguous runs, one on the calling thread and the
-others on a pool of `_BATCH_WORKERS` - 1 threads kept for the process,
-each into its own part of the slice, so the bits do not depend on the
+slice's blocks run through `grids._split` on `_BATCH_WORKERS` threads, in
+contiguous runs on the calling thread and on the package's one kept pool,
+each writing its own part of the slice, so the bits do not depend on the
 worker count.  When
 the buffer would not fit in memory, `plan` refuses: its cap,
 `DEFAULT_WORK_CAP` read at every call, is the one exact-or-sample rule,
@@ -68,8 +68,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
@@ -83,6 +81,7 @@ from .grids import (
     _SHIFT_BITS,
     _USABLE_CORES,
     _rescale,
+    _split,
     _StepPlan,
     norm_sq,
 )
@@ -116,10 +115,11 @@ _SWEEP_BLOCK_ELEMENTS = 1 << 16
 # conditions together in one ideal sweep (records x columns x sites)
 _FIELD_BATCH_ELEMENTS = 1 << 14
 # the package's one thread count, the cores this process may run on
-# (`grids._USABLE_CORES`), has three users: `_batch_map`'s threads, which sweep
-# sampler batches side by side, `_sweep_pool`'s, which run a wide windowed
-# slice's blocks beside the caller, and the FFT sweep's transforms
-# (`_StepPlan.sweep`, which reads `grids`' name)
+# (`grids._USABLE_CORES`): `_batch_map`'s threads sweep sampler batches side by
+# side (a pool per call), and `grids._split` runs a wide windowed slice's
+# blocks beside the caller on the package's one kept pool.  `grids` reads its
+# own name for the FFT sweep's transforms and for the power's squaring bands,
+# which share that pool
 _BATCH_WORKERS = _USABLE_CORES
 
 
@@ -272,15 +272,12 @@ def _contract_windowed(vec0, kernel, spec, log_row):
     time-reversed window) runs in blocks of one index of x_{j-1}, which it
     sums after the kernel, added in the order of the one-block sum.
 
-    A slice of two or more kept-axis blocks splits them into
-    `_BATCH_WORKERS` contiguous runs: the calling thread runs the first,
-    `_sweep_pool`'s threads the others, each in a copy of the caller's
-    context (numpy's errstate is context-local) and each writing its
-    blocks' parts of the slice, and the caller waits for every run before
-    it rescales the slice.  numpy drops the GIL in the blocks' exp and
-    products.  One-block slices, the summed blocks of a slice that keeps
-    no axis and a single worker stay inline, so a plan whose weights all
-    fit one block never opens the pool.
+    A slice of two or more kept-axis blocks hands them to `grids._split` on
+    `_BATCH_WORKERS` threads, each block writing its part of the slice;
+    `_split` returns once every block is done, before the slice rescales.
+    numpy drops the GIL in the blocks' exp and products.  One-block slices,
+    the summed blocks of a slice that keeps no axis and a single worker stay
+    inline, so a plan whose weights all fit one block never opens the pool.
     """
     n = kernel.shape[0]
     kernel_t = np.ascontiguousarray(np.asarray(kernel, dtype=complex).T)
@@ -338,10 +335,9 @@ def _contract_windowed(vec0, kernel, spec, log_row):
         return advance(state[(slice(None),) * (lead + summed) + (part,)],
                        kernel_t[part] if cut == j - 1 else kernel_t, part)
 
-    def fill(starts):
-        # a run of kept-axis blocks, each into its part of `out`
-        for start in starts:
-            out[(slice(None),) * lead + (slice(start, start + step),)] = block(start)
+    def fill(start):
+        # a kept-axis block, into its part of `out`
+        out[(slice(None),) * lead + (slice(start, start + step),)] = block(start)
 
     for j, (lo, rows) in enumerate(zip(spec.live, spec.emit)):
         # axes older than x_{j-1} summed here; the plan sums them only where
@@ -359,50 +355,11 @@ def _contract_windowed(vec0, kernel, spec, log_row):
                 out += block(start)
         else:  # the kept axis comes first after the batch axes
             out = np.empty(state.shape[:lead] + state.shape[lead + summed:] + (n,), complex)
-            runs = min(_BATCH_WORKERS, len(starts))
-            ends = [len(starts) * r // runs for r in range(1, runs + 1)]
-            futures = [_sweep_pool().submit(contextvars.copy_context().run, fill, starts[a:b])
-                       for a, b in zip(ends, ends[1:])]
-            try:
-                fill(starts[:ends[0]])
-            finally:  # every run is done before `out` is read, even past an error
-                for future in futures:
-                    future.exception()
-            for future in futures:
-                future.result()
+            _split(fill, starts, _BATCH_WORKERS)
         state = out
         k += _rescale(state, limit)
         oldest = j if sums_last else oldest + summed
     return state, k
-
-
-_kept_pool = None  # `_sweep_pool`'s threads, once a sweep has needed them
-_pool_lock = threading.Lock()  # two sweeps that open it at once open one pool
-
-
-def _sweep_pool():
-    """The `_BATCH_WORKERS` - 1 threads that run a wide slice's blocks beside
-    the caller's, opened on the first such slice and kept for the process
-    (opening a pool per call costs up to 2.4 ms)."""
-    global _kept_pool
-    with _pool_lock:
-        if _kept_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _kept_pool = ThreadPoolExecutor(_BATCH_WORKERS - 1)
-        return _kept_pool
-
-
-def _forget_sweep_pool():
-    """After a fork: the child has none of the parent's threads, so its next
-    wide slice opens a pool of its own (and a lock held by one of them is
-    never released)."""
-    global _kept_pool, _pool_lock
-    _kept_pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_sweep_pool)
 
 
 def _corridor_rows(window, site_values, readout, kappa, dt):

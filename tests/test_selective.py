@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 import oracles
-from corridors import selective
+from corridors import grids, selective
 from corridors.grids import (
     HamiltonianSpec,
     ObservableSpec,
@@ -31,6 +31,7 @@ from corridors.nonselective import (
     InfluenceKernelSpec,
     _medium_rows,
     check_generalized_unitarity,
+    lindblad_evolve,
     superpropagate,
 )
 from corridors.readout import FormFactor, readout_measure_factor
@@ -419,37 +420,86 @@ def test_threaded_sweep_blocks_run_in_the_callers_errstate(monkeypatch):
     assert np.array_equal(got, serial)
 
 
+def power_sweep(n):
+    """run() -> lindblad_evolve of a free packet at N = n^3 + 1 steps, whose
+    middle N - 1 are one power of the step's superoperator: its squarings
+    split from n = 16."""
+    sgrid, tgrid = build_grids(8.0, n, 1.0, n**3 + 1)
+    rho0 = pure_density(gaussian_packet(sgrid, 0.0, 1.2, 0.4))
+    ham, obs = HamiltonianSpec.free(sgrid), ObservableSpec.position(sgrid)
+    return lambda: lindblad_evolve(rho0, 1.0, ham, obs, sgrid, tgrid)
+
+
 def test_the_sweep_pool_opens_on_a_wide_slice_and_is_forgotten_after_a_fork(monkeypatch):
-    # no pool at one worker or where every slice is one block (an 8^5 plan,
-    # whose weights stay under 2^16 elements); the first wide slice opens
-    # one, later calls reuse it, and the at-fork hook (called here directly)
-    # makes the next call open another, also where the fork caught another
-    # thread holding the pool's lock
-    monkeypatch.setattr(selective, "_kept_pool", None)
-    monkeypatch.setattr(selective, "_pool_lock", threading.Lock())
+    # one kept pool serves both users of `grids._split`: the blocks of a wide
+    # windowed slice and the row bands of a power's squarings.  No pool at
+    # one worker, where every slice is one block (an 8^5 plan, whose weights
+    # stay under 2^16 elements) or where a squaring is one band (n = 8); the
+    # first wide slice or banded squaring opens it, the other user reuses
+    # it, and the at-fork hook (called here directly) makes the next call
+    # open another, also where the fork caught another thread holding the
+    # pool's lock
+    monkeypatch.setattr(grids, "_kept_pool", None)
+    monkeypatch.setattr(grids, "_pool_lock", threading.Lock())
     psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
     psi8, _, _, _, *lattice8 = slow_detector_inputs(8)
+
+    def wide_slices():
+        evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+
+    power16, power8 = power_sweep(16), power_sweep(8)
     opened = []
     try:
         monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
-        evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
+        monkeypatch.setattr(grids, "_USABLE_CORES", 1)
+        wide_slices()
+        power16()
         monkeypatch.setattr(selective, "_BATCH_WORKERS", 2)
+        monkeypatch.setattr(grids, "_USABLE_CORES", 2)
         evolve_selective_coarse(psi8, record, ff, kappa, *lattice8)
-        assert selective._kept_pool is None
-        for _ in range(2):
-            evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
-            opened.append(selective._kept_pool)
-            evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
-            assert selective._kept_pool is opened[-1]
-            selective._pool_lock.acquire()
-            selective._forget_sweep_pool()
-            assert selective._kept_pool is None and not selective._pool_lock.locked()
+        power8()
+        assert grids._kept_pool is None
+        for first, then in ((wide_slices, power16), (power16, wide_slices)):
+            first()
+            opened.append(grids._kept_pool)
+            then()
+            assert grids._kept_pool is opened[-1]
+            grids._pool_lock.acquire()
+            grids._forget_sweep_pool()
+            assert grids._kept_pool is None and not grids._pool_lock.locked()
         assert opened[0] is not None and opened[1] not in (None, opened[0])
         assert opened[0]._max_workers == 1
     finally:
         for pool in opened:
             if pool is not None:
                 pool.shutdown()
+
+
+def test_no_part_on_the_pool_submits_to_the_pool(monkeypatch):
+    # the kept pool may hold a single thread: a part running there that
+    # submitted to the pool and waited for it would wait on itself.  Every
+    # submission of a power sweep, of windowed sweeps (conditioned, averaged,
+    # unitarity) and of a sampler comes from a thread outside the pool
+    submitters, sweep_pool = [], grids._sweep_pool
+
+    def spied(threads):
+        pool = sweep_pool(threads)
+
+        def submit(*args):
+            submitters.append(threading.current_thread().name)
+            return pool.submit(*args)
+
+        return SimpleNamespace(submit=submit)
+
+    monkeypatch.setattr(grids, "_sweep_pool", spied)
+    monkeypatch.setattr(grids, "_USABLE_CORES", 2)
+    monkeypatch.setattr(selective, "_BATCH_WORKERS", 2)
+    power_sweep(16)()
+    slow_detector_sweeps(16)()
+    psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
+    evolve_selective_coarse_mc(psi0, record, ff, kappa, ham, obs, sgrid, tgrid, samples=64, seed=1)
+    assert submitters
+    assert not [name for name in submitters if name.startswith("corridors-split")]
 
 
 def record_sweep_blocks(run):

@@ -427,6 +427,105 @@ def test_power_path_matches_the_per_step_loops(monkeypatch, n, omega):
         assert rel_gap(got, want) <= 10 * n_steps * np.finfo(float).eps
 
 
+def power_case(n, twice=False):
+    """A harmonic dense plan on n points (any n a SpatialGrid takes), its W = M
+    or M M, a real symmetric decay gain and an (n, n) x."""
+    grid = SpatialGrid(12.0, n)
+    plan = grids._StepPlan(HamiltonianSpec.harmonic(grid, 0.7), grid, 0.01)
+    w = plan.squared[0] if twice else plan.matrix
+    g = np.exp(-0.01 * np.subtract.outer(grid.coords, grid.coords) ** 2)
+    return plan, w, g, random_matrix(n, 10)
+
+
+def spy_splits(monkeypatch):
+    """The part count of every `grids._split` call, in order."""
+    parts, split = [], grids._split
+
+    def counted(fn, todo, workers):
+        parts.append(len(todo))
+        return split(fn, todo, workers)
+
+    monkeypatch.setattr(grids, "_split", counted)
+    return parts
+
+
+@pytest.mark.parametrize("twice", [False, True], ids=["M", "MM"])
+@pytest.mark.parametrize("n", range(16, grids._POWER_MAX_POINTS + 1))
+def test_power_is_bit_identical_at_one_and_two_cores(monkeypatch, n, twice):
+    # from 256 rows (n = 16) a squaring runs in row bands of 128 rows or more,
+    # each its own product and the same bands at any thread count, so the
+    # threaded power keeps the one-thread bits on every lattice, odd n too
+    # (where a band of the product alone would not: BLAS rounds the band
+    # and the whole product differently)
+    plan, w, g, x = power_case(n, twice)
+    splits = spy_splits(monkeypatch)
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(grids, "_USABLE_CORES", cores)
+        runs.append(plan._power(w, g, grids._POWER_TAIL + 1, x))  # one squaring
+    assert splits == [n * n // 128] * 2
+    assert np.array_equal(*runs)
+
+
+def test_power_matches_the_per_step_loops_around_the_stop():
+    # runs of k steps just below, at and above the stop at _POWER_TAIL
+    # factors, and up to the ideal_long shape's 8192: applied factor by
+    # factor or squared, the power stays within N eps of stepping
+    plan, w, g, x = power_case(16)
+    lengths = [63, 64, 65, 127, 128, 4097, 8191, 8192]
+    assert grids._POWER_TAIL == 64
+    want, done = x, 0
+    for k in lengths:
+        for _ in range(k - done):
+            want = g * (w @ want @ w.conj().T)
+        done = k
+        assert rel_gap(plan._power(w, g, k, x), want) <= 10 * k * np.finfo(float).eps, k
+
+
+@pytest.mark.parametrize("n, n_steps, squarings", [(16, 8192, 7), (8, 512, 5), (4, 128, 5)])
+def test_a_power_squares_until_its_stop(monkeypatch, n, n_steps, squarings):
+    # 8192 = 2^13 steps at n = 16 stop squaring at Q^128, 64 factors left,
+    # where a full binary power would square 13 times; on smaller lattices
+    # the stop is n^2/4 factors (16 at n = 8, 4 at n = 4).  Each squaring is
+    # one split, in two bands from n = 16
+    plan, w, g, x = power_case(n)
+    splits = spy_splits(monkeypatch)
+    plan.sweep(x, g, n_steps)
+    assert splits == [max(1, n * n // 128)] * squarings
+
+
+def test_threaded_power_gives_the_parent_bits_in_a_forked_child(monkeypatch):
+    # the parent's squarings open the kept pool; a forked child has none of
+    # its threads, forgets it at the fork and opens its own, bit for bit
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    monkeypatch.setattr(grids, "_USABLE_CORES", 2)
+    plan, w, g, x = power_case(16)
+    want = plan.sweep(x, g, 16**3)
+    parent_pool = grids._kept_pool
+    assert parent_pool is not None
+
+    def child():
+        forgotten = grids._kept_pool is None
+        got = plan.sweep(x, g, 16**3)
+        send.send((forgotten, grids._kept_pool is not None, got))
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=child)
+    process.start()
+    try:
+        assert recv.poll(60), "the forked child's power did not return"
+        forgotten, opened, got = recv.recv()
+    finally:
+        process.join(10)
+        if process.is_alive():
+            process.kill()
+    assert process.exitcode == 0
+    assert forgotten and opened and grids._kept_pool is parent_pool
+    assert np.array_equal(got, want)
+
+
 def test_no_superoperator_is_built_off_the_power_rule(monkeypatch):
     # the ideal_wide shape (FFT plan), the free demo's (dense, 200 < 64^3
     # steps), runs shorter than n^3 steps and observer sweeps all step

@@ -12,9 +12,15 @@ numerical check recorded in the manifest fails.
 """
 
 import argparse
+import os
 import sys
 
-from .scenario import CheckFailure, ConfigError, load_config, run_scenario
+# before numpy loads, BLAS on one thread unless the environment says otherwise:
+# the sampler batches run one per core, and BLAS threads in each oversubscribe them
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .scenario import CheckFailure, ConfigError, load_config, run_scenario  # noqa: E402
 
 
 def _pair_indices(text):

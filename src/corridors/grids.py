@@ -29,14 +29,14 @@ no array; on a small dense lattice a long sweep is one power of the step's
 real superoperator instead, squared only until a few dozen factors remain,
 which it applies to the state one product at a time.  A large squaring runs
 in fixed row bands that `_split` hands out to the calling thread and to the
-package's one kept pool (`_sweep_pool`, which the windowed sweep's wide
-slices share), so its bits do not depend on the thread count.  Every
-vector or column block, conditioned or field-sampled, steps through the
-plan's one column sweep, `apply`, with a diagonal gain between steps that
-it forms from the caller's log gains: it steps between two buffers
-allocated once per call, keeps gains and block inside the double range by
-exact power-of-two shifts and rescalings, and returns the base-2 exponent
-it took out for the caller to carry.
+package's one kept pool (`_sweep_pool`, shared with the windowed sweep's
+wide slices and the samplers' batches), so its bits do not depend on the
+thread count.  Every vector or column block, conditioned or field-sampled,
+steps through the plan's one column sweep, `apply`, with a diagonal gain
+between steps that it forms from the caller's log gains: it steps between
+two buffers allocated once per call, keeps gains and block inside the
+double range by exact power-of-two shifts and rescalings, and returns the
+base-2 exponent it took out for the caller to carry.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ _RANGE_BITS = 960
 _SHIFT_BITS = 256
 _LN2 = math.log(2.0)
 # the cores this process may run on, the package's one thread count: the FFT
-# sweep and the power's squarings read it at every call, and
-# `selective._BATCH_WORKERS` is bound to it
+# sweep, the power's squarings, the windowed sweep's wide slices and the
+# samplers' batches read it at every call
 _USABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 
@@ -323,7 +323,7 @@ class _StepPlan(_SplitStep):
     """The one-step propagator M, its phases computed once per engine call.
 
     ``dense`` (lattices up to ``_DENSE_STEP_MAX_POINTS``): every step is one
-    product with M, built with the plan (the threads of `_batch_map` share
+    product with M, built with the plan (the batches of `_batch_map` share
     it and only read it); otherwise every step runs the FFT, and a
     conjugation is one 2-D transform pair,
 
@@ -353,11 +353,11 @@ class _StepPlan(_SplitStep):
     step at n=256 on one core, 0.55 ms on two; at n=160 two read 0.27 ms
     against 0.23, too little work per thread).  `fft_step`, the column
     sweep's numpy.fft branch, stays on one worker: above the crossover it
-    runs inside `_batch_map`'s threads, and workers nested there would
-    oversubscribe the cores.  The crossover stays one rule at 128 for both
-    sweeps: the 2-D pair already beat dense there (0.19 against 0.31 ms a
-    step), two workers made it no faster (0.24 ms), and dense still wins on
-    vectors and column blocks.
+    runs inside `_batch_map`'s batches, one per core, and workers nested
+    there would oversubscribe the cores.  The crossover stays one rule at
+    128 for both sweeps: the 2-D pair already beat dense there (0.19
+    against 0.31 ms a step), two workers made it no faster (0.24 ms), and
+    dense still wins on vectors and column blocks.
     Dense, a step is W x, then (W x) W^dagger, then the gain, into two
     buffers per call, with the cached M M (`squared`) as W when ``twice``.
 
@@ -623,11 +623,12 @@ def _split(fn, parts, workers):
     `_sweep_pool`'s threads the others, each in a copy of the caller's context
     (numpy's errstate is context-local).  The caller returns once every run
     is done, even past an error.  A single part or worker runs inline and
-    opens no pool.  Each fn(part) must write only its own part of the result,
-    so the bits do not depend on the thread count, and must not call
-    `_split`: a pool thread waiting on the pool could wait on itself."""
+    opens no pool, as does a call from a pool thread (from a sampler batch
+    of `selective._batch_map`), which could wait on itself.  Each fn(part)
+    must write only its own part of the result, so the bits do not depend
+    on the thread count."""
     runs = min(workers, len(parts))
-    if runs < 2:
+    if runs < 2 or threading.current_thread().name.startswith(_POOL_PREFIX):
         for part in parts:
             fn(part)
         return
@@ -649,20 +650,21 @@ def _split(fn, parts, workers):
         future.result()
 
 
-_kept_pool = None  # `_sweep_pool`'s threads, once a split has needed them
-_pool_lock = threading.Lock()  # two splits that open it at once open one pool
+_kept_pool = None  # `_sweep_pool`'s threads, once a call has needed them
+_pool_lock = threading.Lock()  # two calls that open it at once open one pool
+_POOL_PREFIX = "corridors-split"  # the names of the pool's threads
 
 
 def _sweep_pool(threads):
-    """The package's one kept pool: ``threads`` threads that run `_split`'s
-    parts beside the caller, opened on the first split that needs them and
-    kept for the process (opening a pool per call costs up to 2.4 ms)."""
+    """The package's one kept pool: ``threads`` threads beside the caller for
+    `_split`'s parts and `selective._batch_map`'s batches, opened on first
+    need and kept for the process (a pool per call costs up to 2.4 ms)."""
     global _kept_pool
     with _pool_lock:
         if _kept_pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _kept_pool = ThreadPoolExecutor(threads, thread_name_prefix="corridors-split")
+            _kept_pool = ThreadPoolExecutor(threads, thread_name_prefix=_POOL_PREFIX)
         return _kept_pool
 
 

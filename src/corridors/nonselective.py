@@ -51,8 +51,8 @@ of every record, each record's corridor factors its gains, within the
 samplers' batch (`_FIELD_BATCH_ELEMENTS`), and a windowed batch one
 contraction, with records x identity columns x live elements within one
 block of the windowed sweep (`_SWEEP_BLOCK_ELEMENTS`) and the plan's
-cap.  The ideal batches, like the field samples, run side by side on
-worker threads (`selective._batch_map`), bit for bit as on one.  A window
+cap.  The ideal batches, like the field samples, run side by side, one
+per usable core (`selective._batch_map`), bit for bit as on one.  A window
 above the cap is refused in both modes: no sampled estimate of U[a]
 stands in for it.
 `superpropagate` accepts pluggable two-path weights, including the
@@ -500,7 +500,7 @@ def check_generalized_unitarity(
     cap), which refuses the window it does not fit, as in mode "exact".
     Records are drawn in turn from one stream, so a seed fixes the estimate
     up to the order of sums whatever the batch size.  Ideal batches are
-    conditioned on `_batch_map`'s worker threads, one per usable core, the
+    conditioned side by side through `_batch_map`, one per usable core, the
     records drawn here and the batches summed in order, so the estimate and
     its stderr are bit for bit those of one thread.  Windowed batches stay
     on this thread: their contractions of a few sites hold the GIL, and two

@@ -23,10 +23,10 @@ blocks along one axis, each block a function of its part of the state
 and of that axis's values; a slice whose weight would pass
 `_SWEEP_BLOCK_ELEMENTS` (512 KB) has several, so no slice forms its
 full-size weight and each block's weight stays in the L2 cache.  Such a
-slice's blocks run through `grids._split` on `_BATCH_WORKERS` threads, in
-contiguous runs on the calling thread and on the package's one kept pool,
-each writing its own part of the slice, so the bits do not depend on the
-worker count.  When
+slice's blocks run through `grids._split` on `grids._USABLE_CORES`
+threads, in contiguous runs on the calling thread and on the package's one
+kept pool, each writing its own part of the slice, so the bits do not
+depend on the worker count.  When
 the buffer would not fit in memory, `plan` refuses: its cap,
 `DEFAULT_WORK_CAP` read at every call, is the one exact-or-sample rule,
 and a caller that may sample falls back on that refusal alone
@@ -45,13 +45,13 @@ field sampler into each batch and the moments' common exponent, with the
 whole bits that shift a far record's weights back into range (in
 `_StepPlan.apply` and `_corridor_rows`, past 2^+-_SHIFT_BITS); the
 linear fields of a result are rounded from the logs and saturate.  The
-sampler batches run on worker threads, one per usable core
-(`grids._USABLE_CORES`), through one ordered batch map, `_batch_map`:
-the calling thread draws the random numbers in stream order and sums the
-results in batch order, so they are bit for bit those of one thread.
-The workers are separate from BLAS's own threads
-(``OPENBLAS_NUM_THREADS``); with both above one they oversubscribe the
-cores.  Windowed unitarity records stay on the calling thread (their
+sampler batches run side by side, one per usable core
+(`grids._USABLE_CORES`), through one ordered batch map, `_batch_map`, on
+the calling thread and the package's one kept pool: the calling thread
+draws the random numbers in stream order and sums the results in batch
+order, so they are bit for bit those of one thread.  These threads are
+separate from BLAS's own (``OPENBLAS_NUM_THREADS``); with both above one
+they oversubscribe the cores.  Windowed unitarity records stay on the calling thread (their
 small contractions hold the GIL).  Every ideal sweep and every field
 sample steps through the plan's one column sweep, `_StepPlan.apply`, with
 the logs of the corridor factors (`_corridor_gains`) or of the field's
@@ -68,18 +68,17 @@ from __future__ import annotations
 
 import contextvars
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 
 import numpy as np
 
+from . import grids
 from .grids import (
     _CHECK_BITS,
     _LN2,
     _RANGE_BITS,
     _SHIFT_BITS,
-    _USABLE_CORES,
     _rescale,
     _split,
     _StepPlan,
@@ -114,13 +113,6 @@ _SWEEP_BLOCK_ELEMENTS = 1 << 16
 # propagators here, and the records the Monte-Carlo unitarity check
 # conditions together in one ideal sweep (records x columns x sites)
 _FIELD_BATCH_ELEMENTS = 1 << 14
-# the package's one thread count, the cores this process may run on
-# (`grids._USABLE_CORES`): `_batch_map`'s threads sweep sampler batches side by
-# side (a pool per call), and `grids._split` runs a wide windowed slice's
-# blocks beside the caller on the package's one kept pool.  `grids` reads its
-# own name for the FFT sweep's transforms and for the power's squaring bands,
-# which share that pool
-_BATCH_WORKERS = _USABLE_CORES
 
 
 @dataclass(frozen=True)
@@ -273,7 +265,7 @@ def _contract_windowed(vec0, kernel, spec, log_row):
     sums after the kernel, added in the order of the one-block sum.
 
     A slice of two or more kept-axis blocks hands them to `grids._split` on
-    `_BATCH_WORKERS` threads, each block writing its part of the slice;
+    `grids._USABLE_CORES` threads, each block writing its part of the slice;
     `_split` returns once every block is done, before the slice rescales.
     numpy drops the GIL in the blocks' exp and products.  One-block slices,
     the summed blocks of a slice that keeps no axis and a single worker stay
@@ -355,7 +347,7 @@ def _contract_windowed(vec0, kernel, spec, log_row):
                 out += block(start)
         else:  # the kept axis comes first after the batch axes
             out = np.empty(state.shape[:lead] + state.shape[lead + summed:] + (n,), complex)
-            _split(fill, starts, _BATCH_WORKERS)
+            _split(fill, starts, grids._USABLE_CORES)
         state = out
         k += _rescale(state, limit)
         oldest = j if sums_last else oldest + summed
@@ -562,7 +554,7 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
     from ``rng``.  Yields pairs (block, e): (n, m, k) blocks, m samples side
     by side, k the columns of ``start``, each of about
     _FIELD_BATCH_ELEMENTS elements, and 2^e block the batch's true value.
-    The batches sweep on `_batch_map`'s worker threads, each batch's xi
+    The batches sweep side by side through `_batch_map`, each batch's xi
     drawn here in stream order, and come back in that order, so the
     blocks do not depend on the worker count.
 
@@ -594,39 +586,45 @@ def _field_sweep(plan, start, time_factor, space_factor, samples, rng, log_weigh
 
 
 def _batch_map(fn, inputs):
-    """map(fn, inputs), the calls running side by side on worker threads.
+    """map(fn, inputs), side by side on the calling thread and the package's
+    one kept pool (`grids._sweep_pool`).
 
-    ``inputs`` is consumed here, on the calling thread, in order, so the
-    random draws behind each batch come from the caller's stream in stream
-    order; each fn(x) runs on one of `_BATCH_WORKERS` threads in a copy of
-    the caller's context (numpy's errstate is context-local), and the
-    results are yielded in input order, so every sum over them runs in the
-    same order at any worker count and the results are bit for bit those
-    of the serial map.  numpy drops the GIL in BLAS and in large ufuncs,
-    which is where a sampler batch spends its time.  At most one input per
-    worker is in flight.  A single input, or a single worker, runs inline,
-    and `concurrent.futures` is imported only when a pool is needed.  fn
-    must not call the package's public functions: a tracer wrapping them
-    need not be thread-safe.
+    ``inputs`` is consumed here in order, in groups of `grids._USABLE_CORES`,
+    so each batch's random draws come from the caller's stream in stream
+    order.  The pool runs a group's inputs but the first, each in a copy of
+    the caller's context (numpy's errstate is context-local); the caller
+    hands out the next group before it runs the first, so the pool keeps
+    busy while the caller draws and sums (numpy drops the GIL in BLAS and
+    in large ufuncs).  Results are yielded in input order, so every sum
+    over them is bit for bit that of the serial map.  A single input or
+    worker runs inline and opens no pool; a call left early waits for what
+    it handed out.  fn must not call the package's public functions: a
+    tracer wrapping them need not be thread-safe.
     """
     inputs = iter(inputs)
-    head = list(islice(inputs, 2))
-    workers = _BATCH_WORKERS
-    if len(head) < 2 or workers < 2:
-        yield from map(fn, chain(head, inputs))
+    workers = grids._USABLE_CORES
+    group = list(islice(inputs, workers))
+    if len(group) < 2:
+        yield from map(fn, chain(group, inputs))
         return
-    from concurrent.futures import ThreadPoolExecutor
+    pool = grids._sweep_pool(workers - 1)
 
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for x in chain(head, inputs):
-            if len(pending) == workers:
-                pending[0].result()  # wait for the oldest: one input per worker
-            pending.append(pool.submit(contextvars.copy_context().run, fn, x))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    def hand_out(group):  # all but the caller's first input
+        return [pool.submit(contextvars.copy_context().run, fn, x) for x in group[1:]]
+
+    futures, ahead = hand_out(group), []
+    try:
+        while group:
+            after = list(islice(inputs, workers))
+            ahead = hand_out(after)
+            yield fn(group[0])
+            for future in futures:
+                yield future.result()
+            group, futures, ahead = after, ahead, []
+    finally:  # nothing this call handed out runs past it
+        for future in futures + ahead:
+            if not future.cancel():
+                future.exception()
 
 
 class _Moments:

@@ -10,8 +10,9 @@ and `tests/oracles.py` import scipy at module level, so in this process
 `sys.modules` would hold it whatever the package does.
 
 A sampler that runs one batch sweeps it inline, so it loads no
-`concurrent.futures` either: the thread pool is imported only by a call
-with batches to run side by side.
+`concurrent.futures` either: the kept thread pool is imported only by a
+call with batches to run side by side.  The CLI module pins BLAS to one
+thread before numpy loads, unless the caller's environment sets it.
 """
 
 import json
@@ -28,7 +29,7 @@ SCENARIOS = REPO / "demos" / "scenarios"
 PROBE = """
 import json, sys
 import corridors, corridors.cli
-from corridors import selective
+from corridors import grids
 
 free, slow, outdir = sys.argv[1:]
 code = corridors.cli.main(["evolve", free, "--outdir", outdir])
@@ -43,10 +44,11 @@ from corridors.grids import (HamiltonianSpec, ObservableSpec, SpatialGrid, TimeG
 from corridors.nonselective import InfluenceKernelSpec, check_generalized_unitarity, superpropagate
 
 # the windowed demo's MC unitarity check, and an ideal one in two batches of
-# 4 records of 64 x 64 on two pool workers whatever the machine's cores
+# 4 records of 64 x 64 on two workers (the caller and the kept pool's
+# thread) whatever the machine's cores
 unit_code = corridors.cli.main(["unitarity-check", slow, "--outdir", outdir + "/unit",
                                 "--mode", "mc"])
-selective._BATCH_WORKERS = 2
+grids._USABLE_CORES = 2
 g = SpatialGrid(8.0, 64)
 check_generalized_unitarity(0.8, HamiltonianSpec.harmonic(g, omega=0.5), ObservableSpec.position(g),
                             g, TimeGrid(0.6, 3), mode="mc", samples=8, seed=1)
@@ -79,3 +81,36 @@ def test_cli_task_loads_no_scipy_and_the_fft_sweep_loads_scipy_fft(tmp_path):
     assert result["after_unitarity"] == []
     # the n=256 sweep transforms through scipy.fft, not another FFT
     assert result["fft_loaded"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_PROBE = """
+import json, os, sys
+VARS = %r
+seen = {}
+
+
+class AtNumpy:  # the environment BLAS reads: the one at numpy's first import
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({var: os.environ.get(var) for var in VARS})
+
+
+sys.meta_path.insert(0, AtNumpy())
+import corridors.cli
+print(json.dumps(seen))
+""" % (BLAS_VARS,)
+
+
+def test_the_cli_pins_blas_to_one_thread_unless_the_caller_set_it():
+    # the sampler batches run one per core, and BLAS threads inside each
+    # oversubscribed the cores; a value the caller set stays
+    src = str(Path(corridors.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OMP_NUM_THREADS="2")
+    run = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+                         env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}

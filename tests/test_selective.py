@@ -343,7 +343,7 @@ def test_coarse_engine_peak_memory_is_within_half_a_work_tensor(monkeypatch):
     work = WindowSpec.plan(ff.window_matrix(tgrid.n_steps, tgrid.dt), sgrid.n_points).work_elements
     assert work == 16**5
     for workers in (1, 2):
-        monkeypatch.setattr(selective, "_BATCH_WORKERS", workers)
+        monkeypatch.setattr(grids, "_USABLE_CORES", workers)
         tracemalloc.start()
         try:
             evolve_selective_coarse(psi0, record, ff, kappa, ham, obs, sgrid, tgrid)
@@ -389,9 +389,9 @@ def test_threaded_sweep_is_bit_identical_to_one_thread(monkeypatch, n, block, wo
     if block is not None:
         monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", block)
     run = slow_detector_sweeps(n)
-    monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
+    monkeypatch.setattr(grids, "_USABLE_CORES", 1)
     serial = run()
-    monkeypatch.setattr(selective, "_BATCH_WORKERS", workers)
+    monkeypatch.setattr(grids, "_USABLE_CORES", workers)
     for got, want in zip(run(), serial):
         assert np.array_equal(got, want)
 
@@ -408,9 +408,9 @@ def test_threaded_sweep_blocks_run_in_the_callers_errstate(monkeypatch):
         return evolve_selective_coarse(psi0, record + 1000.0, ff, kappa, ham, obs, sgrid,
                                        tgrid).final_state
 
-    monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
+    monkeypatch.setattr(grids, "_USABLE_CORES", 1)
     serial = run()
-    monkeypatch.setattr(selective, "_BATCH_WORKERS", 2)
+    monkeypatch.setattr(grids, "_USABLE_CORES", 2)
     with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
         run()
     threads = set()
@@ -450,11 +450,9 @@ def test_the_sweep_pool_opens_on_a_wide_slice_and_is_forgotten_after_a_fork(monk
     power16, power8 = power_sweep(16), power_sweep(8)
     opened = []
     try:
-        monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
         monkeypatch.setattr(grids, "_USABLE_CORES", 1)
         wide_slices()
         power16()
-        monkeypatch.setattr(selective, "_BATCH_WORKERS", 2)
         monkeypatch.setattr(grids, "_USABLE_CORES", 2)
         evolve_selective_coarse(psi8, record, ff, kappa, *lattice8)
         power8()
@@ -493,7 +491,6 @@ def test_no_part_on_the_pool_submits_to_the_pool(monkeypatch):
 
     monkeypatch.setattr(grids, "_sweep_pool", spied)
     monkeypatch.setattr(grids, "_USABLE_CORES", 2)
-    monkeypatch.setattr(selective, "_BATCH_WORKERS", 2)
     power_sweep(16)()
     slow_detector_sweeps(16)()
     psi0, record, ff, kappa, ham, obs, sgrid, tgrid = slow_detector_inputs(16)
@@ -541,7 +538,7 @@ def test_blocks_of_a_slice_run_alone_in_any_order(monkeypatch):
     lattice4 = slow_detector_inputs(4)[4:]
     monkeypatch.setattr(selective, "_SWEEP_BLOCK_ELEMENTS", 1 << 10)
     # the profiler sees the calling thread only: every block runs there
-    monkeypatch.setattr(selective, "_BATCH_WORKERS", 1)
+    monkeypatch.setattr(grids, "_USABLE_CORES", 1)
     calls = record_sweep_blocks(lambda: (
         evolve_selective_coarse(psi8, record, ff, kappa, ham, obs, sgrid, tgrid),
         check_generalized_unitarity(kappa, *lattice4, form_factor=ff, mode="mc", samples=2,

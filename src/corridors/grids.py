@@ -18,25 +18,26 @@ Engines plan the step once per call and, up to a measured lattice size,
 step by products with its dense matrix, which is cheaper there than the FFT.
 Above it a density matrix is conjugated, M rho M^dagger, by one 2-D FFT pair
 with the phases applied as outer products; this relies on the kinetic phase
-being even in k, which k^2 on the FFT-ordered lattice is at every n.  The
-pair's transforms run on every core the process may use (`_USABLE_CORES`,
-the package's one thread count), bit for bit the one-worker pair.  An
+being even in k, which k^2 on the FFT-ordered lattice is at every n.  An
 averaged engine runs its steps as sweeps of the plan, each N identical steps
 with one gain.  A sweep folds the diagonal factors between two transform
 pairs (the closing potential phase, the gain and the next opening phase)
-into one precomputed product and transforms in place, so a step allocates
-no array; on a small dense lattice a long sweep is one power of the step's
-real superoperator instead, squared only until a few dozen factors remain,
-which it applies to the state one product at a time.  A large squaring runs
-in fixed row bands that `_split` hands out to the calling thread and to the
-package's one kept pool (`_sweep_pool`, shared with the windowed sweep's
-wide slices and the samplers' batches), so its bits do not depend on the
-thread count.  Every vector or column block, conditioned or field-sampled,
-steps through the plan's one column sweep, `apply`, with a diagonal gain
-between steps that it forms from the caller's log gains: it steps between
-two buffers allocated once per call, keeps gains and block inside the
-double range by exact power-of-two shifts and rescalings, and returns the
-base-2 exponent it took out for the caller to carry.
+into one precomputed product and transforms in place with numpy.fft, so a
+step allocates no array; on a small dense lattice a long sweep is one power
+of the step's real superoperator instead, squared only until a few dozen
+factors remain, which it applies to the state one product at a time.  A
+large squaring, and each pass of a sweep's 1-D transforms from 256 points,
+runs in fixed bands of at least 128 rows that `_split` hands out to the
+calling thread and to the package's one kept pool (`_sweep_pool`, shared
+with the windowed sweep's wide slices and the samplers' batches) on every
+core the process may use (`_USABLE_CORES`, the package's one thread count),
+so the bits do not depend on the thread count.  Every vector or column
+block, conditioned or field-sampled, steps through the plan's one column
+sweep, `apply`, with a diagonal gain between steps that it forms from the
+caller's log gains: it steps between two buffers allocated once per call,
+keeps gains and block inside the double range by exact power-of-two shifts
+and rescalings, and returns the base-2 exponent it took out for the caller
+to carry.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ _POWER_MAX_POINTS = 32
 #     16   0.62 ms | 0.37-0.42    12 us     100 | 66   64
 #     32   36.6 ms | 18.5-20.5    0.75 ms   98 | 52   64
 _POWER_TAIL = 64
+# The fewest rows of a band that `_split` hands to a thread (`_bands`): a squaring
+# runs in n^2 // _BAND_ROWS row bands and each pass of the FFT sweep in
+# n // _BAND_ROWS bands of rows or columns, fixed by the lattice, and a single
+# band runs inline (two threads on bands of 80 FFT rows, at n = 160, ran
+# slower than one thread on all 160)
+_BAND_ROWS = 128
 # Rescaling of a column sweep (`_StepPlan.apply`): a check every _CHECK_BITS
 # of worst-case movement of the block's largest entry keeps it within
 # 2^+-_RANGE_BITS, clear of the subnormals below 2^-1022 and of overflow; a
@@ -344,20 +351,26 @@ class _StepPlan(_SplitStep):
     conjugation, the gain and the opening V2 of the next fold into one
     product V2 . g . V2, formed once per call if a step uses it (inside
     W = M M: V2 . V2 by its column and row factors), and V2 then g close the
-    last pair.  A pair is fft2, times K2, ifft2, in the array's own memory
-    (``overwrite_x``), and the products are in place, so no step allocates.
-    Both transforms take ``workers=_USABLE_CORES``, read at every call:
-    pocketfft splits their independent 1-D transforms between its own kept
-    threads, with no GIL or Python pool involved, and computes each as one
-    worker would, so the sweep is bit for bit that of one worker (0.94 ms a
-    step at n=256 on one core, 0.55 ms on two; at n=160 two read 0.27 ms
-    against 0.23, too little work per thread).  `fft_step`, the column
-    sweep's numpy.fft branch, stays on one worker: above the crossover it
-    runs inside `_batch_map`'s batches, one per core, and workers nested
-    there would oversubscribe the cores.  The crossover stays one rule at
-    128 for both sweeps: the 2-D pair already beat dense there (0.19
-    against 0.31 ms a step), two workers made it no faster (0.24 ms), and
-    dense still wins on vectors and column blocks.
+    last pair.  A pair is numpy.fft's 1-D transforms, each written in place
+    (``out=``), with the ifft2's 1/n^2 folded into K2, and the products are
+    in place, so no step allocates.  A step is two passes, each one `_split`
+    over ``n // _BAND_ROWS`` fixed bands (two at n = 256, one, inline,
+    below) on ``_USABLE_CORES`` threads, read at every call: a row pass
+    transforms its band of rows of s forward, takes K2 and transforms them
+    back; a column pass copies its band of columns of s into rows of a
+    second buffer t, transforms them back (closing the conjugation), takes
+    the product between two pairs and transforms them forward (opening the
+    next), and copies them back.  As rows of t the column transforms and
+    products run on contiguous memory: the products on a band of columns
+    in place ran four times slower.  Every transform and product touches
+    only its own band, so the sweep is bit for bit that of one thread
+    (1.38 ms a step at n=256 on one thread against 1.45 ms by scipy.fft's
+    2-D pair, and 0.49 and 0.73 ms at n=160 and 192, in one band; two
+    threads: `BENCH_numpy_fft.json`).  `fft_step`, the column sweep's
+    numpy.fft branch, is not banded: above the crossover it runs inside
+    `_batch_map`'s batches, one per core.  The crossover stays one rule at
+    128 for both sweeps: the 2-D pair beats dense there (0.32 against
+    0.51 ms a step), but dense still wins on vectors and column blocks.
     Dense, a step is W x, then (W x) W^dagger, then the gain, into two
     buffers per call, with the cached M M (`squared`) as W when ``twice``.
 
@@ -498,8 +511,8 @@ class _StepPlan(_SplitStep):
         return cur, k + _rescale(cur, -1 if k else limit)
 
     @cached_property
-    def kinetic_2d(self):  # K2 = k k^dagger of the 2-D conjugation
-        return self.kinetic * self.kinetic.conj().T
+    def kinetic_2d(self):  # K2 = k k^dagger, with the inverse pair's 1/n^2 folded in
+        return self.kinetic * (self.kinetic.conj().T / self.n**2)
 
     @cached_property
     def squared(self):
@@ -530,38 +543,49 @@ class _StepPlan(_SplitStep):
             return out
         if not n_steps:
             return np.array(x, dtype=complex)
-        import scipy.fft  # the FFT plan alone needs scipy: loaded here, once per call
-
-        v, v_h = self.half_v, self.half_v.conj().T  # V2 = v v_h
+        # the column passes work on rows of t = s^T, so every factor is
+        # transposed: V2^T = v v_h with the row v = half_v^T, the column v_h
+        v, v_h = self.half_v.T, self.half_v.conj()
         v_sq, v_h_sq = v * v, v_h * v_h
-        s = x * v
-        s *= v_h
+        opening, inner = (v, v_h), (v_sq, v_h_sq)  # V2, and V2 . V2 inside W = M M
+        closing = opening if gain is None else opening + (gain.T,)
         folded = None  # V2 . g . V2, the product between two steps
-        for i in range(n_steps):
-            if twice:
-                s = self._transform_pair(s, scipy.fft)
-                s *= v_sq  # V2 . V2 by its two factors, no (n, n) array
-                s *= v_h_sq
-            s = self._transform_pair(s, scipy.fft)
-            if i + 1 == n_steps:
-                break
-            if folded is None:
-                folded = v_sq * v_h_sq
-                if gain is not None:
-                    folded *= gain
-            s *= folded
-        s *= v
-        s *= v_h
-        if gain is not None:
-            s *= gain
-        return s
+        if n_steps > 1:
+            folded = v_sq * v_h_sq
+            if gain is not None:
+                folded *= gain.T
+        k2 = self.kinetic_2d
+        s, t = np.empty((self.n, self.n), complex), np.empty((self.n, self.n), complex)
+        bands = _bands(self.n)
 
-    def _transform_pair(self, s, fft):
-        """ifft2(K2 . fft2(s)) by the module ``fft`` (scipy.fft), in the memory of s,
-        on ``_USABLE_CORES`` workers (bit for bit one worker's)."""
-        s = fft.fft2(s, overwrite_x=True, workers=_USABLE_CORES)
-        s *= self.kinetic_2d
-        return fft.ifft2(s, overwrite_x=True, workers=_USABLE_CORES)
+        def rows(b):  # a conjugation's row transforms and K2, on a band of rows of s
+            band = s[b]
+            np.fft.fft(band, axis=1, out=band)
+            band *= k2[b]
+            np.fft.ifft(band, axis=1, out=band, norm="forward")  # K2 holds the 1/n^2
+
+        def columns(b, factors, first=False, last=False):
+            # a band of columns of s (of x, first) as rows of t: the inverse
+            # column transforms closing a conjugation, the factors, the forward
+            # ones opening the next
+            band = t[b]
+            np.copyto(band, (x if first else s)[:, b].T)
+            if not first:
+                np.fft.ifft(band, axis=1, out=band, norm="forward")
+            for f in factors:
+                band *= f if len(f) == 1 else f[b]
+            if not last:
+                np.fft.fft(band, axis=1, out=band)
+            np.copyto(s[:, b], band.T)
+
+        _split(lambda b: columns(b, opening, first=True), bands, _USABLE_CORES)
+        for c in range(1, n_steps * (1 + twice)):
+            _split(rows, bands, _USABLE_CORES)
+            between = inner if twice and c % 2 else (folded,)
+            _split(lambda b: columns(b, between), bands, _USABLE_CORES)
+        _split(rows, bands, _USABLE_CORES)
+        _split(lambda b: columns(b, closing, last=True), bands, _USABLE_CORES)
+        return s
 
     def _takes_power(self, n_steps, g):
         """Whether n_steps identical dense steps, each followed by the gain g, are
@@ -579,10 +603,11 @@ class _StepPlan(_SplitStep):
         (x - x^dagger)/2i, two columns of h.  Q is squared into two buffers
         while more than ``_POWER_TAIL`` (at most n^2/4) factors of the power
         so far remain, and the rest are applied to h one product at a time.  A squaring runs
-        in row bands of at least 128 rows, each its own product, through
-        `_split` on ``_USABLE_CORES`` threads: the bands do not depend on the
-        thread count, so neither do the bits, and a squaring below 256 rows
-        (n < 16), where a second thread gains too little, is one product."""
+        in row bands of at least ``_BAND_ROWS`` rows, each its own product,
+        through `_split` on ``_USABLE_CORES`` threads: the bands do not
+        depend on the thread count, so neither do the bits, and a squaring
+        below 256 rows (n < 16), where a second thread gains too little, is
+        one product, with no split."""
         n = self.n
         nn = n * n
         re, im = m.real, m.imag
@@ -597,8 +622,7 @@ class _StepPlan(_SplitStep):
         parts = np.stack([x + x.conj().T, (x - x.conj().T) * -1j]) * 0.5
         h = (parts.real + parts.imag).reshape(2, nn).T
         buf = np.empty_like(q)
-        count = max(1, nn // 128)
-        bands = [slice(nn * b // count, nn * (b + 1) // count) for b in range(count)]
+        bands = _bands(nn)
 
         def square(rows):
             np.matmul(q[rows], q, out=buf[rows])
@@ -607,7 +631,10 @@ class _StepPlan(_SplitStep):
             if k & 1:
                 h = q @ h
             k >>= 1
-            _split(square, bands, _USABLE_CORES)
+            if len(bands) > 1:
+                _split(square, bands, _USABLE_CORES)
+            else:  # a split's calls cost about 1 us a squaring at n = 4
+                np.matmul(q, q, out=buf)
             q, buf = buf, q
         for _ in range(k):
             h = q @ h
@@ -615,6 +642,13 @@ class _StepPlan(_SplitStep):
         h_t = h.transpose(0, 2, 1)
         parts = 0.5 * ((h + h_t) + 1j * (h - h_t))  # Re X = sym(h), Im X = antisym(h)
         return parts[0] + 1j * parts[1]
+
+
+def _bands(rows):
+    """``rows`` rows cut into rows // ``_BAND_ROWS`` contiguous bands (at least
+    one), as slices: fixed by the size alone, never by the thread count."""
+    count = max(1, rows // _BAND_ROWS)
+    return [slice(rows * b // count, rows * (b + 1) // count) for b in range(count)]
 
 
 def _split(fn, parts, workers):

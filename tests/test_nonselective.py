@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from numpy.testing import assert_allclose
 
 import oracles
@@ -147,7 +146,11 @@ def test_lindblad_observer_sees_every_step(n):
 def _count_conjugations(monkeypatch, plan):
     """Count the conjugations by ``plan``: on a dense plan the products whose
     left factor is its M ("half") or its M M ("twice"), on the FFT the 2-D
-    transforms, one fft2 and one ifft2 per conjugation."""
+    transforms, one fft2 and one ifft2 per conjugation.  The FFT sweep runs
+    every 1-D transform along the last axis (rows of the state, and its
+    columns as rows of a transposed buffer), in bands, so 2n of them, counted
+    line by line, make one 2-D transform; `fft_step` (the dense plan's M)
+    transforms along the first axis."""
     calls = {"half": 0, "twice": 0, "fft2": 0, "ifft2": 0}
     factors = {"half": plan.matrix, "twice": plan.squared[0]} if plan.dense else {}
     matmul = np.matmul
@@ -158,14 +161,15 @@ def _count_conjugations(monkeypatch, plan):
         return matmul(a, *args, **kwargs)
 
     def counted(name, transform):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return transform(*args, **kwargs)
+        def call(a, *args, axis=-1, **kwargs):
+            if axis in (-1, a.ndim - 1):
+                calls[name] += a.size // a.shape[axis] / (2 * plan.n)
+            return transform(a, *args, axis=axis, **kwargs)
         return call
 
     monkeypatch.setattr(np, "matmul", counted_matmul)
-    for name in ("fft2", "ifft2"):
-        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name + "2", getattr(np.fft, name)))
     return calls
 
 

@@ -10,6 +10,7 @@ every usable core and must keep the one-worker bits, in a forked child too.
 
 import math
 import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -486,12 +487,22 @@ def test_power_matches_the_per_step_loops_around_the_stop():
 def test_a_power_squares_until_its_stop(monkeypatch, n, n_steps, squarings):
     # 8192 = 2^13 steps at n = 16 stop squaring at Q^128, 64 factors left,
     # where a full binary power would square 13 times; on smaller lattices
-    # the stop is n^2/4 factors (16 at n = 8, 4 at n = 4).  Each squaring is
-    # one split, in two bands from n = 16
+    # the stop is n^2/4 factors (16 at n = 8, 4 at n = 4).  A squaring writes
+    # all n^2 rows of its buffer: from n = 16 as one split in two bands,
+    # below as one product with no split
     plan, w, g, x = power_case(n)
     splits = spy_splits(monkeypatch)
+    rows, matmul = [], np.matmul
+
+    def counted(a, b, *args, out=None, **kwargs):
+        if out is not None:
+            rows.append(len(out))
+        return matmul(a, b, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
     plan.sweep(x, g, n_steps)
-    assert splits == [max(1, n * n // 128)] * squarings
+    assert sum(rows) == squarings * n * n
+    assert splits == ([2] * squarings if n == 16 else [])
 
 
 def test_threaded_power_gives_the_parent_bits_in_a_forked_child(monkeypatch):
@@ -581,41 +592,51 @@ def fft_sweep_case(n, gain):
     return plan, random_matrix(n, 9), None if gain == "none" else g
 
 
-def spy_fft_workers(monkeypatch):
-    """The ``workers`` of every scipy.fft.fft2 and ifft2 call, in order."""
-    import scipy.fft
+def spy_split_workers(monkeypatch):
+    """The part count and ``workers`` of every `grids._split` call, in order,
+    and whether numpy.fft.fft ran on the caller (False) or a kept-pool thread."""
+    seen, threads, split, fft = [], set(), grids._split, np.fft.fft
 
-    seen = []
-    for name in ("fft2", "ifft2"):
-        def spy(*args, _transform=getattr(scipy.fft, name), _name=name, **kwargs):
-            seen.append((_name, kwargs.get("workers")))
-            return _transform(*args, **kwargs)
+    def counted(fn, parts, workers):
+        seen.append((len(parts), workers))
+        return split(fn, parts, workers)
 
-        monkeypatch.setattr(scipy.fft, name, spy)
-    return seen
+    def named(*args, **kwargs):
+        threads.add(threading.current_thread().name.startswith(grids._POOL_PREFIX))
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "_split", counted)
+    monkeypatch.setattr(np.fft, "fft", named)
+    return seen, threads
 
 
 @pytest.mark.parametrize("gain", ["none", "decay", "complex"])
 @pytest.mark.parametrize("twice", [False, True], ids=["M", "MM"])
 @pytest.mark.parametrize("n", [4, 256])
 def test_fft_sweep_is_bit_identical_at_any_worker_count(monkeypatch, n, twice, gain):
-    # pocketfft computes each 1-D transform of a pair as one worker would, so
-    # the threaded sweep keeps the one-worker bits; every transform must be
-    # handed the package's count, or a fall back to one worker would pass
+    # every 1-D transform and product of a step touches one band of rows or
+    # columns, fixed by n (two at n = 256), so the threaded sweep keeps the
+    # one-worker bits; every pass must be handed the package's count, and at
+    # two workers a band must run on the kept pool, or a fall back to one
+    # worker would pass
     plan, x, g = fft_sweep_case(n, gain)
-    seen = spy_fft_workers(monkeypatch)
+    seen, threads = spy_split_workers(monkeypatch)
     n_steps, runs = 3, []
+    conjugations = n_steps * (1 + twice)
     for workers in (1, 2):
         monkeypatch.setattr(grids, "_USABLE_CORES", workers)
         seen.clear()
+        threads.clear()
         runs.append(plan.sweep(x, g, n_steps, twice))
-        assert seen == [("fft2", workers), ("ifft2", workers)] * n_steps * (1 + twice)
+        # the opening columns, then a row pass and a column pass per conjugation
+        assert seen == [(2 if n == 256 else 1, workers)] * (2 * conjugations + 1)
+        assert threads == ({False, True} if n == 256 and workers == 2 else {False})
     assert np.array_equal(*runs)
 
 
 def test_threaded_fft_sweep_gives_the_parent_bits_in_a_forked_child(monkeypatch):
-    # pocketfft keeps its threads for the process; a forked child has none of
-    # them, so its pool must come back for the child's sweep, bit for bit
+    # the sweep's bands open the kept pool; a forked child has none of its
+    # threads, forgets it at the fork and opens its own, bit for bit
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork on this platform")
     monkeypatch.setattr(grids, "_USABLE_CORES", 2)

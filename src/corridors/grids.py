@@ -364,8 +364,9 @@ class _StepPlan(_SplitStep):
     products run on contiguous memory: the products on a band of columns
     in place ran four times slower.  Every transform and product touches
     only its own band, so the sweep is bit for bit that of one thread
-    (1.38 ms a step at n=256 on one thread against 1.45 ms by scipy.fft's
-    2-D pair, and 0.49 and 0.73 ms at n=160 and 192, in one band; two
+    (at n=256 on one thread about 3% slower a step than scipy.fft's 2-D
+    pair over the longest series, 2.21 against 2.15 ms, the copies about
+    0.24 ms of it; 0.49 and 0.73 ms at n=160 and 192, in one band; two
     threads: `BENCH_numpy_fft.json`).  `fft_step`, the column sweep's
     numpy.fft branch, is not banded: above the crossover it runs inside
     `_batch_map`'s batches, one per core.  The crossover stays one rule at
@@ -607,7 +608,7 @@ class _StepPlan(_SplitStep):
         through `_split` on ``_USABLE_CORES`` threads: the bands do not
         depend on the thread count, so neither do the bits, and a squaring
         below 256 rows (n < 16), where a second thread gains too little, is
-        one product, with no split."""
+        one product."""
         n = self.n
         nn = n * n
         re, im = m.real, m.imag
@@ -631,10 +632,7 @@ class _StepPlan(_SplitStep):
             if k & 1:
                 h = q @ h
             k >>= 1
-            if len(bands) > 1:
-                _split(square, bands, _USABLE_CORES)
-            else:  # a split's calls cost about 1 us a squaring at n = 4
-                np.matmul(q, q, out=buf)
+            _split(square, bands, _USABLE_CORES)
             q, buf = buf, q
         for _ in range(k):
             h = q @ h
